@@ -188,22 +188,10 @@ fn exec_var(op: &Op, ins: &[Var], input_shape: &[usize]) -> Var {
     match op {
         Op::Matmul => ins[0].matmul(&ins[1]),
         Op::AddBias => ins[0].add(&ins[1]),
-        Op::Linear { bias } => {
-            let y = ins[0].matmul(&ins[1]);
-            if *bias {
-                y.add(&ins[2])
-            } else {
-                y
-            }
-        }
+        Op::Linear { bias } => ins[0].linear(&ins[1], bias.then(|| &ins[2])),
         Op::Unfold1d { window, stride } => ins[0].unfold1d(*window, *stride),
         Op::WindowEmbed { window, stride, bias } => {
-            let y = ins[0].unfold1d(*window, *stride).matmul(&ins[1]);
-            if *bias {
-                y.add(&ins[2])
-            } else {
-                y
-            }
+            ins[0].unfold1d(*window, *stride).linear(&ins[1], bias.then(|| &ins[2]))
         }
         Op::ClsConcatPos => {
             // Mirrors `TimeConvEmbed::forward` after the convolution.
@@ -216,16 +204,7 @@ fn exec_var(op: &Op, ins: &[Var], input_shape: &[usize]) -> Var {
             let pos = ins[2].slice_axis(0, 0, n + 1);
             with_cls.add(&pos)
         }
-        Op::LayerNorm { eps } => {
-            // Mirrors `rita_nn::layers::LayerNorm::forward`.
-            let x = &ins[0];
-            let last = x.shape().len() - 1;
-            let mean = x.mean_axis(last);
-            let centered = x.sub(&mean);
-            let var = centered.square().mean_axis(last);
-            let denom = var.add_scalar(*eps).sqrt();
-            centered.div(&denom).mul(&ins[1]).add(&ins[2])
-        }
+        Op::LayerNorm { eps } => ins[0].layer_norm(&ins[1], &ins[2], *eps),
         Op::Gelu => ins[0].gelu(),
         Op::Add => ins[0].add(&ins[1]),
         Op::SplitHeads { heads } => crate::attention::split_heads(&ins[0], *heads),

@@ -228,18 +228,17 @@ fn exec_node(
         Some(wq) => x.matmul_quant(wq),
         None => x.matmul(w),
     };
+    // The product is freshly allocated and unshared, so the bias lands in place.
+    let add_bias = |y: NdArray, b: Option<&NdArray>| match b {
+        Some(b) => y.add_row_bias(b).map_err(|e| node_err(node, e)),
+        None => Ok(y),
+    };
     match &node.op {
         Op::Matmul => weight_mm(&ins[0], &ins[1], &qins[1]).map_err(|e| node_err(node, e)),
         Op::AddBias => ins[0].add(&ins[1]).map_err(|e| node_err(node, e)),
         Op::Linear { bias } => {
             let y = weight_mm(&ins[0], &ins[1], &qins[1]).map_err(|e| node_err(node, e))?;
-            if *bias {
-                let out = y.add(&ins[2]).map_err(|e| node_err(node, e))?;
-                reclaim(y);
-                Ok(out)
-            } else {
-                Ok(y)
-            }
+            add_bias(y, bias.then(|| &ins[2]))
         }
         Op::Unfold1d { window, stride } => {
             ins[0].unfold1d(*window, *stride).map_err(|e| node_err(node, e))
@@ -248,13 +247,7 @@ fn exec_node(
             let windows = ins[0].unfold1d(*window, *stride).map_err(|e| node_err(node, e))?;
             let y = weight_mm(&windows, &ins[1], &qins[1]).map_err(|e| node_err(node, e))?;
             reclaim(windows);
-            if *bias {
-                let out = y.add(&ins[2]).map_err(|e| node_err(node, e))?;
-                reclaim(y);
-                Ok(out)
-            } else {
-                Ok(y)
-            }
+            add_bias(y, bias.then(|| &ins[2]))
         }
         Op::ClsConcatPos => {
             // Mirrors the tail of `TimeConvEmbed::forward`.
@@ -273,40 +266,9 @@ fn exec_node(
             Ok(out)
         }
         Op::LayerNorm { eps } => {
-            // Mirrors `LayerNorm::forward`: mean/variance as sum → scale, the same
-            // broadcast chain, no fusing.
-            let x = &ins[0];
-            let last = x.ndim() - 1;
-            let n = x.shape()[last].max(1) as f32;
-            let sum = x.sum_axis(last, true).map_err(|e| node_err(node, e))?;
-            let mean = sum.scale(1.0 / n);
-            reclaim(sum);
-            let centered = x.sub(&mean).map_err(|e| node_err(node, e))?;
-            reclaim(mean);
-            let sq = centered.map(|v| v * v);
-            let var_sum = sq.sum_axis(last, true).map_err(|e| node_err(node, e))?;
-            reclaim(sq);
-            let var = var_sum.scale(1.0 / n);
-            reclaim(var_sum);
-            let shifted = var.add_scalar(*eps);
-            reclaim(var);
-            let denom = shifted.sqrt();
-            reclaim(shifted);
-            let normed = centered.div(&denom).map_err(|e| node_err(node, e))?;
-            reclaim(centered);
-            reclaim(denom);
-            let scaled = normed.mul(&ins[1]).map_err(|e| node_err(node, e))?;
-            reclaim(normed);
-            let out = scaled.add(&ins[2]).map_err(|e| node_err(node, e))?;
-            reclaim(scaled);
-            Ok(out)
+            Ok(ins[0].layer_norm(&ins[1], &ins[2], *eps).map_err(|e| node_err(node, e))?.out)
         }
-        Op::Gelu => {
-            // Same constants and expression as `Var::gelu`'s tanh approximation.
-            const C: f32 = 0.797_884_6; // sqrt(2/pi)
-            const A: f32 = 0.044_715;
-            Ok(ins[0].map(|x| 0.5 * x * (1.0 + (C * (x + A * x * x * x)).tanh())))
-        }
+        Op::Gelu => Ok(ins[0].gelu()),
         Op::Add => ins[0].add(&ins[1]).map_err(|e| node_err(node, e)),
         Op::SplitHeads { heads } => {
             // `split_heads`: (b, n, d) → (b, h, n, d/h), a pure view chain.

@@ -1002,9 +1002,18 @@ impl Server {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work_cv.notify_all();
-        self.shared.supervisor_cv.notify_all();
+        // Flag and notify under the lock each waiter checks the flag under. Without
+        // it a worker that has just read `shutdown == false` in `next_batch`, but has
+        // not yet parked in `wait_cv`, misses the only notification and sleeps forever.
+        {
+            let _queue = crate::lock_mx(&self.shared.state);
+            self.shared.shutdown.store(true, Ordering::Release);
+            self.shared.work_cv.notify_all();
+        }
+        {
+            let _reports = crate::lock_mx(&self.shared.supervisor);
+            self.shared.supervisor_cv.notify_all();
+        }
         if let Some(sup) = self.supervisor.take() {
             let _ = sup.join();
         }

@@ -34,11 +34,7 @@ impl Linear {
 
     /// Applies the layer to an input whose last dimension equals `in_features`.
     pub fn forward(&self, x: &Var) -> Var {
-        let y = x.matmul(&self.weight);
-        match &self.bias {
-            Some(b) => y.add(b),
-            None => y,
-        }
+        x.linear(&self.weight, self.bias.as_ref())
     }
 
     /// Input feature dimension.
@@ -73,8 +69,8 @@ pub struct LayerNorm {
 }
 
 impl LayerNorm {
-    /// The epsilon `new` installs — the single value the tape-free inference mirror
-    /// must agree with (it is not checkpointed).
+    /// The epsilon `new` installs — the value graph emission stamps on its layer-norm
+    /// nodes (it is not checkpointed).
     pub const DEFAULT_EPS: f32 = 1e-5;
 
     /// Creates a layer norm over a last dimension of size `d`.
@@ -88,12 +84,7 @@ impl LayerNorm {
 
     /// Normalises the last dimension of `x`.
     pub fn forward(&self, x: &Var) -> Var {
-        let last = x.shape().len() - 1;
-        let mean = x.mean_axis(last);
-        let centered = x.sub(&mean);
-        let var = centered.square().mean_axis(last);
-        let denom = var.add_scalar(self.eps).sqrt();
-        centered.div(&denom).mul(&self.gamma).add(&self.beta)
+        x.layer_norm(&self.gamma, &self.beta, self.eps)
     }
 }
 
@@ -204,12 +195,11 @@ impl Dropout {
 
     /// Applies dropout.
     pub fn forward(&self, x: &Var, training: bool, rng: &mut impl Rng) -> Var {
-        if !training || self.p == 0.0 {
-            return x.clone();
+        if training {
+            x.dropout(self.p, rng)
+        } else {
+            x.clone()
         }
-        let keep = 1.0 - self.p;
-        let mask = NdArray::bernoulli(&x.shape(), keep, rng).scale(1.0 / keep);
-        x.mul_mask(&mask)
     }
 }
 

@@ -7,7 +7,8 @@
 //!
 //! * [`Var`] — a node in a dynamically recorded computation graph, with a full set of
 //!   differentiable operations (arithmetic, activations, batched matmul, softmax, window
-//!   unfold/fold, reductions, shape ops).
+//!   unfold/fold, reductions, shape ops) and the fused row operations of a Transformer
+//!   layer (`layer_norm`, `linear`, `gelu`, `dropout` — one tape node each).
 //! * [`layers`] — `Linear`, `LayerNorm`, `BatchNorm1d`, `Dropout`, `FeedForward` and the
 //!   [`Module`] trait.
 //! * [`graph`] — a static forward-graph IR (nodes with stable parameter-path IDs,
@@ -50,6 +51,7 @@ pub mod module;
 mod ops_attention;
 mod ops_basic;
 mod ops_matrix;
+mod ops_row;
 mod ops_segment;
 pub mod optim;
 mod var;

@@ -42,10 +42,41 @@ pub fn cross_entropy_logits(logits: &Var, targets: &[usize]) -> Var {
     )
 }
 
+/// `Σ weight·(pred − target)² / denom` as one tape node: one pass forward, one pass
+/// backward writing `2·weight·(pred − target)/denom` (`weight` is 1 when `mask` is
+/// `None`).
+fn squared_error(pred: &Var, target: &NdArray, mask: Option<&NdArray>, denom: f32) -> Var {
+    let target = target.materialize();
+    let mask = mask.map(NdArray::materialize);
+    let value = {
+        let p = pred.value().materialize();
+        let diffs = p.as_slice().iter().zip(target.as_slice()).map(|(&p, &t)| p - t);
+        let sum: f32 = match &mask {
+            Some(m) => diffs.zip(m.as_slice()).map(|(d, &m)| d * d * m).sum(),
+            None => diffs.map(|d| d * d).sum(),
+        };
+        NdArray::scalar(sum / denom)
+    };
+    Var::from_op(
+        value,
+        vec![pred.clone()],
+        Box::new(move |g, parents| {
+            let p = parents[0].value().materialize();
+            let scale = 2.0 * g.item() / denom;
+            let diffs = p.as_slice().iter().zip(target.as_slice()).map(|(&p, &t)| p - t);
+            let grad: Vec<f32> = match &mask {
+                Some(m) => diffs.zip(m.as_slice()).map(|(d, &m)| scale * m * d).collect(),
+                None => diffs.map(|d| scale * d).collect(),
+            };
+            vec![NdArray::from_vec(grad, p.shape()).expect("squared error gradient shape")]
+        }),
+    )
+}
+
 /// Mean squared error between a prediction and a constant target.
 pub fn mse(pred: &Var, target: &NdArray) -> Var {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    pred.sub(&Var::constant(target.clone())).square().mean_all()
+    squared_error(pred, target, None, pred.len().max(1) as f32)
 }
 
 /// Mean squared error restricted to positions where `mask == 1`
@@ -54,9 +85,7 @@ pub fn mse(pred: &Var, target: &NdArray) -> Var {
 pub fn masked_mse(pred: &Var, target: &NdArray, mask: &NdArray) -> Var {
     assert_eq!(pred.shape(), target.shape(), "masked_mse: pred/target shape mismatch");
     assert_eq!(pred.shape(), mask.shape().to_vec(), "masked_mse: mask shape mismatch");
-    let count = mask.sum_all().max(1.0);
-    let diff = pred.sub(&Var::constant(target.clone()));
-    diff.square().mul_mask(mask).sum_all().scale(1.0 / count)
+    squared_error(pred, target, Some(mask), mask.sum_all().max(1.0))
 }
 
 /// Classification accuracy of logits against integer targets (evaluation helper).
@@ -160,6 +189,48 @@ mod tests {
         assert_eq!(g.as_slice()[1], 0.0);
         assert_eq!(g.as_slice()[3], 0.0);
         assert!(g.as_slice()[0] > 0.0);
+    }
+
+    #[test]
+    fn squared_error_nodes_match_the_composed_chains() {
+        use rand::SeedableRng;
+        let mut rng = rita_tensor::SeedableRng64::seed_from_u64(3);
+        let shape = [2usize, 3, 17];
+        let target = NdArray::randn(&shape, 1.0, &mut rng);
+        let mask = NdArray::bernoulli(&shape, 0.3, &mut rng);
+        let x0 = NdArray::randn(&shape, 1.0, &mut rng);
+        // The forms these losses had before they became single nodes.
+        let mse_composed = |p: &Var| p.sub(&Var::constant(target.clone())).square().mean_all();
+        let masked_composed = |p: &Var| {
+            let diff = p.sub(&Var::constant(target.clone()));
+            diff.square().mul_mask(&mask).sum_all().scale(1.0 / mask.sum_all().max(1.0))
+        };
+        let both = |fused: &dyn Fn(&Var) -> Var, composed: &dyn Fn(&Var) -> Var| {
+            // Also through a permuted view of the prediction.
+            for x in [
+                x0.clone(),
+                x0.permute(&[0, 2, 1]).unwrap().materialize().permute(&[0, 2, 1]).unwrap(),
+            ] {
+                let (a, b) = (Var::parameter(x.clone()), Var::parameter(x));
+                let (la, lb) = (fused(&a), composed(&b));
+                assert!((la.item() - lb.item()).abs() <= 1e-5 * lb.item().abs());
+                la.scale(3.0).backward();
+                lb.scale(3.0).backward();
+                let (ga, gb) = (a.grad().unwrap(), b.grad().unwrap());
+                assert!(allclose(ga.as_slice(), gb.as_slice(), 1e-7, 1e-5));
+            }
+        };
+        both(&|p| mse(p, &target), &mse_composed);
+        both(&|p| masked_mse(p, &target, &mask), &masked_composed);
+        let report = crate::gradcheck::gradcheck(|p| masked_mse(p, &target, &mask), &x0, 1e-2);
+        assert!(report.passes(1e-2, 1e-2), "{report:?}");
+        let report = crate::gradcheck::gradcheck(|p| mse(p, &target), &x0, 1e-2);
+        assert!(report.passes(1e-2, 1e-2), "{report:?}");
+        // An empty mask divides by 1, not 0.
+        assert_eq!(
+            masked_mse(&Var::constant(x0.clone()), &target, &NdArray::zeros(&shape)).item(),
+            0.0
+        );
     }
 
     #[test]

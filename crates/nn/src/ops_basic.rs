@@ -199,28 +199,6 @@ impl Var {
         )
     }
 
-    /// Gaussian error linear unit (tanh approximation, as in BERT / the RITA reference).
-    pub fn gelu(&self) -> Var {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        const A: f32 = 0.044_715;
-        let forward = |x: f32| 0.5 * x * (1.0 + (C * (x + A * x * x * x)).tanh());
-        let value = self.value().map(forward);
-        Var::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                let x = parents[0].value();
-                let dx = x.map(|v| {
-                    let inner = C * (v + A * v * v * v);
-                    let t = inner.tanh();
-                    let sech2 = 1.0 - t * t;
-                    0.5 * (1.0 + t) + 0.5 * v * sech2 * C * (1.0 + 3.0 * A * v * v)
-                });
-                vec![g.mul(&dx).expect("gelu backward")]
-            }),
-        )
-    }
-
     // ------------------------------------------------------------------ reductions
 
     /// Sum of all elements, producing a scalar.

@@ -42,6 +42,29 @@ pub(crate) fn effective_strides(a: &NdArray, out_shape: &[usize]) -> Vec<usize> 
     strides
 }
 
+/// The two broadcast patterns every model in the stack actually produces, recognised
+/// from the shapes of a full-size operand and a smaller one (both contiguous).
+enum RowPattern {
+    /// `(…, m, d) ∘ (m, d)` / `(…, d) ∘ (d,)`: the small operand (leading 1s aside) is
+    /// the trailing block of `inner` elements, repeated over the leading axes. Its rank
+    /// never exceeds the full-size operand's, so the broadcast shape is the latter's.
+    Trailing { inner: usize },
+    /// `(…, d) ∘ (…, 1)`: one value of the small operand per row of `d` elements.
+    Column { d: usize },
+}
+
+fn row_pattern(big: &[usize], small: &[usize]) -> Option<RowPattern> {
+    let lead = small.iter().take_while(|&&s| s == 1).count();
+    let tail = &small[lead..];
+    if small.len() <= big.len() && tail.len() < big.len() && !tail.is_empty() && big.ends_with(tail)
+    {
+        return Some(RowPattern::Trailing { inner: tail.iter().product() });
+    }
+    let (&d, rest) = big.split_last()?;
+    (small.len() == big.len() && small.last() == Some(&1) && small[..rest.len()] == *rest)
+        .then_some(RowPattern::Column { d })
+}
+
 impl NdArray {
     /// Returns a zero-copy view of `self` broadcast to `shape` (stride 0 on stretched
     /// dimensions). Errors when `self`'s shape does not broadcast to `shape`.
@@ -78,7 +101,23 @@ impl NdArray {
             return Ok(other.map(|b| f(a, b)));
         }
 
-        // General strided broadcast: walk both operands with output-aligned strides.
+        // Fast path: a contiguous full-size operand against a trailing block or a
+        // keep-dim column — plain row loops instead of two strided index walks.
+        if self.is_contiguous() && other.is_contiguous() {
+            if let Some(pattern) = row_pattern(&self.shape, &other.shape) {
+                return Ok(zip_rows(self, other, pattern, &f));
+            }
+            if let Some(pattern) = row_pattern(&other.shape, &self.shape) {
+                return Ok(zip_rows(other, self, pattern, &|b, a| f(a, b)));
+            }
+        }
+
+        self.zip_strided(other, f)
+    }
+
+    /// The general strided broadcast of [`NdArray::zip_with`]: walks both operands
+    /// with output-aligned strides, whatever their layout.
+    fn zip_strided(&self, other: &NdArray, f: impl Fn(f32, f32) -> f32) -> Result<NdArray> {
         let out_shape = broadcast_shape(&self.shape, &other.shape)?;
         let n: usize = out_shape.iter().product();
         let ls = effective_strides(self, &out_shape);
@@ -174,10 +213,35 @@ impl NdArray {
                 rhs: target_shape.to_vec(),
             });
         }
-        let out_n: usize = target_shape.iter().product::<usize>().max(1);
-        let mut out = vec![0.0f32; out_n];
-        // Walk self through its own strides; accumulate into the target through the
-        // target's (contiguous) strides aligned to self's shape.
+        // Fast paths for the two contiguous patterns; each output element accumulates
+        // its inputs in the same (C) order as the general walk below, so the result is
+        // bit-identical to it.
+        if self.is_contiguous() {
+            let mut out = vec![0.0f32; target_shape.iter().product::<usize>().max(1)];
+            match row_pattern(&self.shape, target_shape) {
+                Some(RowPattern::Trailing { .. }) => {
+                    crate::rowops::sum_blocks_into(self.as_slice(), &mut out);
+                    return NdArray::from_vec(out, target_shape);
+                }
+                Some(RowPattern::Column { d }) if d > 0 => {
+                    for (o, row) in out.iter_mut().zip(self.as_slice().chunks_exact(d)) {
+                        for &v in row {
+                            *o += v;
+                        }
+                    }
+                    return NdArray::from_vec(out, target_shape);
+                }
+                _ => {}
+            }
+        }
+        self.reduce_strided(target_shape)
+    }
+
+    /// The general walk of [`NdArray::reduce_to_shape`] (`target_shape` already
+    /// validated): walks `self` through its own strides and accumulates into the
+    /// target through the target's contiguous strides aligned to `self`'s shape.
+    fn reduce_strided(&self, target_shape: &[usize]) -> Result<NdArray> {
+        let mut out = vec![0.0f32; target_shape.iter().product::<usize>().max(1)];
         let own = crate::array::contiguous_strides(target_shape);
         let lead = self.shape.len() - target_shape.len();
         let mut tstrides = vec![0usize; self.shape.len()];
@@ -194,9 +258,79 @@ impl NdArray {
     }
 }
 
+/// `f(big, small)` elementwise under `pattern`; both operands contiguous, output in
+/// `big`'s shape.
+fn zip_rows(
+    big: &NdArray,
+    small: &NdArray,
+    pattern: RowPattern,
+    f: &impl Fn(f32, f32) -> f32,
+) -> NdArray {
+    let (a, b) = (big.as_slice(), small.as_slice());
+    let mut data = crate::pool::alloc_for_extend(a.len());
+    match pattern {
+        RowPattern::Trailing { inner } if inner > 0 => {
+            for block in a.chunks_exact(inner) {
+                data.extend(block.iter().zip(b).map(|(&x, &y)| f(x, y)));
+            }
+        }
+        RowPattern::Column { d } if d > 0 => {
+            for (row, &y) in a.chunks_exact(d).zip(b) {
+                data.extend(row.iter().map(|&x| f(x, y)));
+            }
+        }
+        _ => {} // an empty axis: nothing to compute
+    }
+    NdArray::from_buffer(data, &big.shape)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn row_fast_paths_match_the_general_walk_bitwise() {
+        let mut rng = crate::rng_from_seed(11);
+        let cases: &[(&[usize], &[usize])] = &[
+            (&[7, 5], &[5]),
+            (&[7, 5], &[1, 5]),
+            (&[3, 7, 5], &[7, 5]),
+            (&[2, 3, 7, 5], &[1, 1, 7, 5]),
+            (&[2001, 64], &[64]),
+            (&[7, 5], &[7, 1]),
+            (&[2, 3, 7, 5], &[2, 3, 7, 1]),
+            (&[1, 257], &[257]),
+            (&[3, 0, 5], &[5]),
+        ];
+        for &(big, small) in cases {
+            assert!(row_pattern(big, small).is_some(), "{big:?} vs {small:?}");
+            let a = NdArray::randn(big, 1.0, &mut rng);
+            let b = NdArray::randn(small, 1.0, &mut rng);
+            // Forward, both operand orders, against the general strided walk.
+            let sub = |x: f32, y: f32| x - y;
+            assert_eq!(a.sub(&b).unwrap(), a.zip_strided(&b, sub).unwrap());
+            assert_eq!(b.sub(&a).unwrap(), b.zip_strided(&a, sub).unwrap());
+            assert_eq!(a.sub(&b).unwrap().shape(), big);
+            // Adjoint: bit-equal, not merely close.
+            let (got, want) = (a.reduce_to_shape(small).unwrap(), a.reduce_strided(small).unwrap());
+            assert_eq!(got.shape(), want.shape());
+            assert_eq!(got.as_slice(), want.as_slice(), "{big:?} -> {small:?}");
+        }
+        // Shapes the fast paths must leave to the general walk — among them a small
+        // operand of higher rank, whose leading 1s belong to the result's shape.
+        for (big, small) in [
+            (&[2usize, 3][..], &[2usize, 3][..]),
+            (&[2, 3], &[2, 1, 3]),
+            (&[2, 3], &[3, 1]),
+            (&[3, 5], &[1, 1, 5]),
+        ] {
+            assert!(row_pattern(big, small).is_none(), "{big:?} vs {small:?}");
+            assert!(row_pattern(small, big).is_none(), "{small:?} vs {big:?}");
+        }
+        let (a, b) = (NdArray::ones(&[3, 5]), NdArray::ones(&[1, 1, 5]));
+        assert_eq!(a.add(&b).unwrap().shape(), &[1, 3, 5]);
+        assert_eq!(b.add(&a).unwrap().shape(), &[1, 3, 5]);
+    }
 
     #[test]
     fn broadcast_shape_rules() {

@@ -47,6 +47,7 @@ mod pool;
 mod qgemm;
 mod random;
 mod reduce;
+mod rowops;
 mod segment;
 mod shape;
 mod window;
@@ -61,6 +62,7 @@ pub use parallel::{scoped_chunks_mut, with_worker_threads, worker_budget};
 pub use pool::{pool_reserve, pool_reset, pool_stats, recycle, PoolStats};
 pub use qgemm::{dequantize_columns, qgemm, quantize_columns, QuantMatrix, MAX_QUANT_K};
 pub use random::{rng_from_seed, SeedableRng64};
+pub use rowops::LayerNormed;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

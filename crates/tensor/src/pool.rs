@@ -28,8 +28,12 @@ use std::sync::Arc;
 
 use crate::NdArray;
 
-/// Maximum number of buffers each typed free list retains; further recycles are dropped.
-const MAX_POOLED_BUFFERS: usize = 64;
+/// Maximum number of buffers each typed free list retains; further recycles (and
+/// further [`pool_reserve`] requests) are dropped. Twice the eight slots of a compiled
+/// plan's activation arena, which leaves room for kernel scratch. The cap is blind to
+/// size: every slot beyond what a pass re-uses is a full activation kept resident for
+/// nothing.
+const MAX_POOLED_BUFFERS: usize = 16;
 /// Largest buffer (in bytes, 64 MiB) any pool retains; bigger ones are dropped.
 pub(crate) const MAX_POOLED_BYTES: usize = 1 << 26;
 

@@ -1,0 +1,374 @@
+//! Fused row kernels: layer normalisation, row-bias add / column sum, GELU and
+//! dropout, each as one streaming pass over a `(rows, d)` matrix.
+//!
+//! These are the operations a Transformer layer applies between its matrix products.
+//! Composed from broadcasting primitives each costs five to eleven passes and as many
+//! temporaries; here every forward is one pass and every backward is one pass, and the
+//! autograd layer, the `no_grad` graph oracle and the tape-free plan executor all call
+//! these same functions — so the three forwards agree bit for bit by construction.
+//!
+//! Every forward reproduces, bit for bit, the chain of broadcasting primitives it
+//! replaced (row sums in sequence from 0, `·(1/d)`, a division by `√(var + eps)`, the
+//! same `tanh`), so a checkpoint answers with the same bits before and after the
+//! fusion; only the gradients' rounding differs from the chains'.
+//!
+//! The kernels are serial on purpose. At the shapes the stack runs (10⁵–10⁶ floats)
+//! one pass is tens of microseconds, below the cost of a thread hand-off, and a serial
+//! kernel cannot make a result depend on the worker count. The backward reductions use
+//! a fixed eight-lane accumulation order written out in the source, so the AVX2 and
+//! baseline builds selected by [`simd_dispatch!`] produce identical bits.
+//!
+//! Inputs may be arbitrary views; a non-contiguous input is compacted once on entry.
+
+use rand::Rng;
+
+use crate::gemm::simd_dispatch;
+use crate::{NdArray, Result, TensorError};
+
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+const GELU_A: f32 = 0.044_715;
+
+/// Sum of `term(a[i], b[i])` in a fixed order: eight interleaved partial sums over
+/// the whole chunks of eight, combined pairwise, then the tail added in sequence.
+/// The order is part of the numerics contract (it does not depend on the SIMD width
+/// the compiler picks).
+#[inline(always)]
+fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut acc = [0.0f32; 8];
+    let (mut ca, mut cb) = (a.chunks_exact(8), b.chunks_exact(8));
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        for l in 0..8 {
+            acc[l] += term(xa[l], xb[l]);
+        }
+    }
+    let mut sum = ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+    for (&xa, &xb) in ca.remainder().iter().zip(cb.remainder()) {
+        sum += term(xa, xb);
+    }
+    sum
+}
+
+simd_dispatch! {
+    fn layer_norm_rows(
+        x: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        y: &mut [f32],
+        mean: &mut [f32],
+        rstd: &mut [f32],
+    ) {
+        let d = gamma.len();
+        let inv_d = 1.0 / d as f32;
+        for (r, (xr, yr)) in x.chunks_exact(d).zip(y.chunks_exact_mut(d)).enumerate() {
+            let m = xr.iter().fold(0.0f32, |acc, &v| acc + v) * inv_d;
+            let var = xr.iter().fold(0.0f32, |acc, &v| acc + (v - m) * (v - m)) * inv_d;
+            let sd = (var + eps).sqrt();
+            for ((o, &v), (&g, &b)) in yr.iter_mut().zip(xr).zip(gamma.iter().zip(beta)) {
+                *o = (v - m) / sd * g + b;
+            }
+            mean[r] = m;
+            rstd[r] = 1.0 / sd;
+        }
+    }
+}
+
+simd_dispatch! {
+    fn layer_norm_backward_rows(
+        x: &[f32],
+        gamma: &[f32],
+        mean: &[f32],
+        rstd: &[f32],
+        g: &[f32],
+        dx: &mut [f32],
+        dgamma: &mut [f32],
+        dbeta: &mut [f32],
+    ) {
+        let d = gamma.len();
+        let inv_d = 1.0 / d as f32;
+        let (dgamma, dbeta) = (&mut dgamma[..d], &mut dbeta[..d]);
+        let rows = x.chunks_exact(d).zip(g.chunks_exact(d)).zip(dx.chunks_exact_mut(d));
+        for (r, ((xr, gr), dxr)) in rows.enumerate() {
+            let (m, rs) = (mean[r], rstd[r]);
+            // The row (≤ a few hundred floats) stays in L1 across the three loops, so
+            // this is one pass over memory; `dxr` holds dŷ = g·γ until the last loop.
+            for i in 0..d {
+                let xh = (xr[i] - m) * rs;
+                dgamma[i] += gr[i] * xh;
+                dbeta[i] += gr[i];
+                dxr[i] = gr[i] * gamma[i];
+            }
+            let c1 = lane_sum(dxr, dxr, |gy, _| gy) * inv_d;
+            let c2 = lane_sum(dxr, xr, |gy, v| gy * ((v - m) * rs)) * inv_d;
+            for (o, &v) in dxr.iter_mut().zip(xr) {
+                *o = rs * (*o - c1 - (v - m) * rs * c2);
+            }
+        }
+    }
+}
+
+/// `out[j] += Σ_o x[o · inner + j]`, blocks visited in ascending order — per output
+/// element the same accumulation order as the general strided walk of
+/// [`NdArray::reduce_to_shape`].
+pub(crate) fn sum_blocks_into(x: &[f32], out: &mut [f32]) {
+    if out.is_empty() {
+        return;
+    }
+    for block in x.chunks_exact(out.len()) {
+        for (o, &v) in out.iter_mut().zip(block) {
+            *o += v;
+        }
+    }
+}
+
+/// Output of [`NdArray::layer_norm`]: the normalised rows plus the two per-row
+/// statistics the backward pass needs (it recomputes `x̂ = (x − mean)·rstd` from the
+/// input instead of keeping a second full-size buffer).
+#[derive(Debug, Clone)]
+pub struct LayerNormed {
+    /// `(x − mean)·rstd·γ + β`, same shape as the input.
+    pub out: NdArray,
+    /// Per-row mean, one entry per row in C order.
+    pub mean: Vec<f32>,
+    /// Per-row `1/√(var + eps)` (biased variance), one entry per row in C order.
+    pub rstd: Vec<f32>,
+}
+
+impl NdArray {
+    /// Checks that `p` is a rank-1 parameter matching this array's last axis and
+    /// returns that axis' length.
+    fn row_param_len(&self, p: &NdArray) -> Result<usize> {
+        match self.shape.last() {
+            Some(&d) if p.shape == [d] => Ok(d),
+            _ => Err(TensorError::BroadcastMismatch {
+                lhs: self.shape.clone(),
+                rhs: p.shape.clone(),
+            }),
+        }
+    }
+
+    /// Layer normalisation over the last axis, `y = (x − μ)/√(σ² + eps) · γ + β`, in
+    /// one pass per row (mean, then the variance of the centred row, then the output) —
+    /// the values of `x.sub(mean).div(sqrt(var + eps)).mul(γ).add(β)`, bit for bit.
+    pub fn layer_norm(&self, gamma: &NdArray, beta: &NdArray, eps: f32) -> Result<LayerNormed> {
+        let d = self.row_param_len(gamma)?;
+        self.row_param_len(beta)?;
+        let rows = self.len().checked_div(d).unwrap_or(0);
+        let x = self.materialize();
+        let (gamma, beta) = (gamma.materialize(), beta.materialize());
+        let mut y = crate::pool::alloc_zeroed(self.len());
+        let (mut mean, mut rstd) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+        if rows > 0 {
+            layer_norm_rows::run(
+                x.as_slice(),
+                gamma.as_slice(),
+                beta.as_slice(),
+                eps,
+                &mut y,
+                &mut mean,
+                &mut rstd,
+            );
+        }
+        Ok(LayerNormed { out: NdArray::from_buffer(y, &self.shape), mean, rstd })
+    }
+
+    /// Backward of [`NdArray::layer_norm`] for input `self`: given the saved per-row
+    /// statistics and the output gradient `g`, returns `(dx, dγ, dβ)` in one pass —
+    /// `dx = rstd·(dŷ − mean(dŷ) − x̂·mean(dŷ·x̂))` with `dŷ = g·γ`, `dγ = Σ g·x̂`,
+    /// `dβ = Σ g` (rows accumulated in ascending order).
+    pub fn layer_norm_backward(
+        &self,
+        gamma: &NdArray,
+        mean: &[f32],
+        rstd: &[f32],
+        g: &NdArray,
+    ) -> Result<(NdArray, NdArray, NdArray)> {
+        let d = self.row_param_len(gamma)?;
+        let rows = self.len().checked_div(d).unwrap_or(0);
+        if g.shape != self.shape || mean.len() != rows || rstd.len() != rows {
+            return Err(TensorError::BroadcastMismatch {
+                lhs: self.shape.clone(),
+                rhs: g.shape.clone(),
+            });
+        }
+        let (x, g, gamma) = (self.materialize(), g.materialize(), gamma.materialize());
+        let mut dx = crate::pool::alloc_zeroed(self.len());
+        let (mut dgamma, mut dbeta) = (vec![0.0f32; d], vec![0.0f32; d]);
+        if rows > 0 {
+            layer_norm_backward_rows::run(
+                x.as_slice(),
+                gamma.as_slice(),
+                mean,
+                rstd,
+                g.as_slice(),
+                &mut dx,
+                &mut dgamma,
+                &mut dbeta,
+            );
+        }
+        Ok((
+            NdArray::from_buffer(dx, &self.shape),
+            NdArray::from_buffer(dgamma, &[d]),
+            NdArray::from_buffer(dbeta, &[d]),
+        ))
+    }
+
+    /// Adds a rank-1 `bias` to every row of the last axis, in place when `self` owns
+    /// its buffer (a fresh matmul product does) and through copy-on-write otherwise.
+    pub fn add_row_bias(mut self, bias: &NdArray) -> Result<NdArray> {
+        let d = self.row_param_len(bias)?;
+        let bias = bias.materialize();
+        if d > 0 {
+            for row in self.as_mut_slice().chunks_exact_mut(d) {
+                for (y, &b) in row.iter_mut().zip(bias.as_slice()) {
+                    *y += b;
+                }
+            }
+        }
+        Ok(self)
+    }
+
+    /// Sum over every axis but the last, shape `(d,)` — the gradient of a row bias.
+    /// Rows are accumulated in ascending order.
+    pub fn sum_rows(&self) -> NdArray {
+        let d = self.shape.last().copied().unwrap_or(1);
+        let mut out = vec![0.0f32; d];
+        sum_blocks_into(self.materialize().as_slice(), &mut out);
+        NdArray::from_buffer(out, &[d])
+    }
+
+    /// Tanh-approximation GELU, `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
+    pub fn gelu(&self) -> NdArray {
+        self.map(|v| 0.5 * v * (1.0 + (GELU_C * (v + GELU_A * v * v * v)).tanh()))
+    }
+
+    /// Gradient of [`NdArray::gelu`] at input `self`, times the output gradient `g`, in
+    /// one pass.
+    pub fn gelu_backward(&self, g: &NdArray) -> Result<NdArray> {
+        if g.shape != self.shape {
+            return Err(TensorError::BroadcastMismatch {
+                lhs: self.shape.clone(),
+                rhs: g.shape.clone(),
+            });
+        }
+        self.zip_with(g, |v, gv| {
+            let t = (GELU_C * (v + GELU_A * v * v * v)).tanh();
+            let sech2 = 1.0 - t * t;
+            gv * (0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * v * v))
+        })
+    }
+
+    /// Inverted dropout: draws exactly one `rng.gen::<f32>()` per element in C order,
+    /// keeps an element when its draw is below `keep`, and scales the kept ones by
+    /// `1/keep`. Returns the output and the keep flags (one byte per element, a quarter
+    /// of what the `f32` mask `NdArray::bernoulli(shape, keep, rng).scale(1.0 / keep)`
+    /// holds — the values are the same); [`NdArray::scale_kept`] with those flags is
+    /// the backward.
+    pub fn dropout(&self, keep: f32, rng: &mut impl Rng) -> (NdArray, Vec<u8>) {
+        let kept: Vec<u8> = (0..self.len()).map(|_| u8::from(rng.gen::<f32>() < keep)).collect();
+        let out = self.scale_kept(&kept, 1.0 / keep).expect("one flag per element");
+        (out, kept)
+    }
+
+    /// `self[i] · scale` where `kept[i]` is 1 and `0` where it is 0 (flags in C order).
+    pub fn scale_kept(&self, kept: &[u8], scale: f32) -> Result<NdArray> {
+        if kept.len() != self.len() {
+            return Err(TensorError::ShapeDataMismatch {
+                shape: self.shape.clone(),
+                data_len: kept.len(),
+            });
+        }
+        let x = self.materialize();
+        let mut y = crate::pool::alloc_for_extend(self.len());
+        y.extend(x.as_slice().iter().zip(kept).map(|(&v, &k)| v * (f32::from(k) * scale)));
+        Ok(NdArray::from_buffer(y, &self.shape))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{allclose, rng_from_seed};
+
+    #[test]
+    fn layer_norm_rows_are_normalised_and_stats_are_reported() {
+        let mut rng = rng_from_seed(1);
+        let x = NdArray::randn(&[3, 5, 13], 4.0, &mut rng).add_scalar(7.0);
+        let n = x.layer_norm(&NdArray::ones(&[13]), &NdArray::zeros(&[13]), 1e-5).unwrap();
+        assert_eq!(n.out.shape(), &[3, 5, 13]);
+        assert_eq!((n.mean.len(), n.rstd.len()), (15, 15));
+        for (r, row) in n.out.as_slice().chunks(13).enumerate() {
+            let mean: f32 = row.iter().sum::<f32>() / 13.0;
+            let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 13.0;
+            assert!(mean.abs() < 1e-4 && (var - 1.0).abs() < 1e-3, "row {r}: {mean} {var}");
+            let want: f32 = x.as_slice()[r * 13..(r + 1) * 13].iter().sum::<f32>() / 13.0;
+            assert!((n.mean[r] - want).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn views_give_the_same_bits_as_their_compacted_copies() {
+        let mut rng = rng_from_seed(2);
+        let base = NdArray::randn(&[6, 4, 10], 1.0, &mut rng);
+        let view = base.permute(&[1, 0, 2]).unwrap().slice_axis(1, 1, 5).unwrap();
+        assert!(!view.is_contiguous());
+        let copy = NdArray::from_vec(view.materialize().into_vec(), view.shape()).unwrap();
+        let (gamma, beta) =
+            (NdArray::randn(&[10], 1.0, &mut rng), NdArray::randn(&[10], 1.0, &mut rng));
+        let (a, b) = (
+            view.layer_norm(&gamma, &beta, 1e-5).unwrap(),
+            copy.layer_norm(&gamma, &beta, 1e-5).unwrap(),
+        );
+        assert_eq!(a.out.as_slice(), b.out.as_slice());
+        assert_eq!(view.gelu().as_slice(), copy.gelu().as_slice());
+        assert_eq!(view.sum_rows().as_slice(), copy.sum_rows().as_slice());
+        let biased = view.clone().add_row_bias(&beta).unwrap();
+        assert_eq!(biased.as_slice(), copy.clone().add_row_bias(&beta).unwrap().as_slice());
+        // Copy-on-write: the view's base is untouched by the in-place add.
+        assert_eq!(view.materialize().as_slice(), copy.as_slice());
+    }
+
+    #[test]
+    fn bias_add_and_column_sum_match_the_broadcast_primitives() {
+        let mut rng = rng_from_seed(3);
+        for &(rows, d) in &[(1usize, 1usize), (7, 5), (33, 64), (4, 257)] {
+            let x = NdArray::randn(&[rows, d], 1.0, &mut rng);
+            let b = NdArray::randn(&[d], 1.0, &mut rng);
+            let want = x.add(&b).unwrap();
+            assert_eq!(x.clone().add_row_bias(&b).unwrap().as_slice(), want.as_slice());
+            let mut sums = vec![0.0f32; d];
+            for row in x.as_slice().chunks(d) {
+                for (s, &v) in sums.iter_mut().zip(row) {
+                    *s += v;
+                }
+            }
+            assert_eq!(x.sum_rows().as_slice(), &sums[..]);
+        }
+        assert!(NdArray::zeros(&[2, 3]).add_row_bias(&NdArray::zeros(&[2])).is_err());
+    }
+
+    #[test]
+    fn gelu_backward_is_the_derivative_of_the_forward() {
+        let x = NdArray::arange(-6.0, 0.01, 1201);
+        let (hi, lo) = (x.add_scalar(1e-2).gelu(), x.add_scalar(-1e-2).gelu());
+        let want = hi.sub(&lo).unwrap().scale(1.0 / 2e-2);
+        let g = NdArray::full(&[1201], 3.0);
+        let got = x.gelu_backward(&g).unwrap().scale(1.0 / 3.0);
+        assert!(allclose(got.as_slice(), want.as_slice(), 1e-3, 1e-3));
+        assert!(x.gelu_backward(&NdArray::zeros(&[3])).is_err());
+        assert!(x.gelu_backward(&NdArray::zeros(&[1])).is_err(), "no silent broadcast");
+    }
+
+    #[test]
+    fn dropout_draws_the_bernoulli_mask_in_order() {
+        let x = NdArray::randn(&[4, 9], 1.0, &mut rng_from_seed(4));
+        let (mut a, mut b) = (rng_from_seed(5), rng_from_seed(5));
+        let (y, kept) = x.dropout(0.8, &mut a);
+        let want = NdArray::bernoulli(&[4, 9], 0.8, &mut b).scale(1.0 / 0.8);
+        assert_eq!(y.as_slice(), x.mul(&want).unwrap().as_slice());
+        let mask = NdArray::ones(&[4, 9]).scale_kept(&kept, 1.0 / 0.8).unwrap();
+        assert_eq!(mask.as_slice(), want.as_slice());
+        assert_eq!(a.gen::<u32>(), b.gen::<u32>(), "exactly one draw per element");
+        assert!(x.scale_kept(&kept[1..], 2.0).is_err());
+    }
+}

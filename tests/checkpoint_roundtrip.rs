@@ -128,27 +128,46 @@ fn resumed_training_matches_uninterrupted_run() {
     assert_eq!(resumed_opt.steps(), part_opt.steps(), "step count must round-trip");
     let _ = train_task_resumable(&mut resumed, &data, &cfg(1), &mut resumed_opt, &mut part_rng);
 
-    // Every parameter bit-identical to the uninterrupted run.
-    let full_params = full.named_parameters();
-    let resumed_params = resumed.named_parameters();
-    assert_eq!(full_params.len(), resumed_params.len());
-    for ((pa, va), (pb, vb)) in full_params.iter().zip(&resumed_params) {
+    assert_same_training_state(&full, &full_opt, &resumed, &resumed_opt);
+}
+
+/// Every parameter, scheduler target and AdamW moment of two training runs equal to
+/// the last bit.
+fn assert_same_training_state(a: &Classifier, a_opt: &AdamW, b: &Classifier, b_opt: &AdamW) {
+    let (a_params, b_params) = (a.named_parameters(), b.named_parameters());
+    assert_eq!(a_params.len(), b_params.len());
+    for ((pa, va), (pb, vb)) in a_params.iter().zip(&b_params) {
         assert_eq!(pa, pb);
-        assert_eq!(
-            va.to_array().as_slice(),
-            vb.to_array().as_slice(),
-            "parameter '{pa}' diverged after resume"
-        );
+        assert_eq!(va.to_array().as_slice(), vb.to_array().as_slice(), "parameter '{pa}' diverged");
     }
-    // Scheduler targets and optimizer moments too.
-    assert_eq!(full.model.scheduler_state(), resumed.model.scheduler_state());
-    let (sa, sb) = (full_opt.state(), resumed_opt.state());
+    assert_eq!(a.model.scheduler_state(), b.model.scheduler_state());
+    let (sa, sb) = (a_opt.state(), b_opt.state());
     assert_eq!(sa.steps, sb.steps);
     for ((pa, ma, va), (pb, mb, vb)) in sa.moments.iter().zip(&sb.moments) {
         assert_eq!(pa, pb);
         assert_eq!(ma.as_slice(), mb.as_slice(), "first moment '{pa}' diverged");
         assert_eq!(va.as_slice(), vb.as_slice(), "second moment '{pa}' diverged");
     }
+}
+
+/// Two runs of `train(3)` from the same seeds agree to the last bit — with dropout on,
+/// so the fused dropout's RNG order, the fused LayerNorm/GELU/linear backwards and the
+/// single-node losses are all on the path. (The row kernels are serial and their
+/// reductions have a fixed order, so nothing here may depend on thread timing.)
+#[test]
+fn same_seed_training_is_bit_identical_run_to_run() {
+    let config = RitaConfig { dropout: 0.1, ..group_config(3, 40) };
+    let data = TimeseriesDataset::generate_reduced(DatasetKind::Hhar, 12, 0, 40, &mut rng(7));
+    let cfg = TrainConfig { epochs: 3, batch_size: 4, lr: 2e-3, ..Default::default() };
+    let run = || {
+        let mut clf = Classifier::new(config, 5, &mut rng(8));
+        let mut opt = AdamW::for_module(&clf, 2e-3, 1e-4);
+        let report = train_task_resumable(&mut clf, &data, &cfg, &mut opt, &mut rng(9));
+        assert!(report.final_loss().is_finite());
+        (clf, opt)
+    };
+    let ((a, a_opt), (b, b_opt)) = (run(), run());
+    assert_same_training_state(&a, &a_opt, &b, &b_opt);
 }
 
 /// Damaged files fail with descriptive errors, never panics.

@@ -569,6 +569,27 @@ fn shutdown_drains_every_admitted_request() {
     assert_eq!(*answers.lock().unwrap(), 10, "shutdown dropped admitted requests");
 }
 
+/// Regression for a lost wake-up: `shutdown` used to set its flag and notify without
+/// holding the queue lock, so a worker between its `shutdown` check and its condvar
+/// wait in `next_batch` never woke and `shutdown` hung in the supervisor join. Workers
+/// are racing towards exactly that window right after `start`; a watchdog turns a
+/// hang into a failure instead of a stuck test run.
+#[test]
+fn immediate_shutdown_after_start_never_hangs() {
+    let registry = registry_with(31);
+    let (done, finished) = std::sync::mpsc::channel();
+    let cycles = std::thread::spawn(move || {
+        for _ in 0..500 {
+            Server::start(Arc::clone(&registry), fast_config(2)).shutdown();
+        }
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("Server::start → shutdown hung: a worker missed the shutdown wake-up");
+    cycles.join().unwrap();
+}
+
 /// The plan cache composes with hot-swap: each loaded model version keeps its own
 /// compiled plans, so publish/activate/rollback with plans cached mid-flight never
 /// mixes versions — every response's logits are bit-identical to the single-call
