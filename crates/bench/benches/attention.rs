@@ -7,6 +7,14 @@
 //! unsuffixed variants run the fused streaming kernels (the defaults), so every run
 //! measures the fusion win directly.
 //!
+//! The `attention_fused_fwd_bwd` group times the fused kernel's forward **and backward**
+//! at the shape of one long-series training step (2 heads, `n × n` vanilla and `n × 64`
+//! group), on `flat` inputs (unit-variance queries and keys, every probability within
+//! a few e-folds of the others) and on `peaked` ones (the same draws scaled so each
+//! row's `lse` is ≈ 100 and most keys sit more than 87 below it — what trained
+//! attention looks like). The kernel does the same arithmetic on both, so the two rows
+//! of a variant differ only if its speed depends on the values it is given.
+//!
 //! Besides the human-readable table on stdout, the run writes every measurement to
 //! `BENCH_attention.json` (config, n, mean, min per variant) so the perf trajectory
 //! tracked in `CHANGES.md` is diffable across PRs. `RITA_QUICK=1` shrinks the sweep to
@@ -19,7 +27,7 @@ use rita_core::attention::{
     PerformerAttention, VanillaAttention,
 };
 use rita_nn::{no_grad, Var};
-use rita_tensor::{NdArray, SeedableRng64};
+use rita_tensor::{fused_attention, fused_attention_backward, NdArray, SeedableRng64};
 
 fn quick() -> bool {
     std::env::var("RITA_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -153,13 +161,59 @@ fn bench_attention_forward_multihead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_attention_forward, bench_attention_forward_multihead);
+/// Multiplier on the `peaked` queries and keys: unit-variance scores become scores of
+/// standard deviation 36, so a row's maximum over ≥ 64 keys — and with it `lse` — lands
+/// near 100 and most other keys more than 87 below it.
+const PEAK: f32 = 6.0;
+
+fn bench_fused_forward_backward(c: &mut Criterion) {
+    let (h, dh, n_groups) = (2, 32, 64);
+    let scale = 1.0 / (dh as f32).sqrt();
+    let mut group = c.benchmark_group("attention_fused_fwd_bwd");
+    group.sample_size(if quick() { 3 } else { 10 });
+    let ns: &[usize] = if quick() { &[128] } else { &[512, 2048] };
+    for &n in ns {
+        let mut rng = SeedableRng64::seed_from_u64(n as u64);
+        let q = NdArray::randn(&[1, h, n, dh], 1.0, &mut rng);
+        let k = NdArray::randn(&[1, h, n, dh], 1.0, &mut rng);
+        let v = NdArray::randn(&[1, h, n, dh], 1.0, &mut rng);
+        // Upstream gradients well below 1, as a mean-reduced loss produces them.
+        let g = NdArray::randn(&[1, h, n, dh], 0.05, &mut rng);
+        // Group attention's operands: N aggregated keys/values and their member counts.
+        let kg = k.slice_axis(2, 0, n_groups).unwrap();
+        let vg = v.slice_axis(2, 0, n_groups).unwrap();
+        let counts = NdArray::full(&[1, h, n_groups], (n / n_groups) as f32);
+        for (inputs, mult) in [("flat", 1.0), ("peaked", PEAK)] {
+            let (q, k, kg) = (q.scale(mult), k.scale(mult), kg.scale(mult));
+            let mut run = |variant: &str, k: &NdArray, v: &NdArray, w: Option<&NdArray>| {
+                let id = BenchmarkId::new(format!("{variant}_{inputs}"), n);
+                group.bench_with_input(id, &n, |b, _| {
+                    b.iter(|| {
+                        let f = fused_attention(&q, k, v, scale, w).unwrap();
+                        fused_attention_backward(&q, k, v, w, scale, &f.out, &f.lse, &g).unwrap()
+                    });
+                });
+            };
+            run("vanilla", &k, &v, None);
+            run("group", &kg, &vg, Some(&counts));
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_attention_forward,
+    bench_attention_forward_multihead,
+    bench_fused_forward_backward
+);
 
 /// Human-readable config label for a benchmark group name.
 fn config_label(group: &str) -> &'static str {
     match group {
         "attention_forward" => "b1 h1 dh32",
         "attention_forward_b4h8" => "b4 h8 dh32",
+        "attention_fused_fwd_bwd" => "b1 h2 dh32 N64",
         _ => "unknown",
     }
 }

@@ -42,7 +42,8 @@ impl Var {
     /// `self · weight (+ bias)` over the last axis: `weight` is `(in, out)`, `bias`
     /// `(out,)`, added to the product in place.
     ///
-    /// Backward: `dx = g · Wᵀ`, `dW = xᵀ · g` as one product over all rows (leading
+    /// Backward: `dx = g · Wᵀ` (not formed when `self` does not require a gradient — the
+    /// embedding's input is data), `dW = xᵀ · g` as one product over all rows (leading
     /// axes collapsed, no per-batch partials), `db` the column sum of `g`.
     pub fn linear(&self, weight: &Var, bias: Option<&Var>) -> Var {
         assert_eq!(weight.value().ndim(), 2, "linear: weight must be (in, out)");
@@ -57,7 +58,12 @@ impl Var {
             parents,
             Box::new(move |g, parents| {
                 let (x, w) = (parents[0].value(), parents[1].value());
-                let dx = g.matmul_nt(&w).expect("linear backward");
+                // The tape drops the gradient of a parent that does not require one.
+                let dx = if parents[0].requires_grad() {
+                    g.matmul_nt(&w).expect("linear backward")
+                } else {
+                    NdArray::zeros(&[0])
+                };
                 let g_rows = as_rows(g);
                 let dw = as_rows(&x)
                     .transpose_last2()
@@ -269,6 +275,35 @@ mod tests {
         assert!(allclose(dx.as_slice(), x.grad().unwrap().as_slice(), 1e-5, 1e-5));
         assert!(allclose(dw.as_slice(), w.grad().unwrap().as_slice(), 1e-4, 1e-5));
         assert!(allclose(db.as_slice(), b.grad().unwrap().as_slice(), 1e-5, 1e-5));
+    }
+
+    #[test]
+    fn linear_forms_no_input_gradient_for_a_constant_input() {
+        // The output buffers a backward allocates go through the tensor pool, so its
+        // byte counter shows whether the (rows × in) product `g · Wᵀ` was formed.
+        let (rows, d_in, d_out) = (200usize, 64usize, 5usize);
+        let mut r = rng(9);
+        let x0 = NdArray::randn(&[2, rows / 2, d_in], 1.0, &mut r);
+        let w = Var::parameter(NdArray::randn(&[d_in, d_out], 0.5, &mut r));
+        let b = Var::parameter(NdArray::randn(&[d_out], 1.0, &mut r));
+        let seed = NdArray::randn(&[2, rows / 2, d_out], 1.0, &mut r);
+        let run = |x: Var| {
+            [&w, &b].into_iter().for_each(Var::zero_grad);
+            let y = x.linear(&w, Some(&b));
+            let before = rita_tensor::pool_stats();
+            y.backward_with(seed.clone());
+            let after = rita_tensor::pool_stats();
+            let bytes = (after.fresh_bytes + after.reused_bytes)
+                - (before.fresh_bytes + before.reused_bytes);
+            (w.grad().unwrap(), b.grad().unwrap(), bytes as usize)
+        };
+        let (dw_leaf, db_leaf, bytes_leaf) = run(Var::parameter(x0.clone()));
+        let (dw_const, db_const, bytes_const) = run(Var::constant(x0));
+        assert_eq!(dw_leaf.as_slice(), dw_const.as_slice());
+        assert_eq!(db_leaf.as_slice(), db_const.as_slice());
+        let dx_bytes = rows * d_in * 4;
+        assert!(bytes_const < dx_bytes, "constant input: {bytes_const} B allocated");
+        assert_eq!(bytes_leaf - bytes_const, dx_bytes);
     }
 
     #[test]

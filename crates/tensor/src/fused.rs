@@ -25,6 +25,10 @@
 //! **Masked rows.** A query row whose scores are all `−∞` has `lᵢ = 0`; the kernel emits
 //! a zero output row and `lse = −∞` (the unfused softmax would produce NaN), and the
 //! backward propagates zero gradient through such rows.
+//!
+//! **Underflow.** A key more than ≈ 87 below its row's `lse` (or masked to `−∞`) has
+//! probability exactly `0.0` — not a subnormal, not a tiny floor — and contributes
+//! nothing to the output or to any gradient; `fast_exp` says why that matters for speed.
 
 use crate::bf16::encode_bf16;
 use crate::gemm::{micro_kernel, micro_kernel_bf16, pack_lhs, pack_rhs, simd_dispatch, MR, NR};
@@ -49,20 +53,34 @@ const _: () = assert!(
 /// Range-reduces to `2^k · e^f` with `f ∈ [−½ ln 2, ½ ln 2]` and a degree-6 Taylor
 /// polynomial; max relative error ≈ 4e-6 over the attention domain (inputs ≤ 0 after the
 /// running-max shift). Unlike libm's `expf` there are no branches or table loads, so the
-/// tile loops auto-vectorise. Saturates instead of overflowing; `−∞` maps to a subnormal
-/// ≈ 1.2e-38 (harmless against the ≥ 1 terms of any live softmax row — fully masked rows
-/// are skipped before exponentiation).
+/// tile loops auto-vectorise. Saturates at `2¹²⁶` instead of overflowing.
+///
+/// **Underflows exactly.** Below `x = −126·ln 2 ≈ −87.34` (where `eˣ < 2⁻¹²⁶`, the
+/// smallest normal `f32`) the result is `0.0`, `−∞` included; every other result is a
+/// normal float, never a subnormal. A floor at `2⁻¹²⁶` would be just as negligible in
+/// a softmax sum, but the backward multiplies each probability by gradients below 1,
+/// and every such product with a floored probability is a subnormal that costs a CPU
+/// microcode assist — on peaked rows (most keys more than 87 below the row's `lse`)
+/// that was a third of a long-series training step.
 #[inline(always)]
 fn fast_exp(x: f32) -> f32 {
-    let z = (x * std::f32::consts::LOG2_E).clamp(-126.0, 126.0);
+    let t = x * std::f32::consts::LOG2_E;
+    let z = t.clamp(-126.0, 126.0);
     let kf = z.round();
     let f = (z - kf) * std::f32::consts::LN_2;
     let p = 1.0
         + f * (1.0
             + f * (0.5
                 + f * (1.0 / 6.0 + f * (1.0 / 24.0 + f * (1.0 / 120.0 + f * (1.0 / 720.0))))));
-    let scale = f32::from_bits(((kf as i32 + 127) as u32) << 23);
-    p * scale
+    // 2^kf: `kf + 127` sits in the low mantissa bits of a float in [2²³, 2²⁴); the shift
+    // moves it into the exponent field and everything above it out.
+    let scale = f32::from_bits((kf + (127.0 + 8_388_608.0)).to_bits() << 23);
+    // Compiles to a select; NaN fails the comparison and comes out of `p * scale`.
+    if t < -126.0 {
+        0.0
+    } else {
+        p * scale
+    }
 }
 
 /// Output of the fused forward pass.
@@ -916,77 +934,127 @@ mod tests {
         SeedableRng64::seed_from_u64(seed)
     }
 
-    /// Unfused reference: materialises the full weighted-softmax chain with `f64`
-    /// accumulation per row.
+    /// Unfused reference for contiguous operands, accumulated in `f64` (scores rounded
+    /// through `f32` only to decide overflow to `−∞`): `[out, lse, dq, dk, dv]` under
+    /// the upstream gradient `g`, plus the number of live `(row, key)` pairs whose
+    /// probability is below `2⁻¹²⁶` and the number whose probability is a normal float
+    /// so small (`< e⁻⁶⁰`) that its product with a gradient could still be subnormal.
     fn reference(
         q: &NdArray,
         k: &NdArray,
         v: &NdArray,
         scale: f32,
         weights: Option<&NdArray>,
-    ) -> (NdArray, NdArray) {
-        let (b, h, n, d) = (q.shape()[0], q.shape()[1], q.shape()[2], q.shape()[3]);
+        g: &NdArray,
+    ) -> ([Vec<f32>; 5], usize, usize) {
+        let (bh, n, d) = (q.shape()[0] * q.shape()[1], q.shape()[2], q.shape()[3]);
         let (m, dv) = (k.shape()[2], v.shape()[3]);
-        let qa = q.materialize();
-        let ka = k.materialize();
-        let va = v.materialize();
-        let wa = weights.map(|w| w.materialize());
-        let mut out = vec![0.0f32; b * h * n * dv];
-        let mut lse = vec![0.0f32; b * h * n];
-        for bh in 0..b * h {
+        let (qa, ka, va, ga) = (q.as_slice(), k.as_slice(), v.as_slice(), g.as_slice());
+        let mut out = vec![0.0f32; bh * n * dv];
+        let mut lse = vec![f32::NEG_INFINITY; bh * n];
+        let mut dq = vec![0.0f64; bh * n * d];
+        let mut dk = vec![0.0f64; bh * m * d];
+        let mut dval = vec![0.0f64; bh * m * dv];
+        let (mut underflowed, mut tiny) = (0, 0);
+        for b in 0..bh {
             for i in 0..n {
-                let qrow = &qa.as_slice()[(bh * n + i) * d..(bh * n + i + 1) * d];
-                let scores: Vec<f32> = (0..m)
+                let qrow = &qa[(b * n + i) * d..(b * n + i + 1) * d];
+                let grow = &ga[(b * n + i) * dv..(b * n + i + 1) * dv];
+                let scores: Vec<f64> = (0..m)
                     .map(|j| {
-                        let krow = &ka.as_slice()[(bh * m + j) * d..(bh * m + j + 1) * d];
-                        scale * qrow.iter().zip(krow).map(|(&a, &b)| a * b).sum::<f32>()
+                        let krow = &ka[(b * m + j) * d..(b * m + j + 1) * d];
+                        let s: f64 =
+                            qrow.iter().zip(krow).map(|(&a, &b)| a as f64 * b as f64).sum();
+                        let s = scale as f64 * s;
+                        if (s as f32).is_finite() {
+                            s
+                        } else {
+                            (s as f32) as f64
+                        }
                     })
                     .collect();
-                let mx = scores.iter().fold(f32::NEG_INFINITY, |a, &x| a.max(x));
-                if mx == f32::NEG_INFINITY {
-                    lse[bh * n + i] = f32::NEG_INFINITY;
+                let mx = scores.iter().fold(f64::NEG_INFINITY, |a, &x| a.max(x));
+                if mx == f64::NEG_INFINITY {
                     continue;
                 }
-                let mut denom = 0.0f64;
-                let exps: Vec<f64> = scores.iter().map(|&s| ((s - mx) as f64).exp()).collect();
-                for (j, &e) in exps.iter().enumerate() {
-                    let w = wa.as_ref().map_or(1.0, |w| w.as_slice()[bh * m + j] as f64);
-                    denom += w * e;
+                let w = |j: usize| weights.map_or(1.0, |w| w.as_slice()[b * m + j] as f64);
+                let denom: f64 = (0..m).map(|j| w(j) * (scores[j] - mx).exp()).sum();
+                let row_lse = mx + denom.ln();
+                lse[b * n + i] = row_lse as f32;
+                let probs: Vec<f64> = scores.iter().map(|&s| (s - row_lse).exp()).collect();
+                for &s in scores.iter().filter(|s| s.is_finite()) {
+                    underflowed += usize::from(s - row_lse < -87.4);
+                    tiny += usize::from((-87.4..-60.0).contains(&(s - row_lse)));
                 }
-                for c in 0..dv {
-                    let mut acc = 0.0f64;
-                    for (j, &e) in exps.iter().enumerate() {
-                        acc += e * va.as_slice()[(bh * m + j) * dv + c] as f64;
+                let vrow = |j: usize| &va[(b * m + j) * dv..(b * m + j + 1) * dv];
+                let mut o = vec![0.0f64; dv];
+                for (j, &p) in probs.iter().enumerate() {
+                    for (oc, &vc) in o.iter_mut().zip(vrow(j)) {
+                        *oc += p * vc as f64;
                     }
-                    out[(bh * n + i) * dv + c] = (acc / denom) as f32;
                 }
-                lse[bh * n + i] = mx + (denom as f32).ln();
+                let dsum: f64 = o.iter().zip(grow).map(|(&oc, &gc)| oc * gc as f64).sum();
+                for (c, &oc) in o.iter().enumerate() {
+                    out[(b * n + i) * dv + c] = oc as f32;
+                }
+                for (j, &p) in probs.iter().enumerate() {
+                    let dp: f64 =
+                        grow.iter().zip(vrow(j)).map(|(&gc, &vc)| gc as f64 * vc as f64).sum();
+                    let ds = p * (dp - w(j) * dsum) * scale as f64;
+                    for c in 0..dv {
+                        dval[(b * m + j) * dv + c] += p * grow[c] as f64;
+                    }
+                    for c in 0..d {
+                        dq[(b * n + i) * d + c] += ds * ka[(b * m + j) * d + c] as f64;
+                        dk[(b * m + j) * d + c] += ds * qrow[c] as f64;
+                    }
+                }
             }
         }
-        (
-            NdArray::from_vec(out, &[b, h, n, dv]).unwrap(),
-            NdArray::from_vec(lse, &[b, h, n]).unwrap(),
-        )
+        let narrow = |x: Vec<f64>| x.into_iter().map(|x| x as f32).collect();
+        ([out, lse, narrow(dq), narrow(dk), narrow(dval)], underflowed, tiny)
+    }
+
+    /// `fast_exp` as it was before it underflowed exactly: the same range reduction and
+    /// polynomial, floored at `2⁻¹²⁶`. The bit-equality oracle for the live domain.
+    fn fast_exp_floored(x: f32) -> f32 {
+        let z = (x * std::f32::consts::LOG2_E).clamp(-126.0, 126.0);
+        let kf = z.round();
+        let f = (z - kf) * std::f32::consts::LN_2;
+        let p = 1.0
+            + f * (1.0
+                + f * (0.5
+                    + f * (1.0 / 6.0 + f * (1.0 / 24.0 + f * (1.0 / 120.0 + f * (1.0 / 720.0))))));
+        p * f32::from_bits(((kf as i32 + 127) as u32) << 23)
     }
 
     #[test]
-    fn fast_exp_is_accurate_on_the_softmax_domain() {
-        // Inputs after the running-max shift are ≤ 0. Up to the f32 underflow cliff
-        // (x ≈ −87.3, where exp(x) < 2⁻¹²⁶) the approximation must track libm tightly;
-        // below it, fast_exp saturates at a ≈ 1.2e-38 subnormal instead of descending
-        // into gradual underflow — both values are negligible against the ≥ 1 term every
-        // live softmax row contains.
+    fn fast_exp_is_accurate_above_the_cutoff_and_exactly_zero_below_it() {
+        // Inputs after the running-max shift are ≤ 0. Down to the f32 underflow cutoff
+        // (x ≈ −87.34, where exp(x) < 2⁻¹²⁶) the approximation tracks libm and keeps the
+        // bits of the floored formula, so live softmax rows are unchanged …
         let mut max_rel = 0.0f32;
-        for i in 0..87_000 {
+        for i in 0..=87_000 {
             let x = -(i as f32) * 0.001;
             let (a, b) = (x.exp(), fast_exp(x));
             max_rel = max_rel.max(((a - b) / a).abs());
+            assert_eq!(b.to_bits(), fast_exp_floored(x).to_bits(), "bits at {x}");
         }
-        assert!(max_rel < 1e-5, "max rel err {max_rel}");
+        assert!(max_rel < 4e-6, "max rel err {max_rel}");
         assert_eq!(fast_exp(0.0), 1.0);
-        for x in [-90.0, -1000.0, f32::NEG_INFINITY] {
-            assert!(fast_exp(x) < 1.2e-38, "saturation at {x}");
+        // … and below it the result is a true zero, not a floor: a floored probability
+        // times any gradient below 1 is a subnormal.
+        for x in [-88.0, -100.0, -1e4, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(fast_exp(x).to_bits(), 0, "exact underflow at {x}");
         }
+        // No subnormal anywhere, in particular not in the band (−87.7, −87.3) where the
+        // polynomial times 2⁻¹²⁶ would be one.
+        for i in 0..=1_100_000 {
+            let x = -(i as f32) * 1e-4;
+            let e = fast_exp(x);
+            assert!(e == 0.0 || e.is_normal(), "fast_exp({x}) = {e:e}");
+        }
+        assert!(fast_exp(f32::NAN).is_nan());
     }
 
     #[test]
@@ -1013,13 +1081,14 @@ mod tests {
             });
             let scale = 1.0 / (d as f32).sqrt();
             let fused = fused_attention(&q, &k, &v, scale, w.as_ref()).unwrap();
-            let (expect, expect_lse) = reference(&q, &k, &v, scale, w.as_ref());
+            let no_grad = NdArray::zeros(&[b, h, n, dv]);
+            let ([expect, expect_lse, ..], ..) = reference(&q, &k, &v, scale, w.as_ref(), &no_grad);
             assert!(
-                allclose(fused.out.as_slice(), expect.as_slice(), 1e-4, 1e-4),
+                allclose(fused.out.as_slice(), &expect, 1e-4, 1e-4),
                 "out mismatch at ({b},{h},{n},{m},{d},{dv}) weighted={weighted}"
             );
             assert!(
-                allclose(fused.lse.as_slice(), expect_lse.as_slice(), 1e-4, 1e-4),
+                allclose(fused.lse.as_slice(), &expect_lse, 1e-4, 1e-4),
                 "lse mismatch at ({b},{h},{n},{m},{d},{dv})"
             );
         }
@@ -1081,6 +1150,102 @@ mod tests {
         assert!(dq.as_slice().iter().all(|&x| x == 0.0));
         assert!(dk.as_slice().iter().all(|&x| x == 0.0));
         assert!(dv.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    /// Pins the cause of the peaked-row slowdown by counting, not timing: on rows whose
+    /// `lse` is ≈ 110 and whose other keys sit ≥ 87 below it, every vanishing
+    /// probability must be an exact zero, so that no gradient entry is a subnormal
+    /// (at a `2⁻¹²⁶` floor, every `dv` entry of an unattended key was one).
+    #[test]
+    fn peaked_rows_underflow_to_exact_zeros() {
+        // Off-tile n and m, two key tiles and one, with and without group weights;
+        // b·h ≥ 2 so the threaded backward really splits.
+        for &(b, h, n, m, weighted) in &[
+            (1usize, 2usize, Q_BLOCK + 5, K_BLOCK + 9, false),
+            (2, 1, Q_BLOCK + 5, K_BLOCK + 9, true),
+            (1, 2, 2 * Q_BLOCK + 6, 11, true),
+        ] {
+            // Channels 0..4 carry the scores: query i and key j point along axis i % 4
+            // and j % 4, so scale·q·k is ≈ ±112 within a class and ≈ 0 across classes —
+            // a spread of 224 with nothing in between. Channel 4 masks keys j % 6 == 0
+            // for rows i % 5 == 1 and channel 5 masks every key for row 3 (the products
+            // overflow to −∞). The ±3e38 entries only ever meet a `ds` of exactly zero —
+            // keys j % 6 == 0 are −112 keys, row 3 is dead — so no gradient is scaled
+            // by them.
+            let (d, dv) = (6usize, 5usize);
+            let scale = 1.0 / (d as f32).sqrt();
+            let mut r = rng(5000 + (n * m) as u64);
+            let mut q = NdArray::randn(&[b, h, n, d], 0.3, &mut r);
+            let mut k = NdArray::randn(&[b, h, m, d], 0.3, &mut r);
+            let v = NdArray::randn(&[b, h, m, dv], 1.0, &mut r);
+            let g = NdArray::randn(&[b, h, n, dv], 0.05, &mut r);
+            for (idx, row) in q.as_mut_slice().chunks_mut(d).enumerate() {
+                let i = idx % n;
+                row[i % 4] += 11.0;
+                row[4] = if i % 5 == 1 { 4.0 } else { 0.0 };
+                row[5] = if i == 3 { 3e38 } else { 0.0 };
+            }
+            for (idx, row) in k.as_mut_slice().chunks_mut(d).enumerate() {
+                let j = idx % m;
+                row[j % 4] += if j % 3 == 0 { -25.0 } else { 25.0 };
+                row[4] = if j % 6 == 0 { -3e38 } else { 0.0 };
+                row[5] = -4.0;
+            }
+            let w = weighted.then(|| {
+                let counts: Vec<f32> = (0..b * h * m).map(|i| 1.0 + (i % 5) as f32).collect();
+                NdArray::from_vec(counts, &[b, h, m]).unwrap()
+            });
+            let w = w.as_ref();
+
+            let fwd = fused_attention_threaded(&q, &k, &v, scale, w, 1, false).unwrap();
+            let (dq, dk, dval) =
+                fused_attention_backward_threaded(&q, &k, &v, w, scale, &fwd.out, &fwd.lse, &g, 1)
+                    .unwrap();
+            let label = format!("(b={b}, h={h}, n={n}, m={m}, weighted={weighted})");
+
+            // The inputs are in the regime the test is about: most live pairs underflow,
+            // none lands among the tiny normals.
+            let (expect, underflowed, tiny) = reference(&q, &k, &v, scale, w, &g);
+            assert!(underflowed > b * h * n * m / 2, "{label}: {underflowed} underflowed pairs");
+            assert_eq!(tiny, 0, "{label}: pairs with a tiny normal probability");
+            let top = fwd.lse.as_slice().iter().fold(f32::MIN, |a, &x| a.max(x));
+            assert!((100.0..130.0).contains(&top), "{label}: largest lse {top}");
+
+            for (name, grad) in [("dq", &dq), ("dk", &dk), ("dv", &dval)] {
+                let subnormal =
+                    grad.as_slice().iter().filter(|x| **x != 0.0 && !x.is_normal()).count();
+                assert_eq!(subnormal, 0, "{label}: entries of {name} neither 0.0 nor normal");
+            }
+            let got = [&fwd.out, &fwd.lse, &dq, &dk, &dval];
+            for ((name, got), expect) in
+                ["out", "lse", "dq", "dk", "dv"].iter().zip(got).zip(&expect)
+            {
+                for (i, (&x, &y)) in got.as_slice().iter().zip(expect).enumerate() {
+                    assert!(
+                        x == y || (x - y).abs() <= 1e-4 + 1e-4 * y.abs(),
+                        "{label} {name}[{i}]: {x} vs reference {y}"
+                    );
+                }
+            }
+            for bh in 0..b * h {
+                let masked = bh * n + 3;
+                assert!(fwd.out.as_slice()[masked * dv..(masked + 1) * dv]
+                    .iter()
+                    .all(|&x| x == 0.0));
+                assert_eq!(fwd.lse.as_slice()[masked], f32::NEG_INFINITY);
+                assert!(dq.as_slice()[masked * d..(masked + 1) * d].iter().all(|&x| x == 0.0));
+            }
+
+            let fwd_t = fused_attention_threaded(&q, &k, &v, scale, w, 3, false).unwrap();
+            assert_eq!(fwd.out.as_slice(), fwd_t.out.as_slice(), "{label}: threaded out");
+            assert_eq!(fwd.lse.as_slice(), fwd_t.lse.as_slice(), "{label}: threaded lse");
+            let threaded =
+                fused_attention_backward_threaded(&q, &k, &v, w, scale, &fwd.out, &fwd.lse, &g, 3)
+                    .unwrap();
+            assert_eq!(dq.as_slice(), threaded.0.as_slice(), "{label}: threaded dq");
+            assert_eq!(dk.as_slice(), threaded.1.as_slice(), "{label}: threaded dk");
+            assert_eq!(dval.as_slice(), threaded.2.as_slice(), "{label}: threaded dv");
+        }
     }
 
     /// Numerical-gradient check of the raw kernel backward (independent of the autograd
