@@ -15,5 +15,5 @@ pub use imputation::Imputer;
 pub use pretrain::{finetune_classifier, pretrain, train_from_scratch, PretrainOutcome};
 pub use trainer::{
     timed, train_task, train_task_resumable, AdaptiveBatchConfig, BatchSizeDecision,
-    BatchSizePolicy, EpochMetrics, TrainConfig, TrainReport, TrainTask,
+    BatchSizePolicy, EpochMemory, EpochMetrics, TrainConfig, TrainReport, TrainTask,
 };

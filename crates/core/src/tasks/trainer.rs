@@ -171,9 +171,12 @@ pub fn train_task_resumable<T: TrainTask + ?Sized, R: Rng>(
     assert!(!data.is_empty(), "empty training set");
     let mut planner = BatchPlanner::new(task.backbone(), config);
     let lengths = data.lengths();
+    let memory = task.backbone().memory_model();
     let mut report = TrainReport::default();
     for epoch in 0..config.epochs {
         planner.plan_epoch(task.backbone(), &lengths, epoch);
+        rita_tensor::pool_restart_high_water();
+        let mut costliest = EpochMemory::default();
         let (loss, seconds) = timed(|| {
             // Weight each batch's mean loss by the task-reported unit count: adaptive
             // bucket batch sizes differ widely, and an unweighted mean over batches
@@ -181,6 +184,18 @@ pub fn train_task_resumable<T: TrainTask + ?Sized, R: Rng>(
             let mut loss_sum = 0.0f32;
             let mut weight_sum = 0.0f32;
             for idx in batch_indices_by_length(&lengths, |l| planner.batch_size_for(l), true, rng) {
+                let length = lengths[idx[0]];
+                let groups = groups_for(&memory, task.backbone().mean_scheduled_groups(), length);
+                let predicted_bytes = memory.bytes_for(idx.len(), length, groups);
+                if predicted_bytes > costliest.predicted_bytes {
+                    costliest = EpochMemory {
+                        measured_bytes: 0,
+                        predicted_bytes,
+                        batch_size: idx.len(),
+                        length,
+                        groups,
+                    };
+                }
                 opt.zero_grad();
                 let (loss, weight) = task.batch_loss_on(data, &idx, config, rng);
                 loss.backward();
@@ -194,9 +209,23 @@ pub fn train_task_resumable<T: TrainTask + ?Sized, R: Rng>(
             loss_sum / weight_sum.max(1.0)
         });
         report.push(EpochMetrics { loss, seconds });
+        costliest.measured_bytes = rita_tensor::pool_stats().high_water_bytes as usize;
+        report.memory.push(costliest);
     }
     report.decisions = planner.into_decisions();
     report
+}
+
+/// The group count a batch of `length`-long series runs with: each group-attention
+/// layer clamps the scheduler's target to the batch's window count. For non-group
+/// attention (`target` is `None`) every window is its own group, the memory worst case
+/// of the n×n mechanisms.
+fn groups_for(memory: &MemoryModel, target: Option<f32>, length: usize) -> usize {
+    let windows = memory.windows(length);
+    match target.filter(|&g| g >= 1.0) {
+        Some(g) => (g.round() as usize).clamp(1, windows),
+        None => windows,
+    }
 }
 
 /// Per-length batch-size planning state of one training run.
@@ -278,15 +307,7 @@ impl BatchPlanner {
         distinct.sort_unstable();
         distinct.dedup();
         for len in distinct {
-            // A batch of this length runs each group-attention layer with the target
-            // clamped to the batch's window count — mirror that clamp per bucket. For
-            // non-group attention assume every window is its own group (the memory
-            // worst case for the n×n mechanisms).
-            let windows = memory.windows(len);
-            let groups = match current {
-                Some(g) => (g.round() as usize).clamp(1, windows),
-                None => windows,
-            };
+            let groups = groups_for(memory, current, len);
             let batch_size = predictor.predict(len, groups);
             plan.insert(len, batch_size);
             decisions.push(BatchSizeDecision { epoch, length: len, groups, batch_size });
@@ -326,11 +347,33 @@ pub struct EpochMetrics {
     pub seconds: f64,
 }
 
+/// One epoch's memory: what the tensor pool measured next to what §5.2 predicts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EpochMemory {
+    /// Most bytes of pool-issued tensor buffers alive at once on the training thread
+    /// during the epoch (`rita_tensor::PoolStats::high_water_bytes`, restarted at the
+    /// epoch's start): the tape, gradients and optimiser moments of its costliest step.
+    /// Buffers the pool did not issue (randomly initialised parameters, the dataset)
+    /// are not in it.
+    pub measured_bytes: usize,
+    /// [`MemoryModel::bytes_for`] of the epoch's costliest batch, whose shape follows.
+    pub predicted_bytes: usize,
+    /// Samples in that batch.
+    pub batch_size: usize,
+    /// Sample length `L` of that batch.
+    pub length: usize,
+    /// Group count `N` the prediction used: the scheduler's target before the step,
+    /// clamped to the batch's window count (the window count for non-group attention).
+    pub groups: usize,
+}
+
 /// Result of a full training run.
 #[derive(Debug, Clone, Default)]
 pub struct TrainReport {
     /// Per-epoch metrics in order.
     pub epochs: Vec<EpochMetrics>,
+    /// Per-epoch measured and predicted memory, in order.
+    pub memory: Vec<EpochMemory>,
     /// Batch-size decisions of the adaptive engine, in the order they were made (empty
     /// under [`BatchSizePolicy::Fixed`]).
     pub decisions: Vec<BatchSizeDecision>,

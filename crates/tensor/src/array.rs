@@ -1,5 +1,6 @@
 use std::sync::Arc;
 
+use crate::pool::{self, Storage};
 use crate::{Result, TensorError};
 
 /// A dense, row-major-by-default `f32` n-dimensional array with shared-buffer views.
@@ -16,7 +17,7 @@ use crate::{Result, TensorError};
 /// are never observably mutated through another handle.
 #[derive(Clone)]
 pub struct NdArray {
-    pub(crate) storage: Arc<Vec<f32>>,
+    pub(crate) storage: Arc<Storage>,
     pub(crate) shape: Vec<usize>,
     pub(crate) strides: Vec<usize>,
     pub(crate) offset: usize,
@@ -140,8 +141,10 @@ impl Iterator for LaneIter {
 impl NdArray {
     // ---------------------------------------------------------------- constructors
 
-    /// Internal constructor wrapping a freshly built buffer (no validation).
-    pub(crate) fn from_buffer(data: Vec<f32>, shape: &[usize]) -> Self {
+    /// Internal constructor wrapping a freshly built buffer (no validation): a `Vec` the
+    /// caller built, or a [`Storage`] the pool issued, which returns to it on drop.
+    pub(crate) fn from_buffer(data: impl Into<Storage>, shape: &[usize]) -> Self {
+        let data = data.into();
         debug_assert_eq!(data.len(), shape.iter().product::<usize>());
         Self {
             storage: Arc::new(data),
@@ -153,7 +156,7 @@ impl NdArray {
 
     /// Internal constructor for a view over existing storage (no validation).
     pub(crate) fn view(
-        storage: Arc<Vec<f32>>,
+        storage: Arc<Storage>,
         shape: Vec<usize>,
         strides: Vec<usize>,
         offset: usize,
@@ -163,6 +166,12 @@ impl NdArray {
 
     /// Creates an array from a flat buffer and a shape.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self> {
+        Self::try_from_buffer(data, shape)
+    }
+
+    /// [`NdArray::from_vec`] for a buffer that may be pool-issued.
+    pub(crate) fn try_from_buffer(data: impl Into<Storage>, shape: &[usize]) -> Result<Self> {
+        let data = data.into();
         let expected: usize = shape.iter().product();
         if expected != data.len() {
             return Err(TensorError::ShapeDataMismatch {
@@ -181,12 +190,14 @@ impl NdArray {
     /// Creates an array filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let n: usize = shape.iter().product();
-        Self::from_buffer(vec![value; n], shape)
+        let mut data = pool::alloc_for_extend(n);
+        data.resize(n, value);
+        Self::from_buffer(data, shape)
     }
 
     /// Creates an array of zeros.
     pub fn zeros(shape: &[usize]) -> Self {
-        Self::full(shape, 0.0)
+        Self::from_buffer(pool::alloc_zeroed(shape.iter().product()), shape)
     }
 
     /// Creates an array of ones.
@@ -210,7 +221,7 @@ impl NdArray {
 
     /// Creates a 1-D array of evenly spaced values `[start, start + step, ...)` of length `n`.
     pub fn arange(start: f32, step: f32, n: usize) -> Self {
-        let data = (0..n).map(|i| start + step * i as f32).collect();
+        let data: Vec<f32> = (0..n).map(|i| start + step * i as f32).collect();
         Self::from_buffer(data, &[n])
     }
 
@@ -284,11 +295,7 @@ impl NdArray {
         if self.is_contiguous() {
             return self.clone();
         }
-        let mut data = Vec::with_capacity(self.len());
-        for off in self.offsets() {
-            data.push(self.storage[off]);
-        }
-        NdArray::from_buffer(data, &self.shape)
+        self.compact()
     }
 
     /// Iterator over storage offsets of elements in logical order.
@@ -362,7 +369,7 @@ impl NdArray {
 
     /// Unconditionally copies the logical contents into a fresh, uniquely owned buffer.
     fn compact(&self) -> NdArray {
-        let mut data = Vec::with_capacity(self.len());
+        let mut data = pool::alloc_for_extend(self.len());
         if self.is_contiguous() {
             data.extend_from_slice(&self.storage[self.offset..self.offset + self.len()]);
         } else {
@@ -404,7 +411,7 @@ impl NdArray {
         self.ensure_unique_contiguous();
         if self.offset == 0 && self.len() == self.storage.len() {
             match Arc::try_unwrap(self.storage) {
-                Ok(v) => v,
+                Ok(storage) => storage.into_vec(),
                 Err(arc) => arc[..].to_vec(),
             }
         } else {
@@ -458,7 +465,7 @@ impl NdArray {
 
     /// Applies `f` to every element, returning a new (contiguous) array.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        let mut data = crate::pool::alloc_for_extend(self.len());
+        let mut data = pool::alloc_for_extend(self.len());
         if self.is_contiguous() {
             data.extend(self.storage[self.offset..self.offset + self.len()].iter().map(|&x| f(x)));
         } else {

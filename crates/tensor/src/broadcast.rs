@@ -88,7 +88,7 @@ impl NdArray {
             data.extend(
                 self.as_slice().iter().zip(other.as_slice().iter()).map(|(&a, &b)| f(a, b)),
             );
-            return NdArray::from_vec(data, &self.shape);
+            return NdArray::try_from_buffer(data, &self.shape);
         }
         // Fast path: rhs is a scalar.
         if other.len() == 1 {
@@ -126,7 +126,7 @@ impl NdArray {
         let liter = OffsetIter::new(&out_shape, &ls, self.offset);
         let riter = OffsetIter::new(&out_shape, &rs, other.offset);
         data.extend(liter.zip(riter).map(|(li, ri)| f(self.storage[li], other.storage[ri])));
-        NdArray::from_vec(data, &out_shape)
+        NdArray::try_from_buffer(data, &out_shape)
     }
 
     /// Elementwise addition with broadcasting.
@@ -217,11 +217,11 @@ impl NdArray {
         // its inputs in the same (C) order as the general walk below, so the result is
         // bit-identical to it.
         if self.is_contiguous() {
-            let mut out = vec![0.0f32; target_shape.iter().product::<usize>().max(1)];
+            let mut out = crate::pool::alloc_zeroed(target_shape.iter().product::<usize>().max(1));
             match row_pattern(&self.shape, target_shape) {
                 Some(RowPattern::Trailing { .. }) => {
                     crate::rowops::sum_blocks_into(self.as_slice(), &mut out);
-                    return NdArray::from_vec(out, target_shape);
+                    return NdArray::try_from_buffer(out, target_shape);
                 }
                 Some(RowPattern::Column { d }) if d > 0 => {
                     for (o, row) in out.iter_mut().zip(self.as_slice().chunks_exact(d)) {
@@ -229,7 +229,7 @@ impl NdArray {
                             *o += v;
                         }
                     }
-                    return NdArray::from_vec(out, target_shape);
+                    return NdArray::try_from_buffer(out, target_shape);
                 }
                 _ => {}
             }
@@ -241,7 +241,7 @@ impl NdArray {
     /// validated): walks `self` through its own strides and accumulates into the
     /// target through the target's contiguous strides aligned to `self`'s shape.
     fn reduce_strided(&self, target_shape: &[usize]) -> Result<NdArray> {
-        let mut out = vec![0.0f32; target_shape.iter().product::<usize>().max(1)];
+        let mut out = crate::pool::alloc_zeroed(target_shape.iter().product::<usize>().max(1));
         let own = crate::array::contiguous_strides(target_shape);
         let lead = self.shape.len() - target_shape.len();
         let mut tstrides = vec![0usize; self.shape.len()];
@@ -254,7 +254,7 @@ impl NdArray {
         for (soff, ti) in self.offsets().zip(titer) {
             out[ti] += self.storage[soff];
         }
-        NdArray::from_vec(out, target_shape)
+        NdArray::try_from_buffer(out, target_shape)
     }
 }
 

@@ -321,8 +321,8 @@ pub(crate) fn fused_attention_threaded(
     }
 
     Ok(FusedAttention {
-        out: NdArray::from_vec(out, &[b, h, n, dv])?,
-        lse: NdArray::from_vec(lse, &[b, h, n])?,
+        out: NdArray::try_from_buffer(out, &[b, h, n, dv])?,
+        lse: NdArray::try_from_buffer(lse, &[b, h, n])?,
     })
 }
 
@@ -664,9 +664,9 @@ pub(crate) fn fused_attention_backward_threaded(
     let (odata, gdata, ldata) = (out_c.as_slice(), gout_c.as_slice(), lse_c.as_slice());
     let (qop, kop, vop) = (Op::new(q), Op::new(k), Op::new(v));
 
-    let mut dq = vec![0.0f32; bh * n * d];
-    let mut dk = vec![0.0f32; bh * m * d];
-    let mut dval = vec![0.0f32; bh * m * dv];
+    let mut dq = crate::pool::alloc_zeroed(bh * n * d);
+    let mut dk = crate::pool::alloc_zeroed(bh * m * d);
+    let mut dval = crate::pool::alloc_zeroed(bh * m * dv);
 
     let threads = threads.min(bh);
     if threads > 1 {
@@ -734,9 +734,9 @@ pub(crate) fn fused_attention_backward_threaded(
     }
 
     Ok((
-        NdArray::from_vec(dq, &[b, h, n, d])?,
-        NdArray::from_vec(dk, &[b, h, m, d])?,
-        NdArray::from_vec(dval, &[b, h, m, dv])?,
+        NdArray::try_from_buffer(dq, &[b, h, n, d])?,
+        NdArray::try_from_buffer(dk, &[b, h, m, d])?,
+        NdArray::try_from_buffer(dval, &[b, h, m, dv])?,
     ))
 }
 

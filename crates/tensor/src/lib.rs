@@ -59,7 +59,7 @@ pub use fused::{
     fused_attention, fused_attention_backward, fused_attention_bf16_kv, FusedAttention,
 };
 pub use parallel::{scoped_chunks_mut, with_worker_threads, worker_budget};
-pub use pool::{pool_reserve, pool_reset, pool_stats, recycle, PoolStats};
+pub use pool::{pool_reserve, pool_reset, pool_restart_high_water, pool_stats, recycle, PoolStats};
 pub use qgemm::{dequantize_columns, qgemm, quantize_columns, QuantMatrix, MAX_QUANT_K};
 pub use random::{rng_from_seed, SeedableRng64};
 pub use rowops::LayerNormed;

@@ -195,7 +195,7 @@ impl NdArray {
                 );
             }
         }
-        NdArray::from_vec(out, &out_shape)
+        NdArray::try_from_buffer(out, &out_shape)
     }
 
     /// `self · wq` where the rhs is a pre-packed per-channel int8 [`QuantMatrix`] —
@@ -248,7 +248,7 @@ impl NdArray {
                 );
             }
         }
-        NdArray::from_vec(out, &out_shape)
+        NdArray::try_from_buffer(out, &out_shape)
     }
 
     /// `self · otherᵀ` where the transpose applies to the last two dims of `other`.

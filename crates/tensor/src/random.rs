@@ -39,7 +39,7 @@ impl NdArray {
     /// Uniform samples in `[lo, hi)`.
     pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut impl Rng) -> Self {
         let n: usize = shape.iter().product();
-        let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
+        let data: Vec<f32> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
         Self::from_buffer(data, shape)
     }
 
@@ -52,7 +52,7 @@ impl NdArray {
     /// Bernoulli 0/1 mask with probability `p` of a 1.
     pub fn bernoulli(shape: &[usize], p: f32, rng: &mut impl Rng) -> Self {
         let n: usize = shape.iter().product();
-        let data = (0..n).map(|_| if rng.gen::<f32>() < p { 1.0 } else { 0.0 }).collect();
+        let data: Vec<f32> = (0..n).map(|_| if rng.gen::<f32>() < p { 1.0 } else { 0.0 }).collect();
         Self::from_buffer(data, shape)
     }
 }

@@ -48,7 +48,7 @@ impl NdArray {
         }
         let lanes = LaneIter::new(self, axis);
         let (lane_len, lane_stride) = (lanes.lane_len, lanes.lane_stride);
-        let mut out = Vec::with_capacity(self.len() / lane_len.max(1));
+        let mut out = crate::pool::alloc_for_extend(self.len() / lane_len.max(1));
         for base in lanes {
             let mut acc = init;
             if lane_stride == 1 {
@@ -68,7 +68,7 @@ impl NdArray {
         } else {
             shape.remove(axis);
         }
-        NdArray::from_vec(out, &shape)
+        NdArray::try_from_buffer(out, &shape)
     }
 
     /// Sum along `axis`.
@@ -102,7 +102,7 @@ impl NdArray {
         if last == 0 {
             return Ok(self.clone());
         }
-        let mut out = vec![0.0f32; self.len()];
+        let mut out = crate::pool::alloc_zeroed(self.len());
         let lanes = LaneIter::new(self, self.ndim() - 1);
         let stride = lanes.lane_stride;
         for (r, base) in lanes.enumerate() {
@@ -131,7 +131,7 @@ impl NdArray {
                 *o *= inv;
             }
         }
-        NdArray::from_vec(out, &self.shape)
+        NdArray::try_from_buffer(out, &self.shape)
     }
 
     /// Log-softmax over the last dimension (numerically stable, stride-aware).
@@ -143,7 +143,7 @@ impl NdArray {
         if last == 0 {
             return Ok(self.clone());
         }
-        let mut out = vec![0.0f32; self.len()];
+        let mut out = crate::pool::alloc_zeroed(self.len());
         let lanes = LaneIter::new(self, self.ndim() - 1);
         let stride = lanes.lane_stride;
         for (r, base) in lanes.enumerate() {
@@ -166,7 +166,7 @@ impl NdArray {
                 *o -= lse;
             }
         }
-        NdArray::from_vec(out, &self.shape)
+        NdArray::try_from_buffer(out, &self.shape)
     }
 
     /// Index of the maximum element along the last dimension, per row.

@@ -61,7 +61,7 @@ impl NdArray {
         }
         let mut out_shape = self.shape.clone();
         out_shape[nd - 2] = n_segments;
-        let mut out = vec![0.0f32; batch * n_segments * d];
+        let mut out = crate::pool::alloc_zeroed(batch * n_segments * d);
         // rows() walks the (possibly strided) view's rows in block-major order, which is
         // exactly the order `segments` is laid out in.
         let x = self.with_contiguous_rows();
@@ -73,7 +73,7 @@ impl NdArray {
                 *o += v;
             }
         }
-        NdArray::from_vec(out, &out_shape)
+        NdArray::try_from_buffer(out, &out_shape)
     }
 
     /// Gathers one row per assignment out of each batch block.
@@ -112,7 +112,7 @@ impl NdArray {
         }
         let mut out_shape = self.shape.clone();
         out_shape[nd - 2] = n_out;
-        let mut out = Vec::with_capacity(batch * n_out * d);
+        let mut out = crate::pool::alloc_for_extend(batch * n_out * d);
         let x = self.with_contiguous_rows();
         // Walk the source blocks in order; each block is a contiguous run of m rows in
         // rows() order, addressed through the lane iterator's strides.
@@ -122,7 +122,7 @@ impl NdArray {
                 out.extend_from_slice(block_rows[block * m + i]);
             }
         }
-        NdArray::from_vec(out, &out_shape)
+        NdArray::try_from_buffer(out, &out_shape)
     }
 }
 

@@ -106,7 +106,7 @@ impl NdArray {
         // Outer = product of dims before axis; inner = product of dims after axis.
         let outer: usize = first.shape[..axis].iter().product::<usize>().max(1);
         let inner: usize = first.shape[axis + 1..].iter().product::<usize>().max(1);
-        let mut data = Vec::with_capacity(out_shape.iter().product());
+        let mut data = crate::pool::alloc_for_extend(out_shape.iter().product());
         for o in 0..outer {
             for p in &dense {
                 let pa = p.shape[axis];
@@ -114,7 +114,7 @@ impl NdArray {
                 data.extend_from_slice(&p.as_slice()[start..start + pa * inner]);
             }
         }
-        NdArray::from_vec(data, &out_shape)
+        NdArray::try_from_buffer(data, &out_shape)
     }
 
     /// Stacks equally shaped arrays along a new leading axis. (Copies.)
@@ -123,7 +123,7 @@ impl NdArray {
             return Err(TensorError::ConcatMismatch { detail: "no operands".into() });
         }
         let first_shape = parts[0].shape.clone();
-        let mut data = Vec::with_capacity(parts.len() * parts[0].len());
+        let mut data = crate::pool::alloc_for_extend(parts.len() * parts[0].len());
         for p in parts {
             if p.shape != first_shape {
                 return Err(TensorError::ConcatMismatch {
@@ -135,7 +135,7 @@ impl NdArray {
         }
         let mut shape = vec![parts.len()];
         shape.extend_from_slice(&first_shape);
-        NdArray::from_vec(data, &shape)
+        NdArray::try_from_buffer(data, &shape)
     }
 
     /// Extracts the half-open range `[start, end)` along `axis`. Zero-copy.
@@ -188,7 +188,7 @@ impl NdArray {
             return Err(TensorError::InvalidArgument("cannot gather from a scalar".into()));
         }
         let inner: usize = self.shape[1..].iter().product::<usize>().max(1);
-        let mut data = Vec::with_capacity(indices.len() * inner);
+        let mut data = crate::pool::alloc_for_extend(indices.len() * inner);
         for &i in indices {
             if i >= self.shape[0] {
                 return Err(TensorError::IndexOutOfBounds { index: i, len: self.shape[0] });
@@ -202,7 +202,7 @@ impl NdArray {
         }
         let mut shape = self.shape.clone();
         shape[0] = indices.len();
-        NdArray::from_vec(data, &shape)
+        NdArray::try_from_buffer(data, &shape)
     }
 
     /// Splits the array into `chunks` equal parts along axis 0. Zero-copy (each chunk is

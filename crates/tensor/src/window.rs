@@ -41,7 +41,7 @@ impl NdArray {
                 }
             }
         }
-        NdArray::from_vec(out, &[b, n, c * width])
+        NdArray::try_from_buffer(out, &[b, n, c * width])
     }
 
     /// Folds `(batch, n_windows, channels * width)` windows back into a
@@ -86,7 +86,7 @@ impl NdArray {
                 }
             }
         }
-        NdArray::from_vec(out, &[b, channels, length])
+        NdArray::try_from_buffer(out, &[b, channels, length])
     }
 }
 

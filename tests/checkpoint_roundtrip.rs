@@ -1,6 +1,9 @@
 //! Checkpoint round-trips: save → load in a fresh model → bit-identical behaviour on
 //! every task, resume-training equivalence, and clean failure on damaged files.
 
+mod common;
+
+use common::assert_same_training_state;
 use rand::SeedableRng;
 use rita::core::attention::AttentionKind;
 use rita::core::checkpoint::{Checkpoint, CheckpointError};
@@ -9,8 +12,8 @@ use rita::core::tasks::{
     evaluate_forecast, train_task_resumable, Classifier, Imputer, TrainConfig,
 };
 use rita::data::{DatasetKind, TimeseriesDataset};
+use rita::nn::no_grad;
 use rita::nn::optim::AdamW;
-use rita::nn::{no_grad, Module};
 use rita::tensor::{NdArray, SeedableRng64};
 
 fn rng(seed: u64) -> SeedableRng64 {
@@ -129,25 +132,6 @@ fn resumed_training_matches_uninterrupted_run() {
     let _ = train_task_resumable(&mut resumed, &data, &cfg(1), &mut resumed_opt, &mut part_rng);
 
     assert_same_training_state(&full, &full_opt, &resumed, &resumed_opt);
-}
-
-/// Every parameter, scheduler target and AdamW moment of two training runs equal to
-/// the last bit.
-fn assert_same_training_state(a: &Classifier, a_opt: &AdamW, b: &Classifier, b_opt: &AdamW) {
-    let (a_params, b_params) = (a.named_parameters(), b.named_parameters());
-    assert_eq!(a_params.len(), b_params.len());
-    for ((pa, va), (pb, vb)) in a_params.iter().zip(&b_params) {
-        assert_eq!(pa, pb);
-        assert_eq!(va.to_array().as_slice(), vb.to_array().as_slice(), "parameter '{pa}' diverged");
-    }
-    assert_eq!(a.model.scheduler_state(), b.model.scheduler_state());
-    let (sa, sb) = (a_opt.state(), b_opt.state());
-    assert_eq!(sa.steps, sb.steps);
-    for ((pa, ma, va), (pb, mb, vb)) in sa.moments.iter().zip(&sb.moments) {
-        assert_eq!(pa, pb);
-        assert_eq!(ma.as_slice(), mb.as_slice(), "first moment '{pa}' diverged");
-        assert_eq!(va.as_slice(), vb.as_slice(), "second moment '{pa}' diverged");
-    }
 }
 
 /// Two runs of `train(3)` from the same seeds agree to the last bit — with dropout on,
