@@ -3,10 +3,6 @@
 //! speed-up claim — group attention's advantage over vanilla attention should widen with
 //! the sequence length.
 //!
-//! Variants named `*_unfused` run the materialised score/softmax oracle chains; the
-//! unsuffixed variants run the fused streaming kernels (the defaults), so every run
-//! measures the fusion win directly.
-//!
 //! The `attention_fused_fwd_bwd` group times the fused kernel's forward **and backward**
 //! at the shape of one long-series training step (2 heads, `n × n` vanilla and `n × 64`
 //! group), on `flat` inputs (unit-variance queries and keys, every probability within
@@ -51,14 +47,8 @@ fn qkv(n: usize, dh: usize, seed: u64) -> (Var, Var, Var) {
     (q, k, v)
 }
 
-fn group_config(initial_groups: usize, unfused: bool, dense: bool) -> GroupAttentionConfig {
-    GroupAttentionConfig {
-        initial_groups,
-        adaptive: false,
-        unfused,
-        dense_matrices: dense,
-        ..Default::default()
-    }
+fn group_config(initial_groups: usize) -> GroupAttentionConfig {
+    GroupAttentionConfig { initial_groups, adaptive: false, ..Default::default() }
 }
 
 fn bench_attention_forward(c: &mut Criterion) {
@@ -73,24 +63,8 @@ fn bench_attention_forward(c: &mut Criterion) {
             let mut attn = VanillaAttention::new();
             b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
         });
-        group.bench_with_input(BenchmarkId::new("vanilla_unfused", n), &n, |b, _| {
-            // The pre-fusion chain (materialised scores + softmax), kept as the perf
-            // baseline for the fused kernel above.
-            let mut attn = VanillaAttention::unfused();
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
         group.bench_with_input(BenchmarkId::new("group", n), &n, |b, _| {
-            let mut attn = GroupAttention::new(group_config(groups, false, false));
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group_unfused", n), &n, |b, _| {
-            let mut attn = GroupAttention::new(group_config(groups, true, false));
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group_dense", n), &n, |b, _| {
-            // The pre-sparse-pipeline formulation (dense one-hot grouping matrices),
-            // kept as the perf baseline for the segment-sum default above.
-            let mut attn = GroupAttention::new(group_config(groups, true, true));
+            let mut attn = GroupAttention::new(group_config(groups));
             b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
         });
         group.bench_with_input(BenchmarkId::new("performer", n), &n, |b, _| {
@@ -141,20 +115,8 @@ fn bench_attention_forward_multihead(c: &mut Criterion) {
             let mut attn = VanillaAttention::new();
             bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
         });
-        group.bench_with_input(BenchmarkId::new("vanilla_unfused", n), &n, |bch, _| {
-            let mut attn = VanillaAttention::unfused();
-            bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
         group.bench_with_input(BenchmarkId::new("group", n), &n, |bch, _| {
-            let mut attn = GroupAttention::new(group_config(groups, false, false));
-            bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group_unfused", n), &n, |bch, _| {
-            let mut attn = GroupAttention::new(group_config(groups, true, false));
-            bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group_dense", n), &n, |bch, _| {
-            let mut attn = GroupAttention::new(group_config(groups, true, true));
+            let mut attn = GroupAttention::new(group_config(groups));
             bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
         });
     }

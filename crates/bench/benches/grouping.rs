@@ -1,8 +1,7 @@
 //! Criterion micro-benchmarks for the grouping step (§4.4): the matmul-formulated k-means
-//! against the naive pairwise-difference formulation, the cost of assembling the
-//! group-softmax inputs, and the sparse segment-sum pipeline against the dense one-hot
-//! matrix formulation of the grouping constants. This is the ablation DESIGN.md calls
-//! out for the "GPU friendly" distance formulation.
+//! against the naive pairwise-difference formulation (the ablation DESIGN.md calls out
+//! for the "GPU friendly" distance formulation), and the cost of the sparse segment-sum
+//! pipeline that applies the grouping constants.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
@@ -41,10 +40,9 @@ fn bench_kmeans_iterations(c: &mut Criterion) {
     group.finish();
 }
 
-/// Applying the grouping constants: the dense path builds the one-hot `(N, n)`
-/// averaging/summation matrices and pays two `O(N·n·d)` products; the sparse path is two
-/// `O(n·d)` segment sums plus a broadcast scale. This is the tentpole ablation — the
-/// quantity that used to dominate the non-score cost of group attention.
+/// Applying the grouping constants: two `O(n·d)` segment sums plus a broadcast scale, in
+/// place of the two `O(N·n·d)` products with one-hot `(N, n)` matrices that used to
+/// dominate the non-score cost of group attention.
 fn bench_grouping_constants(c: &mut Criterion) {
     let mut group = c.benchmark_group("grouping_constants");
     group.sample_size(10);
@@ -57,15 +55,6 @@ fn bench_grouping_constants(c: &mut Criterion) {
             &[n_groups, 1],
         )
         .unwrap();
-        group.bench_with_input(BenchmarkId::new("dense_matrices", n), &n, |b, _| {
-            b.iter(|| {
-                let s = g.averaging_matrix();
-                let m = g.sum_matrix();
-                let reps = s.matmul(&x).unwrap();
-                let agg = m.matmul(&x).unwrap();
-                (reps, agg)
-            });
-        });
         group.bench_with_input(BenchmarkId::new("sparse_segment_sum", n), &n, |b, _| {
             b.iter(|| {
                 let sums = x.segment_sum(&g.assignments, n_groups).unwrap();

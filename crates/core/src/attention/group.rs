@@ -15,13 +15,14 @@
 //! shrinks whenever clusters can be merged without violating the user's error bound ε
 //! (Lemmas 1 & 2), with a momentum update smoothing the trajectory.
 //!
-//! The grouping constants are applied **sparsely** by default: instead of materialising
-//! the one-hot `(N, n)` averaging/summation matrices per `(batch, head)` and paying two
-//! `O(N·n·d)` products, the representatives and aggregated values are computed with one
+//! The grouping constants are applied **sparsely**: instead of materialising the one-hot
+//! `(N, n)` averaging/summation matrices per `(batch, head)` and paying two `O(N·n·d)`
+//! products, the representatives and aggregated values are computed with one
 //! `segment_sum` each (`O(n·d)`, keeping the total grouped-attention cost dominated by
-//! the `n×N` score/output products exactly as §4.4 intends). The dense matrix
-//! formulation survives behind [`GroupAttentionConfig::dense_matrices`] as the
-//! exactness oracle.
+//! the `n×N` score/output products exactly as §4.4 intends), and the group softmax runs
+//! in the fused streaming kernel. The paper's matrix formulation (one-hot matrices, then
+//! the explicit count-weighted softmax chain) is the exactness oracle of the property
+//! tests and lives with them, in `tests/common`.
 
 use super::Attention;
 use crate::group::{group_key_blocks, Grouping};
@@ -46,17 +47,6 @@ pub struct GroupAttentionConfig {
     pub kmeans_iters: usize,
     /// Momentum α of the group-count update.
     pub momentum_alpha: f32,
-    /// Use the dense `(N, n)` averaging/summation constant matrices instead of the
-    /// sparse segment-sum pipeline. The dense formulation costs `O(N·n·d)` per
-    /// `(batch, head)` in the two constant products and materialises `(b, h, N, n)`
-    /// buffers; it is kept purely as the exactness oracle the property tests compare
-    /// the sparse default against. Implies the unfused score/softmax chain.
-    pub dense_matrices: bool,
-    /// Compute the group softmax through the explicit `Q·Rᵀ → weighted softmax → ·Ṽ`
-    /// chain instead of the fused streaming kernel (which folds the `count_k` weights
-    /// into its online-softmax denominator and never materialises the `(b, h, n, N)`
-    /// score matrix). Kept as the exactness oracle, mirroring `dense_matrices`.
-    pub unfused: bool,
 }
 
 impl Default for GroupAttentionConfig {
@@ -68,8 +58,6 @@ impl Default for GroupAttentionConfig {
             adaptive: true,
             kmeans_iters: 2,
             momentum_alpha: 0.5,
-            dense_matrices: false,
-            unfused: false,
         }
     }
 }
@@ -114,7 +102,7 @@ impl GroupAttention {
 
     /// Group count that the next forward pass will use for `n` windows.
     pub fn effective_groups(&self, n_windows: usize) -> usize {
-        (self.n_groups.round() as usize).clamp(self.config.min_groups.min(n_windows), n_windows)
+        effective_groups(self.n_groups, self.config.min_groups, n_windows)
     }
 
     /// Current (real-valued) scheduler group count.
@@ -125,13 +113,6 @@ impl GroupAttention {
     /// Overrides the scheduler state (used by the fixed-N ablation harness).
     pub fn set_groups(&mut self, n: usize) {
         self.n_groups = n as f32;
-    }
-
-    /// Runs the k-means grouping for every `(batch, head)` pair through the shared
-    /// grouping entry point ([`crate::group::group_key_blocks`]), which the tape-free
-    /// inference engine also uses — identical clusterings by construction.
-    fn group_all(&self, keys: &NdArray, n_groups: usize) -> Vec<Grouping> {
-        group_key_blocks(keys, n_groups, self.config.kmeans_iters)
     }
 
     /// Runs the adaptive scheduler (§5.1) after a forward pass.
@@ -160,89 +141,80 @@ impl GroupAttention {
     }
 }
 
+/// The group count a forward over `n_windows` windows uses for the scheduler target
+/// `target`: the rounded target, clamped to this series' window count.
+pub(crate) fn effective_groups(target: f32, min_groups: usize, n_windows: usize) -> usize {
+    (target.round() as usize).clamp(min_groups.min(n_windows), n_windows)
+}
+
+/// Group attention over head-split `(batch, heads, windows, head_dim)` tensors with
+/// `n_groups` groups: the one body behind [`GroupAttention::forward`] and the graph
+/// interpreter's `Attention` node. Returns the output and the groupings it used.
+pub(crate) fn group_attention(
+    q: &Var,
+    k: &Var,
+    v: &Var,
+    n_groups: usize,
+    kmeans_iters: usize,
+) -> (Var, Vec<Grouping>) {
+    let shape = q.shape();
+    let (b, h, n, dh) = (shape[0], shape[1], shape[2], shape[3]);
+
+    // 1. Group the (detached) keys through the shared grouping entry point, which the
+    //    tape-free inference engine also uses — identical clusterings by construction.
+    //    Grouping is a discrete decision, so no gradient flows through the cluster
+    //    assignment itself — but the representative keys are centroids (per-group means
+    //    of K), so gradients still reach K.
+    let groupings = group_key_blocks(&k.to_array(), n_groups, kmeans_iters);
+
+    // Per-group member counts (block-major over batch×heads).
+    let mut counts_flat = Vec::with_capacity(b * h * n_groups);
+    for g in &groupings {
+        counts_flat.extend(g.counts.iter().map(|&c| c as f32));
+    }
+
+    // 2. Representative keys R = S · K and aggregated values Ṽ = M · V, both
+    //    (batch, heads, N, dh), each realised as one segment sum — O(n·dh) per
+    //    (batch, head) with no intermediate — instead of the O(N·n·dh) products with
+    //    the one-hot (N, n) matrices the paper's matrix formulation describes.
+    let inv_counts = NdArray::from_vec(
+        counts_flat.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
+        &[b, h, n_groups, 1],
+    )
+    .expect("inverse counts batch");
+    // Flat group assignments, block-major over batch×heads — the layout `segment_sum`
+    // consumes. One shared allocation feeds both segment sums (and their backward
+    // closures) instead of two copies.
+    let mut segments = Vec::with_capacity(b * h * n);
+    for g in &groupings {
+        segments.extend_from_slice(&g.assignments);
+    }
+    let segments: std::sync::Arc<[usize]> = segments.into();
+    let representatives = k.segment_sum(segments.clone(), n_groups).mul(&Var::constant(inv_counts));
+    let aggregated_values = v.segment_sum(segments, n_groups);
+
+    // 3–5. Score matrix P̃ = Q · Rᵀ / √d_k, group softmax (Eq. 3), and the final
+    //    embedding-aggregation product O = Ã · Ṽ, in the fused streaming kernel: the
+    //    `count_k` weights are folded into its online-softmax denominator, so the
+    //    `(b, h, n, N)` score matrix is never materialised and the backward recomputes
+    //    per-tile scores.
+    let scale = 1.0 / (dh as f32).sqrt();
+    let weights = NdArray::from_vec(counts_flat, &[b, h, n_groups]).expect("counts batch");
+    let output = q.fused_group_attention(&representatives, &aggregated_values, scale, weights);
+    (output, groupings)
+}
+
 impl Attention for GroupAttention {
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var {
         let shape = q.shape();
         assert_eq!(shape.len(), 4, "group attention expects (batch, heads, windows, head_dim)");
-        let (b, h, n, dh) = (shape[0], shape[1], shape[2], shape[3]);
-        let n_groups = self.effective_groups(n);
-
-        // 1. Group the (detached) keys; grouping is a discrete decision, so no gradient
-        //    flows through the cluster assignment itself — but the representative keys
-        //    are centroids (per-group means of K), so gradients still reach K.
-        let keys_detached = k.to_array();
-        let groupings = self.group_all(&keys_detached, n_groups);
-
-        // Per-group member counts (block-major over batch×heads).
-        let mut counts_flat = Vec::with_capacity(b * h * n_groups);
-        for g in &groupings {
-            counts_flat.extend(g.counts.iter().map(|&c| c as f32));
-        }
-
-        // 2. Representative keys R = S · K and aggregated values Ṽ = M · V, both
-        //    (batch, heads, N, dh). The default sparse pipeline realises them as one
-        //    segment sum per tensor — O(n·dh) per (batch, head) with no intermediate —
-        //    while the dense oracle materialises the one-hot (N, n) matrices and pays
-        //    the O(N·n·dh) products the paper's matrix formulation describes.
-        let (representatives, aggregated_values) = if self.config.dense_matrices {
-            let mut avg = Vec::with_capacity(b * h * n_groups * n);
-            let mut sum = Vec::with_capacity(b * h * n_groups * n);
-            for g in &groupings {
-                avg.extend_from_slice(g.averaging_matrix().as_slice());
-                sum.extend_from_slice(g.sum_matrix().as_slice());
-            }
-            let avg = NdArray::from_vec(avg, &[b, h, n_groups, n]).expect("avg matrix batch");
-            let sum = NdArray::from_vec(sum, &[b, h, n_groups, n]).expect("sum matrix batch");
-            (Var::constant(avg).matmul(k), Var::constant(sum).matmul(v))
-        } else {
-            let inv_counts = NdArray::from_vec(
-                counts_flat.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-                &[b, h, n_groups, 1],
-            )
-            .expect("inverse counts batch");
-            // Flat group assignments, block-major over batch×heads — the layout
-            // `segment_sum` consumes. One shared allocation feeds both segment sums
-            // (and their backward closures) instead of two copies.
-            let mut segments = Vec::with_capacity(b * h * n);
-            for g in &groupings {
-                segments.extend_from_slice(&g.assignments);
-            }
-            let segments: std::sync::Arc<[usize]> = segments.into();
-            let representatives =
-                k.segment_sum(segments.clone(), n_groups).mul(&Var::constant(inv_counts));
-            (representatives, v.segment_sum(segments, n_groups))
-        };
-
-        // 3–5. Score matrix P̃ = Q · Rᵀ / √d_k, group softmax (Eq. 3), and the final
-        //    embedding-aggregation product O = Ã · Ṽ. The default is the fused
-        //    streaming kernel: the `count_k` weights are folded into its online-softmax
-        //    denominator, so the `(b, h, n, N)` score matrix is never materialised and
-        //    the backward recomputes per-tile scores. The oracle paths keep the explicit
-        //    chain, computed stably by subtracting the detached row max — the shift
-        //    cancels between numerator and denominator, so the result (and its gradient)
-        //    is exactly the unshifted group softmax.
-        let scale = 1.0 / (dh as f32).sqrt();
-        let output = if self.config.dense_matrices || self.config.unfused {
-            let counts =
-                NdArray::from_vec(counts_flat, &[b, h, 1, n_groups]).expect("counts batch");
-            // The 1/√d is folded into the score product (one kernel pass, no scaled
-            // temporary).
-            let scores = q.matmul_nt_scaled(&representatives, scale);
-            let row_max = scores.to_array().max_axis(3, true).expect("row max");
-            let shifted = scores.sub(&Var::constant(row_max));
-            let exp = shifted.exp();
-            let denom = exp.mul(&Var::constant(counts)).sum_axis(3);
-            let attention = exp.div(&denom);
-            attention.matmul(&aggregated_values)
-        } else {
-            let weights = NdArray::from_vec(counts_flat, &[b, h, n_groups]).expect("counts batch");
-            q.fused_group_attention(&representatives, &aggregated_values, scale, weights)
-        };
+        let n_groups = self.effective_groups(shape[2]);
+        let (output, groupings) = group_attention(q, k, v, n_groups, self.config.kmeans_iters);
 
         // 6. Adaptive scheduling for the next iteration.
         self.stats.current_groups = n_groups;
         self.stats.forward_calls += 1;
-        self.update_scheduler(&groupings, &keys_detached);
+        self.update_scheduler(&groupings, &k.to_array());
 
         output
     }

@@ -1,48 +1,31 @@
 //! Canonical scaled-dot-product self-attention (Vaswani et al., §2 of the RITA paper).
 //!
 //! Time is `O(n²)` in the number of windows — the scalability bottleneck that group
-//! attention removes. The default forward runs the **fused streaming kernel**
+//! attention removes. The forward runs the **fused streaming kernel**
 //! ([`Var::fused_attention`]): queries and keys are tiled, the softmax is computed
 //! online, and the `(b, h, n, n)` score matrix is never materialised, so memory stays
-//! `O(n)` per head and the quadratic time runs at blocked-GEMM speed. The unfused chain
-//! survives behind [`VanillaAttention::unfused`] as the exactness oracle the property
-//! tests compare the kernel against (mirroring group attention's `dense_matrices` flag).
+//! `O(n)` per head and the quadratic time runs at blocked-GEMM speed. The explicit
+//! `Q·Kᵀ → softmax → ·V` chain the kernel must match is the property tests' oracle
+//! (`tests/common`), not a mode of this module.
 
 use super::Attention;
 use rita_nn::Var;
 
 /// Exact softmax attention.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct VanillaAttention {
-    /// Compute through the explicit `Q·Kᵀ → softmax → ·V` chain instead of the fused
-    /// streaming kernel. Numerically equivalent (within exp-approximation tolerance)
-    /// but materialises two `(b, h, n, n)` tensors; kept as the exactness oracle.
-    pub unfused: bool,
-}
+pub struct VanillaAttention;
 
 impl VanillaAttention {
-    /// Creates the mechanism (stateless, fused kernel).
+    /// Creates the mechanism (stateless).
     pub fn new() -> Self {
-        Self { unfused: false }
-    }
-
-    /// Creates the unfused oracle variant (materialised scores + softmax).
-    pub fn unfused() -> Self {
-        Self { unfused: true }
+        Self
     }
 }
 
 impl Attention for VanillaAttention {
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var {
         let dk = *q.shape().last().expect("q must have a head dimension") as f32;
-        let scale = 1.0 / dk.sqrt();
-        if self.unfused {
-            // The 1/√d is folded into the score product (one kernel pass), dropping the
-            // scaled `(b, h, n, n)` temporary the old `.scale()` materialised.
-            q.matmul_nt_scaled(k, scale).softmax_last().matmul(v)
-        } else {
-            q.fused_attention(k, v, scale)
-        }
+        q.fused_attention(k, v, 1.0 / dk.sqrt())
     }
 
     fn name(&self) -> &'static str {

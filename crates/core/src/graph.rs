@@ -14,15 +14,15 @@
 //! any other interpreter of the same plan (the tape-free one in `rita-infer`) can be
 //! checked against it to 0 ulp.
 
-use std::sync::Arc;
-
 use rita_nn::graph::{AttnOp, Binding, Graph, Op, PlanError, ValueId};
 use rita_nn::{no_grad, Var};
 use rita_tensor::NdArray;
 
-use crate::attention::{AttentionKind, GroupAttentionConfig};
+use crate::attention::group::{effective_groups, group_attention};
+use crate::attention::linformer::linformer_attention;
+use crate::attention::performer::performer_attention;
+use crate::attention::{Attention, AttentionKind, GroupAttentionConfig, VanillaAttention};
 use crate::checkpoint::TaskKind;
-use crate::group::group_key_blocks;
 use crate::model::RitaConfig;
 
 /// The value name under which interpreters look up the sinusoidal positional table
@@ -224,67 +224,18 @@ fn exec_var(op: &Op, ins: &[Var], input_shape: &[usize]) -> Var {
     }
 }
 
+/// An `Attention` node: the body the corresponding module's `forward` runs, with the
+/// group scheduler's target frozen at graph-emission time.
 fn exec_var_attention(attn: &AttnOp, ins: &[Var]) -> Var {
     let (q, k, v) = (&ins[0], &ins[1], &ins[2]);
-    let shape = q.shape();
-    let (b, heads, n_windows, dh) = (shape[0], shape[1], shape[2], shape[3]);
     match attn {
-        AttnOp::Vanilla => q.fused_attention(k, v, 1.0 / (dh as f32).sqrt()),
+        AttnOp::Vanilla => VanillaAttention::new().forward(q, k, v),
         AttnOp::Group { n_groups, min_groups, kmeans_iters } => {
-            // Mirrors `GroupAttention::forward`'s fused sparse path with the scheduler
-            // target frozen at graph-emission time.
-            let groups = (n_groups.round() as usize).clamp((*min_groups).min(n_windows), n_windows);
-            let keys_detached = k.to_array();
-            let groupings = group_key_blocks(&keys_detached, groups, *kmeans_iters);
-            let counts_flat: Vec<f32> =
-                groupings.iter().flat_map(|g| g.counts.iter().map(|&c| c as f32)).collect();
-            let inv_counts = NdArray::from_vec(
-                counts_flat.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-                &[b, heads, groups, 1],
-            )
-            .expect("inverse count shape");
-            let segments: Arc<[usize]> = groupings
-                .iter()
-                .flat_map(|g| g.assignments.iter().copied())
-                .collect::<Vec<_>>()
-                .into();
-            let representatives =
-                k.segment_sum(segments.clone(), groups).mul(&Var::constant(inv_counts));
-            let aggregated = v.segment_sum(segments, groups);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let weights =
-                NdArray::from_vec(counts_flat, &[b, heads, groups]).expect("group weight shape");
-            q.fused_group_attention(&representatives, &aggregated, scale, weights)
+            let groups = effective_groups(*n_groups, *min_groups, q.shape()[2]);
+            group_attention(q, k, v, groups, *kmeans_iters).0
         }
-        AttnOp::Performer { features } => {
-            // Mirrors `PerformerAttention::forward` / `feature_map`.
-            let omega = &ins[3];
-            let scale = (dh as f32).powf(-0.25);
-            let feature_map = |x: &Var| {
-                let logits = x.matmul(omega);
-                let sq_norm = x.square().sum_axis(3).scale(0.5);
-                let raw = logits.sub(&sq_norm);
-                let stab = raw.to_array().max_all();
-                raw.add_scalar(-stab).exp().scale(1.0 / (*features as f32).sqrt())
-            };
-            let phi_q = feature_map(&q.scale(scale));
-            let phi_k = feature_map(&k.scale(scale));
-            let kv = phi_k.transpose_last2().matmul(v);
-            let numerator = phi_q.matmul(&kv);
-            let phi_k_sum = phi_k.sum_axis(2);
-            let denominator = phi_q.matmul_nt(&phi_k_sum).add_scalar(1e-6);
-            numerator.div(&denominator)
-        }
-        AttnOp::Linformer { .. } => {
-            // Mirrors `LinformerAttention::forward`.
-            let (e_full, f_full) = (&ins[3], &ins[4]);
-            let e = e_full.slice_axis(1, 0, n_windows);
-            let f = f_full.slice_axis(1, 0, n_windows);
-            let k_proj = e.matmul(k);
-            let v_proj = f.matmul(v);
-            let scores = q.matmul_nt_scaled(&k_proj, 1.0 / (dh as f32).sqrt());
-            scores.softmax_last().matmul(&v_proj)
-        }
+        AttnOp::Performer { features } => performer_attention(q, k, v, &ins[3], *features),
+        AttnOp::Linformer { .. } => linformer_attention(q, k, v, &ins[3], &ins[4]),
     }
 }
 

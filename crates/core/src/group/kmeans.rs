@@ -45,31 +45,6 @@ impl Grouping {
         self.radii.iter().copied().fold(0.0, f32::max)
     }
 
-    /// Builds the `(N, n)` averaging matrix `S` with `S[g, i] = 1/count_g` when item `i`
-    /// belongs to group `g`. `S · K` yields the centroid representative key of each group.
-    pub fn averaging_matrix(&self) -> NdArray {
-        let n = self.num_items();
-        let g = self.num_groups();
-        let mut m = NdArray::zeros(&[g, n]);
-        for (i, &a) in self.assignments.iter().enumerate() {
-            let w = 1.0 / self.counts[a].max(1) as f32;
-            m.set(&[a, i], w).expect("averaging matrix index");
-        }
-        m
-    }
-
-    /// Builds the `(N, n)` summation matrix `M` with `M[g, i] = 1` when item `i` belongs to
-    /// group `g`. `M · V` performs the paper's *embedding aggregation* (Σ of member values).
-    pub fn sum_matrix(&self) -> NdArray {
-        let n = self.num_items();
-        let g = self.num_groups();
-        let mut m = NdArray::zeros(&[g, n]);
-        for (i, &a) in self.assignments.iter().enumerate() {
-            m.set(&[a, i], 1.0).expect("sum matrix index");
-        }
-        m
-    }
-
     /// Group sizes as an `(1, N)` array (the `count_k` factors of the group softmax).
     pub fn counts_array(&self) -> NdArray {
         NdArray::from_vec(self.counts.iter().map(|&c| c as f32).collect(), &[1, self.num_groups()])
@@ -325,20 +300,9 @@ mod tests {
     fn matrices_encode_assignments() {
         let x = two_blobs(4, 9);
         let g = kmeans_matmul(&x, 2, 5);
-        let s = g.averaging_matrix();
-        let m = g.sum_matrix();
-        assert_eq!(s.shape(), &[2, 8]);
-        // Rows of S sum to 1 (an average), rows of M sum to the group size.
-        for row in 0..2 {
-            let s_sum: f32 = (0..8).map(|i| s.get(&[row, i]).unwrap()).sum();
-            let m_sum: f32 = (0..8).map(|i| m.get(&[row, i]).unwrap()).sum();
-            assert!((s_sum - 1.0).abs() < 1e-5);
-            assert!((m_sum - g.counts[row] as f32).abs() < 1e-5);
-        }
-        // S · K equals the centroids.
-        let sk = s.matmul(&x).unwrap();
-        for (a, b) in sk.as_slice().iter().zip(g.centers.as_slice()) {
-            assert!((a - b).abs() < 1e-4);
+        // `counts` is the histogram of `assignments`; `counts_array` is its `(1, N)` form.
+        for group in 0..2 {
+            assert_eq!(g.assignments.iter().filter(|&&a| a == group).count(), g.counts[group]);
         }
         let counts = g.counts_array();
         assert_eq!(counts.shape(), &[1, 2]);

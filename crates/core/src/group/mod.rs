@@ -1,4 +1,4 @@
-//! Window grouping: the GPU-friendly k-means of §4.4 and the assignment matrices used by
+//! Window grouping: the GPU-friendly k-means of §4.4, whose assignments and counts feed
 //! the embedding-aggregation / group-softmax computation of §4.2.
 
 pub mod kmeans;

@@ -26,16 +26,13 @@ use crate::plan::{note_plan_cache, CachedPlan, InferError};
 /// Numeric policy of a loaded model: which kernels the plan executor dispatches and
 /// how checkpoint weight records are bound.
 ///
-/// * Under an int8 policy, eligible weight matrices — rank-2 records consumed only as
+/// * Under [`Precision::Int8`], eligible weight matrices — rank-2 records consumed only as
 ///   the weight operand of `Matmul`/`Linear`/`WindowEmbed` nodes — are bound as
 ///   pre-packed [`QuantMatrix`] panels and multiplied by the quantized engine
 ///   (`NdArray::matmul_quant`): int8 checkpoint records bind **directly**, with no
 ///   load-time inflation to f32, and f32 `.weight` records are quantized once at
 ///   load. Ineligible records (norm gains, biases, projection tables consumed as a
 ///   matmul *lhs*) always stay f32.
-/// * Under a bf16-activations policy, attention K/V tiles are packed to bf16
-///   (`rita_tensor::fused_attention_bf16_kv`), halving the score/value streaming
-///   traffic; softmax statistics and accumulators stay f32.
 /// * Under [`Precision::F32`], int8 records are explicitly dequantized at load — the
 ///   back-compat escape hatch, and the only policy that inflates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -45,21 +42,12 @@ pub enum Precision {
     F32,
     /// Int8 per-channel weights through the quantized GEMM engine; f32 activations.
     Int8,
-    /// F32 weights, attention K/V operands stored bf16.
-    Bf16Activations,
-    /// Int8 weights *and* bf16 attention K/V — the full reduced-precision path.
-    Int8Bf16,
 }
 
 impl Precision {
     /// Whether eligible weights bind as packed int8 panels.
     pub fn uses_int8(self) -> bool {
-        matches!(self, Precision::Int8 | Precision::Int8Bf16)
-    }
-
-    /// Whether attention K/V operands are stored bf16 during fused attention.
-    pub fn kv_bf16(self) -> bool {
-        matches!(self, Precision::Bf16Activations | Precision::Int8Bf16)
+        self == Precision::Int8
     }
 
     /// Stable lowercase label, used by metrics snapshots and bench reports.
@@ -67,8 +55,6 @@ impl Precision {
         match self {
             Precision::F32 => "f32",
             Precision::Int8 => "int8",
-            Precision::Bf16Activations => "bf16-act",
-            Precision::Int8Bf16 => "int8+bf16",
         }
     }
 
@@ -126,9 +112,9 @@ impl InferModel {
     }
 
     /// [`InferModel::from_checkpoint`] with an explicit numeric policy — serve a
-    /// quantized checkpoint dequantized (`Precision::F32`), quantize an f32 checkpoint
-    /// at load (`Precision::Int8`), or turn on bf16 K/V storage. The default entry
-    /// point picks the policy the checkpoint's own record dtypes ask for.
+    /// quantized checkpoint dequantized (`Precision::F32`) or quantize an f32 checkpoint
+    /// at load (`Precision::Int8`). The default entry point picks the policy the
+    /// checkpoint's own record dtypes ask for.
     pub fn from_checkpoint_with(
         ckpt: &Checkpoint,
         precision: Precision,
@@ -347,15 +333,7 @@ impl InferModel {
             }));
         }
         let cached = self.plan_for(shape[0], shape[2])?;
-        crate::plan::execute(
-            &self.graph,
-            &cached,
-            &self.bound,
-            &self.quant,
-            self.precision.kv_bf16(),
-            x,
-            target,
-        )
+        crate::plan::execute(&self.graph, &cached, &self.bound, &self.quant, x, target)
     }
 
     /// Encodes a raw batch `(batch, channels, length)` into contextual embeddings

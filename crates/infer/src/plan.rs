@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use rita_core::group::group_key_blocks;
 use rita_nn::graph::{AttnOp, Graph, Node, Op, Plan, PlanError, ValueId};
-use rita_tensor::{fused_attention, fused_attention_bf16_kv, NdArray, QuantMatrix};
+use rita_tensor::{fused_attention, NdArray, QuantMatrix};
 
 use crate::reclaim;
 
@@ -148,15 +148,12 @@ fn node_err(node: &Node, e: impl std::fmt::Display) -> InferError {
 /// `bound` holds the checkpoint tensors (and positional table) per [`ValueId`] and
 /// `quant` the int8 weight panels bound in their place under an int8 policy;
 /// node-produced activations live in a scratch slot vector and are recycled into the
-/// thread-local pool the moment the schedule is past their last use. `kv_bf16` routes
-/// fused attention through bf16 K/V storage.
-#[allow(clippy::too_many_arguments)]
+/// thread-local pool the moment the schedule is past their last use.
 pub(crate) fn execute(
     graph: &Graph,
     cached: &CachedPlan,
     bound: &[Option<NdArray>],
     quant: &[Option<Arc<QuantMatrix>>],
-    kv_bf16: bool,
     x: &NdArray,
     target: ValueId,
 ) -> Result<NdArray, InferError> {
@@ -188,7 +185,7 @@ pub(crate) fn execute(
             })?;
             ins.push(arr.clone());
         }
-        let out = exec_node(node, &ins, &qins, plan.input_shape[2], kv_bf16)?;
+        let out = exec_node(node, &ins, &qins, plan.input_shape[2])?;
         drop(ins); // release our handles so last-use recycling can reclaim storage
         slots[node.output.0] = Some(out);
         let mut seen = HashSet::new();
@@ -219,7 +216,6 @@ fn exec_node(
     ins: &[NdArray],
     qins: &[Option<Arc<QuantMatrix>>],
     input_len: usize,
-    kv_bf16: bool,
 ) -> Result<NdArray, InferError> {
     // The weight operand of the three GEMM-shaped ops may arrive quantized; the
     // dispatch below is the *only* place the executor branches on precision for
@@ -290,7 +286,7 @@ fn exec_node(
                 .reshape(&[b, n, h * dh])
                 .map_err(|e| node_err(node, e))
         }
-        Op::Attention(attn) => exec_attention(node, attn, ins, kv_bf16),
+        Op::Attention(attn) => exec_attention(node, attn, ins),
         Op::ClsPool => {
             let shape = ins[0].shape().to_vec();
             ins[0]
@@ -311,23 +307,14 @@ fn exec_node(
 
 /// Mirrors the corresponding `Attention::forward` on head-split
 /// `(batch, heads, windows, head_dim)` tensors.
-fn exec_attention(
-    node: &Node,
-    attn: &AttnOp,
-    ins: &[NdArray],
-    kv_bf16: bool,
-) -> Result<NdArray, InferError> {
+fn exec_attention(node: &Node, attn: &AttnOp, ins: &[NdArray]) -> Result<NdArray, InferError> {
     let (q, k, v) = (&ins[0], &ins[1], &ins[2]);
     // Rank 4 was checked ahead of time by `attention_shape` during plan compilation.
     let dh = *q.shape().last().ok_or_else(|| node_err(node, "rank-0 query"))? as f32;
-    // Under a bf16-activations policy the fused kernel stores its packed K/V panels
-    // as bf16 and widens in registers; Performer/Linformer decompose into plain
-    // matmuls and stay f32.
-    let fused = if kv_bf16 { fused_attention_bf16_kv } else { fused_attention };
     match attn {
         AttnOp::Vanilla => {
             let scale = 1.0 / dh.sqrt();
-            Ok(fused(q, k, v, scale, None).map_err(|e| node_err(node, e))?.out)
+            Ok(fused_attention(q, k, v, scale, None).map_err(|e| node_err(node, e))?.out)
         }
         AttnOp::Group { n_groups, min_groups, kmeans_iters } => {
             let shape = q.shape();
@@ -356,7 +343,7 @@ fn exec_attention(
             let weights =
                 NdArray::from_vec(counts_flat, &[b, h, groups]).map_err(|e| node_err(node, e))?;
             let scale = 1.0 / dh.sqrt();
-            let out = fused(q, &representatives, &aggregated, scale, Some(&weights))
+            let out = fused_attention(q, &representatives, &aggregated, scale, Some(&weights))
                 .map_err(|e| node_err(node, e))?
                 .out;
             reclaim(representatives);
@@ -364,7 +351,7 @@ fn exec_attention(
             Ok(out)
         }
         AttnOp::Performer { features } => {
-            // Mirrors `PerformerAttention::forward` + `feature_map`.
+            // Mirrors `PerformerAttention::forward` and its feature map.
             let omega = &ins[3];
             let scale = dh.powf(-0.25);
             let feature_map = |x: &NdArray| -> Result<NdArray, InferError> {

@@ -30,10 +30,8 @@
 //! probability exactly `0.0` — not a subnormal, not a tiny floor — and contributes
 //! nothing to the output or to any gradient; `fast_exp` says why that matters for speed.
 
-use crate::bf16::encode_bf16;
-use crate::gemm::{micro_kernel, micro_kernel_bf16, pack_lhs, pack_rhs, simd_dispatch, MR, NR};
+use crate::gemm::{micro_kernel, pack_lhs, pack_rhs, simd_dispatch, MR, NR};
 use crate::parallel::worker_budget;
-use crate::pool::pool_u16;
 use crate::{NdArray, Result, TensorError};
 
 /// Query rows processed per block (one accumulator/statistics set per row in the block).
@@ -174,30 +172,7 @@ pub fn fused_attention(
     let dims = check_shapes(q, k, v, weights)?;
     let work = dims.b * dims.h * dims.n * dims.m * (dims.d + dims.dv);
     let threads = if work >= FUSED_PARALLEL_THRESHOLD { worker_budget() } else { 1 };
-    fused_attention_threaded(q, k, v, scale, weights, threads, false)
-}
-
-/// [`fused_attention`] with the K/V operands held in **bf16 storage**: the packed `Kᵀ`
-/// and `V` panels are narrowed to bf16 once per (batch, head) matrix and widened back to
-/// f32 in registers inside the micro-kernel, so every pass the query blocks make over
-/// them moves half the bytes. Scores, softmax statistics, and output accumulators stay
-/// f32 throughout (the numerics policy in DESIGN.md); only K/V *storage* is narrowed, so
-/// the result differs from [`fused_attention`] by at most the bf16 rounding of K and V
-/// (½ ulp at 8 mantissa bits, i.e. a ~2⁻⁹ relative perturbation of each operand).
-///
-/// This is the inference path behind `Precision::Bf16Activations`; the backward pass is
-/// f32-only (training keeps full-precision operands).
-pub fn fused_attention_bf16_kv(
-    q: &NdArray,
-    k: &NdArray,
-    v: &NdArray,
-    scale: f32,
-    weights: Option<&NdArray>,
-) -> Result<FusedAttention> {
-    let dims = check_shapes(q, k, v, weights)?;
-    let work = dims.b * dims.h * dims.n * dims.m * (dims.d + dims.dv);
-    let threads = if work >= FUSED_PARALLEL_THRESHOLD { worker_budget() } else { 1 };
-    fused_attention_threaded(q, k, v, scale, weights, threads, true)
+    fused_attention_threaded(q, k, v, scale, weights, threads)
 }
 
 /// [`fused_attention`] with an explicit worker count (1 = serial). Exposed at crate
@@ -210,7 +185,6 @@ pub(crate) fn fused_attention_threaded(
     scale: f32,
     weights: Option<&NdArray>,
     threads: usize,
-    kv_bf16: bool,
 ) -> Result<FusedAttention> {
     let dims = check_shapes(q, k, v, weights)?;
     let Dims { b, h, n, m: _, d: _, dv } = dims;
@@ -238,7 +212,7 @@ pub(crate) fn fused_attention_threaded(
                 let (lc, lrest) = lse_rest.split_at_mut(count * n);
                 lse_rest = lrest;
                 scope.spawn(move || {
-                    let mut packs = BhPacks::new(&dims, kv_bf16);
+                    let mut packs = BhPacks::new(&dims);
                     let mut scratch = FwdScratch::new(&dims);
                     for i in 0..count {
                         let bhi = start + i;
@@ -271,7 +245,7 @@ pub(crate) fn fused_attention_threaded(
         // product — the same fallback the batched matmul driver uses.
         let blocks = n.div_ceil(Q_BLOCK);
         let rows_per = blocks.div_ceil(threads) * Q_BLOCK;
-        let mut packs = BhPacks::new(&dims, kv_bf16);
+        let mut packs = BhPacks::new(&dims);
         for bhi in 0..bh {
             packs.fill(&dims, h, bhi, kop, vop);
             let packs_ref = &packs;
@@ -310,7 +284,7 @@ pub(crate) fn fused_attention_threaded(
             });
         }
     } else {
-        let mut packs = BhPacks::new(&dims, kv_bf16);
+        let mut packs = BhPacks::new(&dims);
         let mut scratch = FwdScratch::new(&dims);
         for bhi in 0..bh {
             packs.fill(&dims, h, bhi, kop, vop);
@@ -328,31 +302,16 @@ pub(crate) fn fused_attention_threaded(
 
 /// Per-(batch, head) packed operands for the forward pass: `Kᵀ` in `NR`-column panels
 /// (score product) and `V` in `NR`-column panels (output product).
-///
-/// In bf16 mode the f32 buffers are only per-matrix packing staging; the panels the
-/// query-block loops stream — once per `Q_BLOCK` rows, the traffic that scales with
-/// `n · m` — live in `kt16`/`v16` at 2 bytes per element and are widened to f32 in
-/// registers by [`micro_kernel_bf16`].
 struct BhPacks {
     kt: Vec<f32>,
     v: Vec<f32>,
-    kt16: Vec<u16>,
-    v16: Vec<u16>,
-    kv_bf16: bool,
 }
 
 impl BhPacks {
-    fn new(dims: &Dims, kv_bf16: bool) -> Self {
-        let (kt_len, v_len) =
-            (dims.m.div_ceil(NR) * NR * dims.d, dims.dv.div_ceil(NR) * NR * dims.m);
+    fn new(dims: &Dims) -> Self {
         BhPacks {
-            kt: vec![0.0; kt_len],
-            v: vec![0.0; v_len],
-            // Pulled from the u16 pool so steady-state serving re-uses the panels
-            // across requests; `encode_bf16` clears + extends, so capacity is enough.
-            kt16: if kv_bf16 { pool_u16::alloc_for_extend(kt_len) } else { Vec::new() },
-            v16: if kv_bf16 { pool_u16::alloc_for_extend(v_len) } else { Vec::new() },
-            kv_bf16,
+            kt: vec![0.0; dims.m.div_ceil(NR) * NR * dims.d],
+            v: vec![0.0; dims.dv.div_ceil(NR) * NR * dims.m],
         }
     }
 
@@ -362,19 +321,6 @@ impl BhPacks {
         pack_rhs(&kop.data[koff..], kop.sc, kop.sr, dims.d, dims.m, &mut self.kt);
         let voff = vop.offset(bhi, heads);
         pack_rhs(&vop.data[voff..], vop.sr, vop.sc, dims.m, dims.dv, &mut self.v);
-        if self.kv_bf16 {
-            encode_bf16(&self.kt, &mut self.kt16);
-            encode_bf16(&self.v, &mut self.v16);
-        }
-    }
-}
-
-impl Drop for BhPacks {
-    fn drop(&mut self) {
-        if self.kv_bf16 {
-            pool_u16::give_back(std::mem::take(&mut self.kt16));
-            pool_u16::give_back(std::mem::take(&mut self.v16));
-        }
     }
 }
 
@@ -486,27 +432,15 @@ simd_dispatch! {
                 while pi * MR < bq {
                     let mr = MR.min(bq - pi * MR);
                     let st = &mut s[pi * MR * K_BLOCK + jl..];
-                    if packs.kv_bf16 {
-                        micro_kernel_bf16(
-                            &qp[pi * MR * d..],
-                            &packs.kt16[pj * NR * d..],
-                            st,
-                            K_BLOCK,
-                            d,
-                            mr,
-                            nr,
-                        );
-                    } else {
-                        micro_kernel(
-                            &qp[pi * MR * d..],
-                            &packs.kt[pj * NR * d..],
-                            st,
-                            K_BLOCK,
-                            d,
-                            mr,
-                            nr,
-                        );
-                    }
+                    micro_kernel(
+                        &qp[pi * MR * d..],
+                        &packs.kt[pj * NR * d..],
+                        st,
+                        K_BLOCK,
+                        d,
+                        mr,
+                        nr,
+                    );
                     pi += 1;
                 }
                 pj += 1;
@@ -558,27 +492,15 @@ simd_dispatch! {
                 while pi * MR < bq {
                     let mr = MR.min(bq - pi * MR);
                     let at = &mut acc[pi * MR * dv + pjv * NR..];
-                    if packs.kv_bf16 {
-                        micro_kernel_bf16(
-                            &pp[pi * MR * bk..],
-                            &packs.v16[pjv * NR * m + p0 * NR..],
-                            at,
-                            dv,
-                            bk,
-                            mr,
-                            nr,
-                        );
-                    } else {
-                        micro_kernel(
-                            &pp[pi * MR * bk..],
-                            &packs.v[pjv * NR * m + p0 * NR..],
-                            at,
-                            dv,
-                            bk,
-                            mr,
-                            nr,
-                        );
-                    }
+                    micro_kernel(
+                        &pp[pi * MR * bk..],
+                        &packs.v[pjv * NR * m + p0 * NR..],
+                        at,
+                        dv,
+                        bk,
+                        mr,
+                        nr,
+                    );
                     pi += 1;
                 }
                 pjv += 1;
@@ -1197,7 +1119,7 @@ mod tests {
             });
             let w = w.as_ref();
 
-            let fwd = fused_attention_threaded(&q, &k, &v, scale, w, 1, false).unwrap();
+            let fwd = fused_attention_threaded(&q, &k, &v, scale, w, 1).unwrap();
             let (dq, dk, dval) =
                 fused_attention_backward_threaded(&q, &k, &v, w, scale, &fwd.out, &fwd.lse, &g, 1)
                     .unwrap();
@@ -1236,7 +1158,7 @@ mod tests {
                 assert!(dq.as_slice()[masked * d..(masked + 1) * d].iter().all(|&x| x == 0.0));
             }
 
-            let fwd_t = fused_attention_threaded(&q, &k, &v, scale, w, 3, false).unwrap();
+            let fwd_t = fused_attention_threaded(&q, &k, &v, scale, w, 3).unwrap();
             assert_eq!(fwd.out.as_slice(), fwd_t.out.as_slice(), "{label}: threaded out");
             assert_eq!(fwd.lse.as_slice(), fwd_t.lse.as_slice(), "{label}: threaded lse");
             let threaded =
@@ -1325,20 +1247,14 @@ mod tests {
             )
             .unwrap();
             for weights in [None, Some(&w)] {
-                for kv_bf16 in [false, true] {
-                    let serial =
-                        fused_attention_threaded(&q, &k, &v, 0.4, weights, 1, kv_bf16).unwrap();
-                    let parallel =
-                        fused_attention_threaded(&q, &k, &v, 0.4, weights, threads, kv_bf16)
-                            .unwrap();
-                    assert_eq!(
-                        serial.out.as_slice(),
-                        parallel.out.as_slice(),
-                        "out (b={b}, h={h}, n={n}, threads={threads}, bf16={kv_bf16})"
-                    );
-                    assert_eq!(serial.lse.as_slice(), parallel.lse.as_slice(), "lse");
-                }
-                let serial = fused_attention_threaded(&q, &k, &v, 0.4, weights, 1, false).unwrap();
+                let serial = fused_attention_threaded(&q, &k, &v, 0.4, weights, 1).unwrap();
+                let parallel = fused_attention_threaded(&q, &k, &v, 0.4, weights, threads).unwrap();
+                assert_eq!(
+                    serial.out.as_slice(),
+                    parallel.out.as_slice(),
+                    "out (b={b}, h={h}, n={n}, threads={threads})"
+                );
+                assert_eq!(serial.lse.as_slice(), parallel.lse.as_slice(), "lse");
 
                 let g = NdArray::randn(&[b, h, n, d], 1.0, &mut r);
                 let sb = fused_attention_backward_threaded(
@@ -1369,39 +1285,6 @@ mod tests {
                 assert_eq!(sb.1.as_slice(), pb.1.as_slice(), "dk threads={threads}");
                 assert_eq!(sb.2.as_slice(), pb.2.as_slice(), "dv threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn bf16_kv_storage_tracks_f32_within_rounding() {
-        // bf16 narrows K and V by at most 2⁻⁹ relative per element; the attention
-        // output is a convex combination of V rows with scores perturbed by the same
-        // order, so the result must track the f32 kernel to ~1e-2 relative. Shapes
-        // straddle the tile boundaries; the weighted variant exercises the group path.
-        for &(b, h, n, m, d, dv, weighted) in &[
-            (1usize, 1usize, 5usize, 7usize, 3usize, 3usize, false),
-            (2, 2, Q_BLOCK + 1, K_BLOCK + 1, 8, 8, false),
-            (1, 2, 40, K_BLOCK + K_BLOCK / 2, 16, 16, true),
-        ] {
-            let mut r = rng(90 + (n * m) as u64);
-            let q = NdArray::randn(&[b, h, n, d], 1.0, &mut r);
-            let k = NdArray::randn(&[b, h, m, d], 1.0, &mut r);
-            let v = NdArray::randn(&[b, h, m, dv], 1.0, &mut r);
-            let w = weighted.then(|| {
-                let counts: Vec<f32> = (0..b * h * m).map(|i| 1.0 + (i % 5) as f32).collect();
-                NdArray::from_vec(counts, &[b, h, m]).unwrap()
-            });
-            let scale = 1.0 / (d as f32).sqrt();
-            let full = fused_attention(&q, &k, &v, scale, w.as_ref()).unwrap();
-            let half = fused_attention_bf16_kv(&q, &k, &v, scale, w.as_ref()).unwrap();
-            assert!(
-                allclose(half.out.as_slice(), full.out.as_slice(), 1e-2, 1e-2),
-                "out drift at ({b},{h},{n},{m},{d},{dv}) weighted={weighted}"
-            );
-            assert!(
-                allclose(half.lse.as_slice(), full.lse.as_slice(), 1e-2, 1e-2),
-                "lse drift at ({b},{h},{n},{m},{d},{dv})"
-            );
         }
     }
 

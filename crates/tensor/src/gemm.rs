@@ -187,45 +187,6 @@ pub(crate) fn micro_kernel(
     }
 }
 
-/// [`micro_kernel`] over a bf16-stored rhs panel: identical tile shape and arithmetic,
-/// but `bpanel` holds bf16 bit patterns that are widened to `f32` in registers as they
-/// are consumed — a zero-extend plus a 16-bit shift, which LLVM folds into the
-/// vectorised load sequence under the AVX2 dispatch. The panel is read at 2 bytes per
-/// element (half the f32 kernel's rhs traffic); every product and accumulator stays f32.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn micro_kernel_bf16(
-    apanel: &[f32],
-    bpanel: &[u16],
-    out: &mut [f32],
-    pitch: usize,
-    kc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kc {
-        let bv = &bpanel[p * NR..(p + 1) * NR];
-        let av = &apanel[p * MR..(p + 1) * MR];
-        let mut bw = [0.0f32; NR];
-        for (w, &b) in bw.iter_mut().zip(bv) {
-            *w = f32::from_bits((b as u32) << 16);
-        }
-        for i in 0..MR {
-            let a = av[i];
-            for j in 0..NR {
-                acc[i][j] += a * bw[j];
-            }
-        }
-    }
-    for i in 0..mr {
-        let row = &mut out[i * pitch..i * pitch + nr];
-        for (o, a) in row.iter_mut().zip(&acc[i][..nr]) {
-            *o += a;
-        }
-    }
-}
-
 thread_local! {
     /// Per-thread packing scratch, reused across GEMM calls so steady-state products
     /// allocate nothing. (Worker threads spawned by a fan-out get their own copies.)

@@ -36,7 +36,6 @@
 #![warn(clippy::all)]
 
 mod array;
-mod bf16;
 mod broadcast;
 mod error;
 mod fused;
@@ -53,11 +52,8 @@ mod shape;
 mod window;
 
 pub use array::NdArray;
-pub use bf16::{bf16_to_f32, decode_bf16, encode_bf16, f32_to_bf16};
 pub use error::TensorError;
-pub use fused::{
-    fused_attention, fused_attention_backward, fused_attention_bf16_kv, FusedAttention,
-};
+pub use fused::{fused_attention, fused_attention_backward, FusedAttention};
 pub use parallel::{scoped_chunks_mut, with_worker_threads, worker_budget};
 pub use pool::{pool_reserve, pool_reset, pool_restart_high_water, pool_stats, recycle, PoolStats};
 pub use qgemm::{dequantize_columns, qgemm, quantize_columns, QuantMatrix, MAX_QUANT_K};

@@ -26,11 +26,11 @@
 //! differently-shaped batches share one working set.
 //!
 //! The pool is **byte-denominated**: sizing ([`pool_reserve`], the retention rule, the
-//! stats) is in bytes, and alongside the `f32` list there are `i16` / `u16` lists for
-//! the int8 packing scratch and bf16 K/V tiles of the quantized kernels. Each element
-//! type keeps its own list (a `Vec<f32>` allocation cannot be retyped in safe Rust), but
-//! all three share one stats block and the one retention rule. Kernels that fan work out
-//! to scoped threads allocate their outputs on the calling thread before spawning.
+//! stats) is in bytes, and alongside the `f32` list there is an `i16` list for the int8
+//! packing scratch of the quantized GEMM. Each element type keeps its own list (a
+//! `Vec<f32>` allocation cannot be retyped in safe Rust), but both share one stats block
+//! and the one retention rule. Kernels that fan work out to scoped threads allocate
+//! their outputs on the calling thread before spawning.
 
 use std::cell::RefCell;
 use std::mem::size_of;
@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use crate::NdArray;
 
-/// The retention rule, for both doors and all three lists.
+/// The retention rule, for both doors and both lists.
 ///
 /// * **Drop door.** A buffer this thread's pool issued returns to it when its `Storage`
 ///   drops, if it holds at least `POOL_MIN_BYTES`: the sizes the allocator gets from the
@@ -148,13 +148,6 @@ impl Elem for i16 {
     }
 }
 
-impl Elem for u16 {
-    const ZERO: u16 = 0;
-    fn list(pool: &mut Pool) -> &mut Vec<Vec<u16>> {
-        &mut pool.u16s
-    }
-}
-
 /// One thread's pool: its id, its counters and a free list per element type, each kept
 /// sorted by capacity: best fit is a binary search, eviction takes from the front.
 struct Pool {
@@ -166,19 +159,11 @@ struct Pool {
     peak: u64,
     f32s: Vec<Vec<f32>>,
     i16s: Vec<Vec<i16>>,
-    u16s: Vec<Vec<u16>>,
 }
 
 impl Pool {
     const fn new() -> Self {
-        Self {
-            id: 0,
-            stats: PoolStats::new(),
-            peak: 0,
-            f32s: Vec::new(),
-            i16s: Vec::new(),
-            u16s: Vec::new(),
-        }
+        Self { id: 0, stats: PoolStats::new(), peak: 0, f32s: Vec::new(), i16s: Vec::new() }
     }
 
     /// Pops the smallest pooled buffer with room for `len` elements. A request below
@@ -317,19 +302,6 @@ pub(crate) mod pool_i16 {
 
     /// Returns a buffer to the list. `true` when retained.
     pub(crate) fn give_back(buf: Vec<i16>) -> bool {
-        super::give_back(buf)
-    }
-}
-
-/// The `u16` list: bf16 K/V panels of the fused attention kernel.
-pub(crate) mod pool_u16 {
-    /// Allocates an **empty** buffer with capacity for `len` elements through the pool.
-    pub(crate) fn alloc_for_extend(len: usize) -> Vec<u16> {
-        super::obtain(len, false).0
-    }
-
-    /// Returns a buffer to the list. `true` when retained.
-    pub(crate) fn give_back(buf: Vec<u16>) -> bool {
         super::give_back(buf)
     }
 }
@@ -485,7 +457,7 @@ pub fn pool_restart_high_water() {
     });
 }
 
-/// Resets the counters and drops every pooled buffer (all element types) on this
+/// Resets the counters and drops every pooled buffer (both element types) on this
 /// thread. Buffers still alive stay counted in [`PoolStats::live_bytes`].
 pub fn pool_reset() {
     POOL.with(|p| {
@@ -493,7 +465,6 @@ pub fn pool_reset() {
         let live = p.stats.live_bytes;
         p.f32s.clear();
         p.i16s.clear();
-        p.u16s.clear();
         p.stats = PoolStats { live_bytes: live, high_water_bytes: live, ..PoolStats::new() };
         p.peak = live;
     });
@@ -600,16 +571,13 @@ mod tests {
     #[test]
     fn typed_pools_recycle_independently_of_f32() {
         pool_reset();
-        // Seed the i16 and u16 lists by giving buffers back, then reuse them.
+        // Seed the i16 list by giving a buffer back, then reuse it.
         assert!(pool_i16::give_back(Vec::with_capacity(64)));
-        assert!(pool_u16::give_back(Vec::with_capacity(32)));
         let qa = pool_i16::alloc_zeroed(48);
-        let kb = pool_u16::alloc_for_extend(30);
         assert_eq!(qa, vec![0i16; 48]);
-        assert!(kb.is_empty() && kb.capacity() >= 30);
         let stats = pool_stats();
-        assert_eq!(stats.reused, 2);
-        assert_eq!(stats.reused_bytes, 2 * 48 + 2 * 30);
+        assert_eq!(stats.reused, 1);
+        assert_eq!(stats.reused_bytes, 2 * 48);
         // f32 list is untouched: an f32 request still falls through fresh.
         let f = alloc_zeroed(16);
         assert_eq!(f, vec![0.0; 16]);

@@ -540,7 +540,7 @@ pub fn verify_bindings(graph: &Graph, tensors: &HashMap<String, Vec<usize>>) -> 
 }
 
 /// Analysis 6 — record dtype soundness over the version-3 checkpoint formats: every
-/// quantized or bf16 record must be *internally* consistent before anything
+/// quantized record must be *internally* consistent before anything
 /// dequantizes through it. The byte reader already cross-checks the redundant payload
 /// length against dtype × dims, but a checkpoint assembled (or mutated) in memory
 /// never went through the reader — and scale *values* are data the reader does not
@@ -549,8 +549,7 @@ pub fn verify_bindings(graph: &Graph, tensors: &HashMap<String, Vec<usize>>) -> 
 /// - int8 records must be rank-2 with a reduction depth the i32 accumulator covers
 ///   (`k <= rita_tensor::MAX_QUANT_K`), carry exactly `k * n` payload bytes, and one
 ///   finite, strictly positive scale per output column — a NaN, infinite, zero, or
-///   negative scale poisons or sign-flips an entire column on dequantization;
-/// - bf16 records must carry exactly one `u16` word per logical element.
+///   negative scale poisons or sign-flips an entire column on dequantization.
 ///
 /// f32 records have no side metadata to disagree with and are vacuously sound.
 pub fn verify_records(ckpt: &Checkpoint) -> Vec<Diagnostic> {
@@ -605,16 +604,6 @@ pub fn verify_records(ckpt: &Checkpoint) -> Vec<Diagnostic> {
                         Analysis::Dtype,
                         path.clone(),
                         VerifyError::BadScale { column, value: format!("{s}") },
-                    ));
-                }
-            }
-            TensorRecord::Bf16 { shape, data } => {
-                let numel: usize = shape.iter().product();
-                if data.len() != numel {
-                    diags.push(Diagnostic::error(
-                        Analysis::Dtype,
-                        path.clone(),
-                        VerifyError::PayloadMismatch { elements: data.len(), expected: numel },
                     ));
                 }
             }

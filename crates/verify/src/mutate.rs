@@ -280,18 +280,6 @@ impl Corruption {
                             shape.push(1);
                         }
                     },
-                    TensorRecord::Bf16 { shape, data } => match site % 2 {
-                        0 => {
-                            data.pop();
-                        }
-                        _ => {
-                            if shape.is_empty() {
-                                shape.push(2);
-                            } else {
-                                shape[0] += 1;
-                            }
-                        }
-                    },
                     TensorRecord::F32(_) => {
                         unreachable!("candidate filter excludes f32 records")
                     }

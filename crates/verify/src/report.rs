@@ -37,7 +37,7 @@ pub enum Analysis {
     /// Binding coverage: params resolve in the checkpoint, no orphans, prune
     /// consistency.
     Binding,
-    /// Record dtype soundness: quantized/bf16 checkpoint records carry payloads and
+    /// Record dtype soundness: quantized checkpoint records carry payloads and
     /// scales consistent with their declared dtype and shape.
     Dtype,
 }

@@ -1,17 +1,19 @@
 //! Property sweeps for the fused streaming attention kernels.
 //!
-//! Both attention paths default to the fused online-softmax kernel; the unfused chains
-//! survive behind `VanillaAttention::unfused` / `GroupAttentionConfig::unfused` as
-//! exactness oracles. For every configuration — including shapes that are not multiples
-//! of the kernel's tile sizes, `d_h = 1`, and strided head-split inputs — the fused
-//! output and all three input gradients must match the oracle within 1e-4 (the fused
-//! kernel uses a polynomial `exp` with ≈ 4e-6 relative error, and tiles its sums in a
-//! different association order).
+//! Both attention modules run the fused online-softmax kernel; its one slow twin, the
+//! explicit score/softmax chain (over the dense one-hot grouping matrices, for group
+//! attention), is `common::reference_attention` / `common::reference_group_attention`.
+//! For every configuration — including shapes that are not multiples of the kernel's
+//! tile sizes, `d_h = 1`, and strided head-split inputs — the module's output must
+//! match the reference within 1e-5 and all three input gradients within 1e-4 (the
+//! fused kernel uses a polynomial `exp` with ≈ 4e-6 relative error, and tiles its sums
+//! in a different association order).
 
+mod common;
+
+use common::{fixed_group_attention, reference_attention};
 use rand::SeedableRng;
-use rita::core::attention::{
-    split_heads, Attention, GroupAttention, GroupAttentionConfig, VanillaAttention,
-};
+use rita::core::attention::{split_heads, Attention, VanillaAttention};
 use rita::nn::Var;
 use rita::tensor::{allclose, NdArray, SeedableRng64};
 
@@ -19,45 +21,59 @@ fn rng(seed: u64) -> SeedableRng64 {
     SeedableRng64::seed_from_u64(seed)
 }
 
-/// Runs one vanilla forward + backward, returning the output and q/k/v gradients.
-fn run_vanilla(q: &NdArray, k: &NdArray, v: &NdArray, unfused: bool) -> (NdArray, [NdArray; 3]) {
+/// Runs `attention` forward + backward on fresh leaves, returning the output and the
+/// q/k/v gradients.
+fn run(
+    q: &NdArray,
+    k: &NdArray,
+    v: &NdArray,
+    attention: impl FnOnce(&Var, &Var, &Var) -> Var,
+) -> (NdArray, [NdArray; 3]) {
     let (qv, kv, vv) =
         (Var::parameter(q.clone()), Var::parameter(k.clone()), Var::parameter(v.clone()));
-    let mut attn = if unfused { VanillaAttention::unfused() } else { VanillaAttention::new() };
-    let out = attn.forward(&qv, &kv, &vv);
+    let out = attention(&qv, &kv, &vv);
     out.sum_all().backward();
     (out.to_array(), [qv.grad().unwrap(), kv.grad().unwrap(), vv.grad().unwrap()])
 }
 
-/// Runs one group forward + backward with a fixed group count.
+/// One vanilla forward + backward: the module, or the reference chain.
+fn run_vanilla(q: &NdArray, k: &NdArray, v: &NdArray, reference: bool) -> (NdArray, [NdArray; 3]) {
+    run(q, k, v, |q, k, v| {
+        if reference {
+            reference_attention(q, k, v, None)
+        } else {
+            VanillaAttention::new().forward(q, k, v)
+        }
+    })
+}
+
+/// One group forward + backward with a fixed group count: the module, or the reference.
 fn run_group(
     q: &NdArray,
     k: &NdArray,
     v: &NdArray,
     groups: usize,
-    unfused: bool,
-    dense: bool,
+    reference: bool,
 ) -> (NdArray, [NdArray; 3]) {
-    let (qv, kv, vv) =
-        (Var::parameter(q.clone()), Var::parameter(k.clone()), Var::parameter(v.clone()));
-    let mut attn = GroupAttention::new(GroupAttentionConfig {
-        initial_groups: groups,
-        adaptive: false,
-        kmeans_iters: 4,
-        unfused,
-        dense_matrices: dense,
-        ..Default::default()
-    });
-    let out = attn.forward(&qv, &kv, &vv);
-    out.sum_all().backward();
-    (out.to_array(), [qv.grad().unwrap(), kv.grad().unwrap(), vv.grad().unwrap()])
+    run(q, k, v, |q, k, v| fixed_group_attention(q, k, v, groups, 4, reference))
 }
 
-fn assert_close(label: &str, fused: &NdArray, oracle: &NdArray) {
+/// Output within 1e-5 and every gradient within 1e-4 of the reference's.
+fn assert_matches_reference(
+    label: &str,
+    (out, grads): &(NdArray, [NdArray; 3]),
+    (ref_out, ref_grads): &(NdArray, [NdArray; 3]),
+) {
     assert!(
-        allclose(fused.as_slice(), oracle.as_slice(), 1e-4, 1e-4),
-        "{label}: fused and unfused disagree"
+        allclose(out.as_slice(), ref_out.as_slice(), 1e-5, 1e-5),
+        "{label}: output disagrees with the reference"
     );
+    for (name, (g, r)) in ["dq", "dk", "dv"].iter().zip(grads.iter().zip(ref_grads)) {
+        assert!(
+            allclose(g.as_slice(), r.as_slice(), 1e-4, 1e-4),
+            "{label}: {name} disagrees with the reference"
+        );
+    }
 }
 
 /// Vanilla fused == unfused for outputs and gradients across odd shapes: sequence
@@ -77,12 +93,11 @@ fn vanilla_fused_matches_unfused_across_shapes() {
         let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
         let k = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
         let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
-        let (out_f, grads_f) = run_vanilla(&q, &k, &v, false);
-        let (out_u, grads_u) = run_vanilla(&q, &k, &v, true);
-        assert_close(&format!("out (b={b}, h={h}, n={n}, dh={dh})"), &out_f, &out_u);
-        for (name, (gf, gu)) in ["dq", "dk", "dv"].iter().zip(grads_f.iter().zip(&grads_u)) {
-            assert_close(&format!("{name} (b={b}, h={h}, n={n}, dh={dh})"), gf, gu);
-        }
+        assert_matches_reference(
+            &format!("vanilla (b={b}, h={h}, n={n}, dh={dh})"),
+            &run_vanilla(&q, &k, &v, false),
+            &run_vanilla(&q, &k, &v, true),
+        );
     }
 }
 
@@ -95,27 +110,20 @@ fn vanilla_fused_matches_unfused_through_split_heads() {
     let q3 = NdArray::randn(&[b, n, d_model], 1.0, &mut r);
     let k3 = NdArray::randn(&[b, n, d_model], 1.0, &mut r);
     let v3 = NdArray::randn(&[b, n, d_model], 1.0, &mut r);
-    let run = |unfused: bool| {
-        let (qv, kv, vv) =
-            (Var::parameter(q3.clone()), Var::parameter(k3.clone()), Var::parameter(v3.clone()));
-        let mut attn = if unfused { VanillaAttention::unfused() } else { VanillaAttention::new() };
-        let out = attn.forward(
-            &split_heads(&qv, heads),
-            &split_heads(&kv, heads),
-            &split_heads(&vv, heads),
-        );
-        out.sum_all().backward();
-        (out.to_array(), [qv.grad().unwrap(), kv.grad().unwrap(), vv.grad().unwrap()])
+    let through_heads = |reference: bool| {
+        run(&q3, &k3, &v3, |q, k, v| {
+            let (q, k, v) = (split_heads(q, heads), split_heads(k, heads), split_heads(v, heads));
+            if reference {
+                reference_attention(&q, &k, &v, None)
+            } else {
+                VanillaAttention::new().forward(&q, &k, &v)
+            }
+        })
     };
-    let (out_f, grads_f) = run(false);
-    let (out_u, grads_u) = run(true);
-    assert_close("split-heads out", &out_f, &out_u);
-    for (name, (gf, gu)) in ["dq", "dk", "dv"].iter().zip(grads_f.iter().zip(&grads_u)) {
-        assert_close(&format!("split-heads {name}"), gf, gu);
-    }
+    assert_matches_reference("split-heads", &through_heads(false), &through_heads(true));
 }
 
-/// Group fused == group unfused (same sparse segment-sum grouping, explicit weighted
+/// Group fused == the reference (dense one-hot grouping matrices, explicit weighted
 /// softmax) for outputs and gradients, including N = 1, n below/above the key-tile
 /// size, and dh = 1.
 #[test]
@@ -131,18 +139,16 @@ fn group_fused_matches_unfused_across_shapes() {
         let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
         let k = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
         let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
-        let (out_f, grads_f) = run_group(&q, &k, &v, groups, false, false);
-        let (out_u, grads_u) = run_group(&q, &k, &v, groups, true, false);
-        let label = format!("(b={b}, h={h}, n={n}, dh={dh}, N={groups})");
-        assert_close(&format!("group out {label}"), &out_f, &out_u);
-        for (name, (gf, gu)) in ["dq", "dk", "dv"].iter().zip(grads_f.iter().zip(&grads_u)) {
-            assert_close(&format!("group {name} {label}"), gf, gu);
-        }
+        assert_matches_reference(
+            &format!("group (b={b}, h={h}, n={n}, dh={dh}, N={groups})"),
+            &run_group(&q, &k, &v, groups, false),
+            &run_group(&q, &k, &v, groups, true),
+        );
     }
 }
 
-/// Three-way agreement on one configuration: fused sparse (default), unfused sparse,
-/// and the dense-matrix oracle from PR 2 must all tell the same story.
+/// The module (fused kernel over sparse segment sums) and the reference (explicit chain
+/// over the dense one-hot matrices) on a multi-batch, multi-head configuration.
 #[test]
 fn group_fused_sparse_and_dense_all_agree() {
     let (b, h, n, dh, groups) = (2usize, 2usize, 24usize, 4usize, 4usize);
@@ -150,18 +156,11 @@ fn group_fused_sparse_and_dense_all_agree() {
     let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
     let k = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
     let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
-    let (out_fused, grads_fused) = run_group(&q, &k, &v, groups, false, false);
-    let (out_unfused, grads_unfused) = run_group(&q, &k, &v, groups, true, false);
-    let (out_dense, grads_dense) = run_group(&q, &k, &v, groups, true, true);
-    assert_close("fused vs unfused", &out_fused, &out_unfused);
-    assert_close("fused vs dense", &out_fused, &out_dense);
-    for (name, (gf, (gu, gd))) in ["dq", "dk", "dv"]
-        .iter()
-        .zip(grads_fused.iter().zip(grads_unfused.iter().zip(&grads_dense)))
-    {
-        assert_close(&format!("{name} fused vs unfused"), gf, gu);
-        assert_close(&format!("{name} fused vs dense"), gf, gd);
-    }
+    assert_matches_reference(
+        "fused sparse vs dense reference",
+        &run_group(&q, &k, &v, groups, false),
+        &run_group(&q, &k, &v, groups, true),
+    );
 }
 
 /// The fused vanilla path must still satisfy the softmax sanity property: uniform keys

@@ -1,14 +1,16 @@
 //! Property sweeps for the sparse grouping pipeline (the segment-sum formulation of the
 //! paper's §4.4 grouping constants).
 //!
-//! The dense one-hot `(N, n)` matrix formulation survives behind
-//! `GroupAttentionConfig::dense_matrices` as the exactness oracle: for every
-//! configuration the sparse default must reproduce its outputs (and gradients) within
-//! `f32` round-off, since both compute the same sums in a different association order.
-//! The sweeps run as deterministic seeded loops (no `proptest` in this workspace).
+//! The dense one-hot `(N, n)` matrix formulation is the exactness oracle,
+//! `common::reference_group_attention`: for every configuration the module must
+//! reproduce its outputs (and gradients) within `f32` round-off, since both compute the
+//! same sums in a different association order. The sweeps run as deterministic seeded
+//! loops (no `proptest` in this workspace).
 
+mod common;
+
+use common::fixed_group_attention;
 use rand::SeedableRng;
-use rita::core::attention::{Attention, GroupAttention, GroupAttentionConfig};
 use rita::nn::gradcheck::gradcheck;
 use rita::nn::Var;
 use rita::tensor::{allclose, NdArray, SeedableRng64};
@@ -39,24 +41,6 @@ fn periodic_keys(
     NdArray::from_vec(data, &[b, h, n, dh]).unwrap()
 }
 
-fn run_group_attention(
-    q: &NdArray,
-    k: &NdArray,
-    v: &NdArray,
-    groups: usize,
-    dense: bool,
-) -> NdArray {
-    let mut attn = GroupAttention::new(GroupAttentionConfig {
-        initial_groups: groups,
-        adaptive: false,
-        kmeans_iters: 4,
-        dense_matrices: dense,
-        ..Default::default()
-    });
-    attn.forward(&Var::constant(q.clone()), &Var::constant(k.clone()), &Var::constant(v.clone()))
-        .to_array()
-}
-
 #[test]
 fn sparse_pipeline_matches_dense_oracle_across_configurations() {
     // Sweep batch/head/window/group shapes, duplicate-heavy and noisy key layouts.
@@ -76,8 +60,9 @@ fn sparse_pipeline_matches_dense_oracle_across_configurations() {
         let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut rng);
         let k = periodic_keys(b, h, n, dh, protos, noise, seed * 7 + 1);
         let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut rng);
-        let sparse = run_group_attention(&q, &k, &v, groups, false);
-        let dense = run_group_attention(&q, &k, &v, groups, true);
+        let (qv, kv, vv) = (Var::constant(q), Var::constant(k), Var::constant(v));
+        let sparse = fixed_group_attention(&qv, &kv, &vv, groups, 4, false).to_array();
+        let dense = fixed_group_attention(&qv, &kv, &vv, groups, 4, true).to_array();
         assert_eq!(sparse.shape(), dense.shape());
         assert!(
             allclose(sparse.as_slice(), dense.as_slice(), 1e-5, 1e-5),
@@ -103,14 +88,7 @@ fn sparse_pipeline_gradients_match_dense_oracle() {
                 Var::parameter(k0.clone()),
                 Var::parameter(v0.clone()),
             );
-            let mut attn = GroupAttention::new(GroupAttentionConfig {
-                initial_groups: groups,
-                adaptive: false,
-                kmeans_iters: 6,
-                dense_matrices: dense,
-                ..Default::default()
-            });
-            attn.forward(&q, &k, &v).square().sum_all().backward();
+            fixed_group_attention(&q, &k, &v, groups, 6, dense).square().sum_all().backward();
             [q.grad().unwrap(), k.grad().unwrap(), v.grad().unwrap()]
         };
         let sparse = grads(false);
