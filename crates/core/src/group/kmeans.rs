@@ -44,12 +44,6 @@ impl Grouping {
     pub fn max_radius(&self) -> f32 {
         self.radii.iter().copied().fold(0.0, f32::max)
     }
-
-    /// Group sizes as an `(1, N)` array (the `count_k` factors of the group softmax).
-    pub fn counts_array(&self) -> NdArray {
-        NdArray::from_vec(self.counts.iter().map(|&c| c as f32).collect(), &[1, self.num_groups()])
-            .expect("counts array")
-    }
 }
 
 /// Squared L2 norms of each row of `x` (`(n, d)` → length-`n` vector). Stride-aware:
@@ -58,34 +52,62 @@ fn row_sq_norms(x: &NdArray) -> Vec<f32> {
     x.rows().map(|r| r.iter().map(|&v| v * v).sum()).collect()
 }
 
-/// Picks `k` initial centres with a deterministic farthest-point sweep (k-means++ without
-/// the randomisation): the first centre is row 0, each subsequent centre is the row
-/// farthest from all centres chosen so far. Deterministic, `O(nkd)`, and robust to the
-/// periodic layouts produced by timeseries windows.
-fn init_centers(x: &NdArray, k: usize) -> NdArray {
-    let n = x.shape()[0];
+/// Rows whose distances one step of the farthest-point sweep advances together: sixteen
+/// independent add chains, which the compiler keeps in vector registers.
+const LANES: usize = 16;
+
+/// Picks the rows of `k` initial centres with a deterministic farthest-point sweep
+/// (k-means++ without the randomisation): the first centre is row 0, each subsequent
+/// centre is the row farthest from all centres chosen so far. Deterministic, `O(nkd)`,
+/// and robust to the periodic layouts produced by timeseries windows.
+///
+/// The rows are transposed once into a `(d, n)` scratch, `n` padded to [`LANES`], so a
+/// sweep advances [`LANES`] rows' distances per load instead of waiting on one row's
+/// serial add chain. Each row still sums `(x_j − c_j)²` over `j` ascending from `0.0` —
+/// the order, and so the bits, of a per-row `.map(..).sum()` — and the argmax is a
+/// scalar scan with strict `>`, so ties go to the lowest index.
+fn init_centers(x: &NdArray, k: usize) -> Vec<usize> {
+    let (n, d) = (x.shape()[0], x.shape()[1]);
     let mut chosen = Vec::with_capacity(k);
     chosen.push(0usize);
-    // min squared distance from each point to the chosen set
-    let mut min_dist = vec![f32::INFINITY; n];
-    for _ in 1..k {
-        let last = *chosen.last().expect("non-empty");
-        let lastv = x.row(last).to_vec();
-        let mut best = 0usize;
-        let mut best_d = -1.0f32;
-        for (i, xi) in x.rows().enumerate() {
-            let dist: f32 = xi.iter().zip(&lastv).map(|(a, b)| (a - b) * (a - b)).sum();
-            if dist < min_dist[i] {
-                min_dist[i] = dist;
-            }
-            if min_dist[i] > best_d {
-                best_d = min_dist[i];
-                best = i;
+    if k > 1 {
+        let n_pad = n.next_multiple_of(LANES);
+        let mut xt = vec![0.0f32; d * n_pad];
+        for (i, row) in x.rows().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                xt[j * n_pad + i] = v;
             }
         }
-        chosen.push(best);
+        // Min squared distance from each point to the chosen set (padding lanes unread).
+        let mut min_dist = vec![f32::INFINITY; n_pad];
+        for _ in 1..k {
+            let c = x.row(*chosen.last().expect("non-empty"));
+            for (lane0, md) in (0..n_pad).step_by(LANES).zip(min_dist.chunks_exact_mut(LANES)) {
+                let mut acc = [0.0f32; LANES];
+                for (j, &cj) in c.iter().enumerate() {
+                    let col = &xt[j * n_pad + lane0..][..LANES];
+                    for (a, &v) in acc.iter_mut().zip(col) {
+                        let t = v - cj;
+                        *a += t * t;
+                    }
+                }
+                for (m, &dist) in md.iter_mut().zip(&acc) {
+                    if dist < *m {
+                        *m = dist;
+                    }
+                }
+            }
+            let (mut best, mut best_d) = (0usize, -1.0f32);
+            for (i, &m) in min_dist[..n].iter().enumerate() {
+                if m > best_d {
+                    best_d = m;
+                    best = i;
+                }
+            }
+            chosen.push(best);
+        }
     }
-    x.gather_rows(&chosen).expect("init centers")
+    chosen
 }
 
 /// Matrix-product formulation of k-means (the paper's GPU-friendly grouping).
@@ -104,13 +126,19 @@ pub fn kmeans_pairwise(x: &NdArray, num_groups: usize, iters: usize) -> Grouping
 fn kmeans_impl(x: &NdArray, num_groups: usize, iters: usize, use_matmul: bool) -> Grouping {
     assert_eq!(x.ndim(), 2, "kmeans expects (n, d) input");
     let n = x.shape()[0];
-    let d = x.shape()[1];
     assert!(n > 0, "kmeans on empty input");
     // Strided views (e.g. the per-head key blocks of a split-heads tensor) are consumed
     // in place as long as their rows are contiguous; anything wilder is compacted once.
     let x = &x.with_contiguous_rows();
     let k = num_groups.clamp(1, n);
-    let mut centers = init_centers(x, k);
+    lloyd(x, &init_centers(x, k), iters, use_matmul)
+}
+
+/// Runs the assignment/update rounds on `x` (rows contiguous) from the centres at its
+/// rows `init`, then measures the final counts and radii.
+fn lloyd(x: &NdArray, init: &[usize], iters: usize, use_matmul: bool) -> Grouping {
+    let (n, d, k) = (x.shape()[0], x.shape()[1], init.len());
+    let mut centers = x.gather_rows(init).expect("init centers");
     let mut assignments = vec![0usize; n];
     // Squared distance of each point to its assigned centre, kept from the assignment
     // step; drives the empty-cluster re-seeding below.
@@ -300,13 +328,106 @@ mod tests {
     fn matrices_encode_assignments() {
         let x = two_blobs(4, 9);
         let g = kmeans_matmul(&x, 2, 5);
-        // `counts` is the histogram of `assignments`; `counts_array` is its `(1, N)` form.
+        // `counts` is the histogram of `assignments`.
         for group in 0..2 {
             assert_eq!(g.assignments.iter().filter(|&&a| a == group).count(), g.counts[group]);
         }
-        let counts = g.counts_array();
-        assert_eq!(counts.shape(), &[1, 2]);
-        assert_eq!(counts.sum_all(), 8.0);
+        assert_eq!(g.counts.iter().sum::<usize>(), 8);
+    }
+
+    /// The farthest-point sweep as it was before the lane layout: one row at a time,
+    /// each distance a serial `.map(..).sum()`. The slow twin of `init_centers`.
+    fn init_centers_scalar(x: &NdArray, k: usize) -> Vec<usize> {
+        let n = x.shape()[0];
+        let mut chosen = vec![0usize];
+        let mut min_dist = vec![f32::INFINITY; n];
+        for _ in 1..k {
+            let lastv = x.row(*chosen.last().unwrap()).to_vec();
+            let (mut best, mut best_d) = (0usize, -1.0f32);
+            for (i, xi) in x.rows().enumerate() {
+                let dist: f32 = xi.iter().zip(&lastv).map(|(a, b)| (a - b) * (a - b)).sum();
+                if dist < min_dist[i] {
+                    min_dist[i] = dist;
+                }
+                if min_dist[i] > best_d {
+                    best_d = min_dist[i];
+                    best = i;
+                }
+            }
+            chosen.push(best);
+        }
+        chosen
+    }
+
+    fn bits(a: &[f32]) -> Vec<u32> {
+        a.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The lane sweep picks the scalar sweep's rows, and `kmeans_matmul` returns, bit for
+    /// bit, the grouping that Lloyd's rounds reach from the scalar sweep's centres.
+    fn assert_lane_init_is_the_scalar_init(x: &NdArray, k: usize, what: &str) {
+        let xc = x.with_contiguous_rows();
+        let want = init_centers_scalar(&xc, k);
+        assert_eq!(init_centers(&xc, k), want, "{what}: rows chosen");
+        let (got, want) = (kmeans_matmul(x, k, 2), lloyd(&xc, &want, 2, true));
+        assert_eq!(got.assignments, want.assignments, "{what}: assignments");
+        assert_eq!(got.counts, want.counts, "{what}: counts");
+        let (gc, wc) = (got.centers.materialize(), want.centers.materialize());
+        assert_eq!(bits(gc.as_slice()), bits(wc.as_slice()), "{what}: centres");
+        assert_eq!(bits(&got.radii), bits(&want.radii), "{what}: radii");
+    }
+
+    #[test]
+    fn lane_sweep_keeps_the_scalar_sweeps_choices_and_groupings() {
+        let mut rng = SeedableRng64::seed_from_u64(41);
+        for n in [1usize, 2, 7, 8, 9, 33, 2001] {
+            for d in [1usize, 3, 8, 32, 33] {
+                let x = NdArray::randn(&[n, d], 1.0, &mut rng);
+                let mut ks = vec![1, n / 2, 64, n];
+                // n·k·d sweeps: k ∈ {n/2, n} at n = 2001 only for the narrow rows, so a
+                // debug-build run stays in seconds.
+                ks.retain(|&k| (1..=n).contains(&k) && (n < 2001 || k <= 64 || d <= 3));
+                ks.dedup();
+                for k in ks {
+                    assert_lane_init_is_the_scalar_init(&x, k, &format!("n {n} d {d} k {k}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sweep_keeps_ties_non_finite_rows_and_head_split_views() {
+        let mut rng = SeedableRng64::seed_from_u64(43);
+        // Ties: 5 prototypes over 37 rows, so most distances repeat exactly.
+        let protos = NdArray::randn(&[5, 8], 1.0, &mut rng);
+        let dup = protos.gather_rows(&(0..37).map(|i| (i * 3) % 5).collect::<Vec<_>>()).unwrap();
+        for k in [2, 5, 9, 37] {
+            assert_lane_init_is_the_scalar_init(&dup, k, &format!("duplicated rows, k {k}"));
+        }
+        // One row holding +∞, −∞ or NaN in one coordinate, first or mid-block.
+        for (row, bad) in [(0usize, f32::INFINITY), (13, f32::NEG_INFINITY), (20, f32::NAN)] {
+            let mut data = NdArray::randn(&[40, 8], 1.0, &mut rng).into_vec();
+            data[row * 8 + 3] = bad;
+            let x = NdArray::from_vec(data, &[40, 8]).unwrap();
+            for k in [3, 16, 40] {
+                assert_lane_init_is_the_scalar_init(&x, k, &format!("row {row} = {bad}, k {k}"));
+            }
+        }
+        // The per-head blocks of a `(1, n, h·dh)` projection split into heads: rows of
+        // each block are strided by h·dh.
+        let (n, h, dh) = (97usize, 2usize, 32usize);
+        let heads = NdArray::randn(&[1, n, h * dh], 1.0, &mut rng)
+            .reshape(&[1, n, h, dh])
+            .unwrap()
+            .permute(&[0, 2, 1, 3])
+            .unwrap();
+        for head in 0..h {
+            let block = heads.index_axis(0, 0).unwrap().index_axis(0, head).unwrap();
+            assert!(!block.is_contiguous());
+            for k in [1, 16, 64] {
+                assert_lane_init_is_the_scalar_init(&block, k, &format!("head {head}, k {k}"));
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! interpreters call the same kernels, so every forward of the model agrees bit for
 //! bit with these.
 
-use crate::var::Var;
+use crate::var::{is_grad_enabled, Var};
 use rand::Rng;
 use rita_tensor::NdArray;
 
@@ -80,12 +80,20 @@ impl Var {
     }
 
     /// Gaussian error linear unit (tanh approximation, as in BERT / the RITA reference).
+    ///
+    /// A recorded node keeps the forward's `tanh` (one `f32` per element while the tape
+    /// lives) so the backward does not compute it again; a node that will not be
+    /// recorded (`no_grad`, or a constant input) allocates only its output.
     pub fn gelu(&self) -> Var {
+        if !(is_grad_enabled() && self.requires_grad()) {
+            return Var::constant(self.value().gelu());
+        }
+        let (value, tanh) = self.value().gelu_with_tanh();
         Var::from_op(
-            self.value().gelu(),
+            value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                vec![parents[0].value().gelu_backward(g).expect("gelu backward")]
+                vec![parents[0].value().gelu_backward(&tanh, g).expect("gelu backward")]
             }),
         )
     }
@@ -304,6 +312,32 @@ mod tests {
         let dx_bytes = rows * d_in * 4;
         assert!(bytes_const < dx_bytes, "constant input: {bytes_const} B allocated");
         assert_eq!(bytes_leaf - bytes_const, dx_bytes);
+    }
+
+    #[test]
+    fn gelu_keeps_its_tanh_only_when_the_node_is_recorded() {
+        // Every buffer the forward allocates goes through the tensor pool, so its byte
+        // counter shows whether the saved `tanh` was formed.
+        let (rows, ff) = (200usize, 64usize);
+        let x0 = NdArray::randn(&[rows, ff], 1.0, &mut rng(10));
+        let forward_bytes = |x: &Var| {
+            let before = rita_tensor::pool_stats();
+            let y = x.gelu();
+            let after = rita_tensor::pool_stats();
+            let bytes = (after.fresh_bytes + after.reused_bytes)
+                - (before.fresh_bytes + before.reused_bytes);
+            (y.to_array(), bytes as usize)
+        };
+        let out_bytes = rows * ff * 4;
+        let (y_grad, grad) = forward_bytes(&Var::parameter(x0.clone()));
+        let (y_const, constant) = forward_bytes(&Var::constant(x0.clone()));
+        let (y_no_grad, no_grad) = crate::no_grad(|| forward_bytes(&Var::parameter(x0.clone())));
+        assert_eq!((constant, no_grad), (out_bytes, out_bytes));
+        assert_eq!(grad, 2 * out_bytes, "the saved tanh is one extra rows·ff·4 bytes");
+        let y = x0.gelu();
+        for got in [&y_grad, &y_const, &y_no_grad] {
+            assert_eq!(got.as_slice(), y.as_slice());
+        }
     }
 
     #[test]

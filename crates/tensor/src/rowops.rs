@@ -12,9 +12,12 @@
 //! same `tanh`), so a checkpoint answers with the same bits before and after the
 //! fusion; only the gradients' rounding differs from the chains'.
 //!
-//! The kernels are serial on purpose. At the shapes the stack runs (10⁵–10⁶ floats)
-//! one pass is tens of microseconds, below the cost of a thread hand-off, and a serial
-//! kernel cannot make a result depend on the worker count. The backward reductions use
+//! The kernels are serial, and a serial kernel cannot make a result depend on the worker
+//! count. For the arithmetic ones that costs nothing: at the shapes the stack runs
+//! (10⁵–10⁶ floats) a pass is tens to hundreds of microseconds, below a thread hand-off.
+//! GELU is the exception: libm's `tanh` makes its forward 7–9 ms at `(2001, 128)`, so the
+//! training node keeps the forward's `tanh` ([`NdArray::gelu_with_tanh`]) and its
+//! backward reads it instead of paying for it again. The backward reductions use
 //! a fixed eight-lane accumulation order written out in the source, so the AVX2 and
 //! baseline builds selected by [`simd_dispatch!`] produce identical bits.
 //!
@@ -27,6 +30,20 @@ use crate::{NdArray, Result, TensorError};
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 const GELU_A: f32 = 0.044_715;
+
+/// `tanh u` with `u = √(2/π)·(x + 0.044715·x³)`: the one transcendental of GELU. Every
+/// GELU kernel takes it from here, so the forward, the saved `tanh` and the backward
+/// that reads it cannot drift apart by a bit.
+#[inline(always)]
+fn gelu_tanh(v: f32) -> f32 {
+    (GELU_C * (v + GELU_A * v * v * v)).tanh()
+}
+
+/// GELU's value at `v` given `t = gelu_tanh(v)`.
+#[inline(always)]
+fn gelu_value(v: f32, t: f32) -> f32 {
+    0.5 * v * (1.0 + t)
+}
 
 /// Sum of `term(a[i], b[i])` in a fixed order: eight interleaved partial sums over
 /// the whole chunks of eight, combined pairwise, then the tail added in sequence.
@@ -239,23 +256,42 @@ impl NdArray {
 
     /// Tanh-approximation GELU, `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
     pub fn gelu(&self) -> NdArray {
-        self.map(|v| 0.5 * v * (1.0 + (GELU_C * (v + GELU_A * v * v * v)).tanh()))
+        self.map(|v| gelu_value(v, gelu_tanh(v)))
+    }
+
+    /// [`NdArray::gelu`] in one pass that also returns the `tanh` it computed per
+    /// element — the operand [`NdArray::gelu_backward`] reads instead of recomputing it.
+    /// The output is bit-equal to [`NdArray::gelu`]'s; both arrays come from the pool.
+    pub fn gelu_with_tanh(&self) -> (NdArray, NdArray) {
+        let x = self.materialize();
+        let mut y = crate::pool::alloc_for_extend(self.len());
+        let mut t = crate::pool::alloc_for_extend(self.len());
+        for &v in x.as_slice() {
+            let tv = gelu_tanh(v);
+            t.push(tv);
+            y.push(gelu_value(v, tv));
+        }
+        (NdArray::from_buffer(y, &self.shape), NdArray::from_buffer(t, &self.shape))
     }
 
     /// Gradient of [`NdArray::gelu`] at input `self`, times the output gradient `g`, in
-    /// one pass.
-    pub fn gelu_backward(&self, g: &NdArray) -> Result<NdArray> {
-        if g.shape != self.shape {
+    /// one pass: `g·(0.5(1+t) + 0.5·x·(1−t²)·u′)` with `t` read from `tanh` (the second
+    /// output of [`NdArray::gelu_with_tanh`] for this input) instead of recomputed.
+    pub fn gelu_backward(&self, tanh: &NdArray, g: &NdArray) -> Result<NdArray> {
+        if let Some(other) = [tanh, g].into_iter().find(|a| a.shape != self.shape) {
             return Err(TensorError::BroadcastMismatch {
                 lhs: self.shape.clone(),
-                rhs: g.shape.clone(),
+                rhs: other.shape.clone(),
             });
         }
-        self.zip_with(g, |v, gv| {
-            let t = (GELU_C * (v + GELU_A * v * v * v)).tanh();
+        let (x, t, g) = (self.materialize(), tanh.materialize(), g.materialize());
+        let mut dx = crate::pool::alloc_for_extend(self.len());
+        let terms = x.as_slice().iter().zip(t.as_slice()).zip(g.as_slice());
+        dx.extend(terms.map(|((&v, &t), &gv)| {
             let sech2 = 1.0 - t * t;
             gv * (0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * v * v))
-        })
+        }));
+        Ok(NdArray::from_buffer(dx, &self.shape))
     }
 
     /// Inverted dropout: draws exactly one `rng.gen::<f32>()` per element in C order,
@@ -353,10 +389,61 @@ mod tests {
         let (hi, lo) = (x.add_scalar(1e-2).gelu(), x.add_scalar(-1e-2).gelu());
         let want = hi.sub(&lo).unwrap().scale(1.0 / 2e-2);
         let g = NdArray::full(&[1201], 3.0);
-        let got = x.gelu_backward(&g).unwrap().scale(1.0 / 3.0);
+        let t = x.gelu_with_tanh().1;
+        let got = x.gelu_backward(&t, &g).unwrap().scale(1.0 / 3.0);
         assert!(allclose(got.as_slice(), want.as_slice(), 1e-3, 1e-3));
-        assert!(x.gelu_backward(&NdArray::zeros(&[3])).is_err());
-        assert!(x.gelu_backward(&NdArray::zeros(&[1])).is_err(), "no silent broadcast");
+        assert!(x.gelu_backward(&t, &NdArray::zeros(&[3])).is_err());
+        assert!(x.gelu_backward(&t, &NdArray::zeros(&[1])).is_err(), "no silent broadcast");
+        assert!(x.gelu_backward(&t.slice_axis(0, 0, 3).unwrap(), &g).is_err());
+    }
+
+    /// The backward as it was before the forward's `tanh` was kept: `tanh` recomputed
+    /// per element, written out without the shared helpers. The slow twin of
+    /// [`NdArray::gelu_backward`].
+    fn gelu_backward_recomputing(x: &NdArray, g: &NdArray) -> NdArray {
+        x.zip_with(g, |v, gv| {
+            let t = (GELU_C * (v + GELU_A * v * v * v)).tanh();
+            let sech2 = 1.0 - t * t;
+            gv * (0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * v * v))
+        })
+        .unwrap()
+    }
+
+    fn bits(a: &NdArray) -> Vec<u32> {
+        a.materialize().as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn gelu_backward_from_the_saved_tanh_keeps_every_bit() {
+        // A 1e-3 grid over [−30, 30] (both saturations and the whole curved middle),
+        // then the values libm treats specially.
+        let mut xs: Vec<f32> = (0..=60_000).map(|i| -30.0 + i as f32 * 1e-3).collect();
+        let subnormals = [f32::from_bits(1), f32::from_bits(0x0040_0000)];
+        xs.extend([0.0, -0.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE]);
+        xs.extend(subnormals.iter().flat_map(|&s| [s, -s]));
+        xs.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MAX, f32::MIN]);
+        xs.resize(xs.len().next_multiple_of(8), 0.5);
+        let len = xs.len();
+        let x = NdArray::from_vec(xs, &[len / 8, 8]).unwrap();
+        let g = NdArray::randn(&[len / 8, 8], 1.0, &mut rng_from_seed(6));
+        // Strided views of the same data: a transposed buffer and a column slice.
+        let xt =
+            NdArray::from_vec(x.transpose_last2().unwrap().materialize().into_vec(), &[8, len / 8])
+                .unwrap();
+        let wide = NdArray::concat(&[&g, &x], 1).unwrap();
+        let views = [x.clone(), xt.transpose_last2().unwrap(), wide.slice_axis(1, 8, 16).unwrap()];
+        for (i, view) in views.iter().enumerate() {
+            assert_eq!(bits(view), bits(&x), "view {i} holds the grid");
+            let (y, t) = view.gelu_with_tanh();
+            assert_eq!(bits(&y), bits(&view.gelu()), "view {i}: forward");
+            for g in
+                [g.clone(), NdArray::concat(&[&x, &g], 1).unwrap().slice_axis(1, 8, 16).unwrap()]
+            {
+                let got = view.gelu_backward(&t, &g).unwrap();
+                let want = gelu_backward_recomputing(view, &g);
+                assert_eq!(bits(&got), bits(&want), "view {i}: backward");
+            }
+        }
     }
 
     #[test]
