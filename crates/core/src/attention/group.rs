@@ -143,7 +143,7 @@ impl GroupAttention {
 
 /// The group count a forward over `n_windows` windows uses for the scheduler target
 /// `target`: the rounded target, clamped to this series' window count.
-pub(crate) fn effective_groups(target: f32, min_groups: usize, n_windows: usize) -> usize {
+pub fn effective_groups(target: f32, min_groups: usize, n_windows: usize) -> usize {
     (target.round() as usize).clamp(min_groups.min(n_windows), n_windows)
 }
 

@@ -1,6 +1,7 @@
 //! Model configuration shared by every attention variant.
 
 use crate::attention::AttentionKind;
+use crate::scheduler::MemoryModel;
 
 /// Number of windows a `(window, stride)` convolution produces on a series of `len`
 /// timestamps — the single home of this arithmetic (config, embedding and scheduler all
@@ -93,6 +94,21 @@ impl RitaConfig {
     pub fn head_dim(&self) -> usize {
         assert_eq!(self.d_model % self.n_heads, 0, "d_model must be divisible by n_heads");
         self.d_model / self.n_heads
+    }
+
+    /// The memory-relevant shape of this architecture (f32 elements), for the §5.2
+    /// batch-size machinery and serve-time latency budgeting.
+    pub fn memory_model(&self) -> MemoryModel {
+        MemoryModel {
+            d_model: self.d_model,
+            layers: self.n_layers,
+            heads: self.n_heads,
+            ff_hidden: self.ff_hidden,
+            channels: self.channels,
+            window: self.window,
+            stride: self.stride,
+            bytes_per_element: 4,
+        }
     }
 
     /// Checks internal consistency without panicking, naming the first constraint

@@ -90,16 +90,7 @@ impl RitaModel {
 
     /// The memory-relevant shape of this model, for the §5.2 batch-size machinery.
     pub fn memory_model(&self) -> MemoryModel {
-        MemoryModel {
-            d_model: self.config.d_model,
-            layers: self.config.n_layers,
-            heads: self.config.n_heads,
-            ff_hidden: self.config.ff_hidden,
-            channels: self.config.channels,
-            window: self.config.window,
-            stride: self.config.stride,
-            bytes_per_element: 4,
-        }
+        self.config.memory_model()
     }
 }
 

@@ -1,31 +1,23 @@
-//! Spending a *latency* budget with the §5.2 batch-size machinery.
+//! Spending a *latency* budget: the serve-time batch-size bound.
 //!
 //! At training time, `B = f(L, N)` answers "how many samples fit in accelerator
 //! memory?". At serving time the scarce resource is the tail-latency SLO: a batch may
 //! only be as large as can be computed inside the slice of the deadline reserved for
 //! compute. Both questions have the same shape — find the largest `B` whose *cost*
-//! stays under a budget, where the cost is monotone in `B`, `L` and `N` — so the same
-//! binary-search oracle, function prior, and plane-division DP transfer unchanged.
+//! stays under a budget — but they differ in what the cost oracle costs.
 //!
-//! The transfer works by converting seconds to bytes. A tape-free CPU forward is
+//! The bound works by converting seconds to bytes. A tape-free CPU forward is
 //! memory-bandwidth bound, so its wall time is roughly proportional to the bytes it
 //! touches ([`MemoryModel::serve_bytes_for`]). A measured serving throughput
 //! (`bytes_per_sec`, calibrated by timing one representative forward) turns the compute
-//! slice of the SLO into a byte budget; [`LatencyBudget::train_predictor`] then hands
-//! that budget to the unmodified [`BatchSizePredictor`] pipeline.
-//!
-//! One wrinkle: [`MemoryModel::bytes_for`] — the cost the predictor's oracle and clamp
-//! consult — charges training's gradient copies (activations ×2) and optimiser moments
-//! (parameters ×4), which a serving forward never materialises. Rather than teach the
-//! predictor a second cost function, [`LatencyBudget::equivalent_train_budget`] applies
-//! the inverse transformation to the *budget*: `serve_bytes(B, L, N) ≤ S` holds exactly
-//! when `bytes_for(B, L, N) ≤ 2·S + 3·parameter_bytes` (after accounting for the
-//! parameters the serve cost already charges once), so a predictor trained and clamped
-//! against the transformed budget enforces precisely the serving bound.
+//! slice of the SLO into a byte budget `S`. The serving cost is affine in the batch,
+//! `(p + B·a(L, N))·bpe`, so the largest batch under `S` is one division
+//! ([`LatencyBudget::max_batch_size`]). Training fits §5.2's `B = f(L, N)` because the
+//! paper's oracle is a real forward and backward pass; this oracle is one formula, so
+//! a fit would only add error.
 
 use std::time::Duration;
 
-use super::fit::BatchSizePredictor;
 use super::memory::MemoryModel;
 
 /// A serve-time latency budget: the SLO slice one batch's compute may consume,
@@ -48,9 +40,10 @@ impl LatencyBudget {
     /// Default compute slice of the SLO (half; the rest absorbs queueing and batching).
     pub const DEFAULT_COMPUTE_FRACTION: f32 = 0.5;
 
-    /// A budget for `slo` at a calibrated throughput, with the default compute slice.
-    pub fn new(slo: Duration, bytes_per_sec: f64) -> Self {
-        Self { slo, compute_fraction: Self::DEFAULT_COMPUTE_FRACTION, bytes_per_sec }
+    /// This budget at brownout `level`: the compute slice shrunk by `budget_factor`
+    /// once per level.
+    pub fn browned(&self, budget_factor: f32, level: u8) -> Self {
+        Self { compute_fraction: self.compute_fraction * budget_factor.powi(level as i32), ..*self }
     }
 
     /// The byte budget one batch's compute may spend: `slo × compute_fraction`
@@ -60,41 +53,21 @@ impl LatencyBudget {
         (seconds * self.bytes_per_sec).max(1.0) as usize
     }
 
-    /// The training-cost budget equivalent to this serving budget under `memory`:
-    /// the unique `T` with `bytes_for(B, L, N) ≤ T ⟺ serve_bytes_for(B, L, N) ≤ S`.
-    ///
-    /// Derivation (element counts, `p` = parameters, `a` = activations per sample):
-    /// serve charges `p + B·a`, training charges `4p + 2·B·a`; doubling the serve
-    /// bound and adding the `2p` the doubled form still lacks gives
-    /// `4p + 2·B·a ≤ 2·S/bpe + 2p ⟺ p + B·a ≤ S/bpe`.
-    pub fn equivalent_train_budget(&self, memory: &MemoryModel) -> usize {
-        let parameter_bytes = memory.parameter_elements() * memory.bytes_per_element;
-        2 * self.serve_budget_bytes() + 2 * parameter_bytes
-    }
-
-    /// Trains a [`BatchSizePredictor`] that spends this latency budget: `predict(L, N)`
-    /// is the largest batch whose estimated compute time fits in the SLO's compute
-    /// slice, learned and clamped through the unmodified §5.2 pipeline.
-    ///
-    /// The budget fraction is pinned at 1.0 — the head-room a *memory* budget keeps
-    /// for allocator slack is already expressed here by `compute_fraction`.
-    pub fn train_predictor(
+    /// The largest batch in `1..=max_batch` whose serving cost
+    /// ([`MemoryModel::serve_bytes_for`]) fits [`serve_budget_bytes`](Self::serve_budget_bytes):
+    /// `⌊(⌊S / bpe⌋ − p) / a(L, N)⌋`. Like Alg. 2's search, the floor is 1 even when
+    /// one request is already over budget — serving at all means serving one.
+    pub fn max_batch_size(
         &self,
         memory: &MemoryModel,
-        max_len: usize,
+        len: usize,
+        groups: usize,
         max_batch: usize,
-        samples_per_axis: usize,
-        max_segments: usize,
-    ) -> BatchSizePredictor {
-        BatchSizePredictor::train_with(
-            memory,
-            max_len,
-            self.equivalent_train_budget(memory),
-            1.0,
-            max_batch,
-            samples_per_axis,
-            max_segments,
-        )
+    ) -> usize {
+        let budget_elements = self.serve_budget_bytes() / memory.bytes_per_element.max(1);
+        let spare = budget_elements.saturating_sub(memory.parameter_elements());
+        let batch = spare / memory.activation_elements(len, groups).max(1);
+        batch.clamp(1, max_batch.max(1))
     }
 
     /// Estimated wall time of one `(batch, len, groups)` forward under the calibrated
@@ -115,87 +88,52 @@ impl LatencyBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::memory::usable_budget;
-
-    fn budget(ms: u64) -> LatencyBudget {
-        // 1 GB/s of cost-model bytes keeps the numbers in a realistic CPU range.
-        LatencyBudget::new(Duration::from_millis(ms), 1e9)
-    }
 
     #[test]
-    fn equivalent_budget_preserves_the_serving_bound() {
-        // The predictor clamp consults bytes_for against the transformed budget; that
-        // must accept/reject exactly the batches serve_bytes_for accepts/rejects
-        // against the raw serving budget.
-        let m = MemoryModel::default();
-        let lb = budget(50);
-        let serve = lb.serve_budget_bytes();
-        let train = lb.equivalent_train_budget(&m);
-        for &len in &[100usize, 500, 2000, 8000] {
-            for &groups in &[1usize, 16, 128] {
-                for &b in &[1usize, 2, 7, 32, 256] {
-                    assert_eq!(
-                        m.serve_bytes_for(b, len, groups) <= serve,
-                        m.bytes_for(b, len, groups) <= train,
-                        "b {b} len {len} groups {groups}"
-                    );
+    fn max_batch_size_is_the_brute_force_bound() {
+        // Against a linear scan over serve_bytes_for on a grid that crosses every
+        // regime: one request already over budget (floor 1), an interior bound, and
+        // the cap.
+        let mut budgets = Vec::new();
+        for slo_ms in [1u64, 10, 50, 250] {
+            for compute_fraction in [0.1f32, 0.5, 1.0] {
+                for bytes_per_sec in [1e6, 1e8, 1e9, 1e10] {
+                    let slo = Duration::from_millis(slo_ms);
+                    let lb = LatencyBudget { slo, compute_fraction, bytes_per_sec };
+                    budgets.extend((0..=3).map(|level| lb.browned(0.5, level)));
                 }
             }
         }
-    }
-
-    #[test]
-    fn latency_predictor_fits_the_compute_slice() {
-        let m = MemoryModel::default();
-        let lb = budget(100);
-        let p = lb.train_predictor(&m, 4000, 256, 5, 3);
-        let slice = Duration::from_secs_f64(lb.slo.as_secs_f64() * lb.compute_fraction as f64);
-        for &len in &[200usize, 1000, 3000, 6000] {
-            for &groups in &[4usize, 32, 200] {
-                let b = p.predict(len, groups);
-                assert!((1..=256).contains(&b));
-                // A predicted batch's estimated compute never exceeds the slice
-                // (except the B = 1 floor, which mirrors Alg. 2's: serving at all
-                // requires serving one request).
-                if b > 1 {
-                    let est = lb.estimated_compute(&m, b, len, groups);
-                    assert!(est <= slice, "len {len} groups {groups}: {est:?} > {slice:?}");
+        let f32_model = MemoryModel::default();
+        let one_byte = MemoryModel { bytes_per_element: 1, ..f32_model };
+        let cap = 48;
+        let (mut floors, mut interior, mut capped) = (0, 0, 0);
+        for m in [f32_model, one_byte] {
+            for len in [5usize, 48, 120, 480, 2000] {
+                for groups in [1usize, 8, 64, m.windows(len)] {
+                    for lb in &budgets {
+                        let s = lb.serve_budget_bytes();
+                        let brute = (1..=cap)
+                            .rev()
+                            .find(|&b| m.serve_bytes_for(b, len, groups) <= s)
+                            .unwrap_or(1);
+                        let got = lb.max_batch_size(&m, len, groups, cap);
+                        assert_eq!(
+                            got, brute,
+                            "len {len} N {groups} {lb:?} bpe {}",
+                            m.bytes_per_element
+                        );
+                        if m.serve_bytes_for(1, len, groups) > s {
+                            floors += 1;
+                        } else if got == cap {
+                            capped += 1;
+                        } else {
+                            interior += 1;
+                        }
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn tighter_slos_admit_smaller_batches() {
-        let m = MemoryModel::default();
-        let tight = budget(5).train_predictor(&m, 2000, 1 << 12, 5, 3);
-        let loose = budget(500).train_predictor(&m, 2000, 1 << 12, 5, 3);
-        for &len in &[200usize, 1000, 2000] {
-            assert!(
-                tight.predict(len, 32) <= loose.predict(len, 32),
-                "len {len}: tight {} loose {}",
-                tight.predict(len, 32),
-                loose.predict(len, 32)
-            );
-        }
-        assert!(tight.predict(1000, 32) < loose.predict(1000, 32));
-    }
-
-    #[test]
-    fn predictions_track_the_serving_oracle() {
-        // The clamp path goes through bytes_for + the transformed budget; spot-check
-        // against a direct binary search on serve_bytes_for.
-        let m = MemoryModel::default();
-        let lb = budget(30);
-        let serve = lb.serve_budget_bytes();
-        let p = lb.train_predictor(&m, 3000, 1 << 12, 6, 4);
-        let train_equiv = lb.equivalent_train_budget(&m);
-        assert_eq!(usable_budget(train_equiv, 1.0), train_equiv);
-        for &(len, groups) in &[(400usize, 8usize), (1200, 64), (2800, 16)] {
-            let b = p.predict(len, groups);
-            if b > 1 {
-                assert!(m.serve_bytes_for(b, len, groups) <= serve, "len {len} groups {groups}");
-            }
-        }
+        assert!(floors > 0 && interior > 0 && capped > 0, "{floors} {interior} {capped}");
     }
 }

@@ -8,8 +8,9 @@
 //!   (Alg. 2). The cost model replaces the paper's CUDA peak-memory probe; see DESIGN.md.
 //! * [`fit`] — the learned batch-size predictor `B = f(L, N)`: least-squares fits over a
 //!   small function prior and the DP plane division (Alg. 3).
-//! * [`latency`] — the serve-time transfer of the predictor: the same `B = f(L, N)`
-//!   machinery spending a latency SLO's compute slice instead of training memory.
+//! * [`latency`] — the serve-time batch bound: the largest `B` whose forward-only cost
+//!   fits a latency SLO's compute slice, in closed form (its oracle is one formula, so
+//!   nothing is fitted).
 
 pub mod error_bound;
 pub mod fit;

@@ -87,7 +87,7 @@ pub use server::{
     BreakerPolicy, BrownoutPolicy, ServeError, ServedResponse, Server, ServerConfig, ShedReason,
     TenantPolicy, Ticket,
 };
-pub use session::{InferSession, Prediction, RequestError, SessionConfig};
+pub use session::{InferSession, Prediction, RequestError};
 
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,

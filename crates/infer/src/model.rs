@@ -264,20 +264,11 @@ impl InferModel {
     /// The memory-relevant shape of the loaded model — what serve-time batch budgeting
     /// (`rita_core::scheduler::latency`) charges per batch.
     pub fn memory_model(&self) -> MemoryModel {
-        MemoryModel {
-            d_model: self.config.d_model,
-            layers: self.config.n_layers,
-            heads: self.config.n_heads,
-            ff_hidden: self.config.ff_hidden,
-            channels: self.config.channels,
-            window: self.config.window,
-            stride: self.config.stride,
-            bytes_per_element: 4,
-        }
+        self.config.memory_model()
     }
 
     /// Mean frozen scheduler group target across the group-attention layers — the `N`
-    /// that serve-time `B = f(L, N)` predictions plug in. `None` when the checkpoint
+    /// that serve-time batch bounds plug in. `None` when the checkpoint
     /// uses a non-group attention mechanism (whose cost model saturates `N` at the
     /// window count instead).
     pub fn mean_groups(&self) -> Option<f32> {

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::sync::Arc;
 
+use rita_core::attention::group::effective_groups;
 use rita_core::group::group_key_blocks;
 use rita_nn::graph::{AttnOp, Graph, Node, Op, Plan, PlanError, ValueId};
 use rita_tensor::{fused_attention, NdArray, QuantMatrix};
@@ -319,9 +320,7 @@ fn exec_attention(node: &Node, attn: &AttnOp, ins: &[NdArray]) -> Result<NdArray
         AttnOp::Group { n_groups, min_groups, kmeans_iters } => {
             let shape = q.shape();
             let (b, h, n) = (shape[0], shape[1], shape[2]);
-            // `GroupAttention::effective_groups`: clamp the persistent target to this
-            // batch's window count.
-            let groups = (n_groups.round() as usize).clamp((*min_groups).min(n), n);
+            let groups = effective_groups(*n_groups, *min_groups, n);
             let groupings = group_key_blocks(k, groups, *kmeans_iters);
             let mut counts_flat = Vec::with_capacity(b * h * groups);
             for g in &groupings {

@@ -10,13 +10,12 @@
 //!
 //! The batcher reuses the training engine's length-bucketed batcher
 //! (`batch_indices_by_length`) over the live queue: the oldest queued request anchors
-//! the next batch, and the batch's target size is the §5.2 predictor `B = f(L, N)` —
-//! the same model that spends a *memory* budget during training, here trained against
-//! the *latency* budget `slo × compute_fraction` through a calibrated byte throughput
-//! (see `rita_core::scheduler::latency`). A batch closes when it reaches its target,
-//! when the batching window (`linger`) expires, or **early** when the oldest request
-//! approaches its SLO deadline — a request never waits for batch-mates it cannot
-//! afford.
+//! the next batch, and the batch's target size is the largest `B` whose forward-only
+//! cost fits the *latency* budget `slo × compute_fraction`, converted to bytes through
+//! a calibrated throughput (see `rita_core::scheduler::latency`). A batch closes when
+//! it reaches its target, when the batching window (`linger`) expires, or **early**
+//! when the oldest request approaches its SLO deadline — a request never waits for
+//! batch-mates it cannot afford.
 //!
 //! ## Admission control
 //!
@@ -41,8 +40,8 @@
 //! pinned last-good checkpoint. Requests may carry a **hard deadline** past which
 //! they are cancelled with [`ServeError::DeadlineExceeded`] — never silently served
 //! stale — and sustained queue pressure triggers **brownout** ([`BrownoutPolicy`]):
-//! the latency budget handed to the §5.2 predictor shrinks level by level, trading
-//! batch quality for queue drain before load is shed outright. Every shared lock
+//! the latency budget that sizes batches shrinks level by level, trading batch
+//! quality for queue drain before load is shed outright. Every shared lock
 //! acquisition recovers from poisoning (see the crate-root helpers), so one crashed
 //! worker can never wedge the others.
 //!
@@ -58,7 +57,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
-use rita_core::scheduler::{BatchSizePredictor, LatencyBudget, MemoryModel};
+use rita_core::scheduler::LatencyBudget;
 use rita_data::batch::{batch_indices_by_length, stack_samples};
 use rita_tensor::{with_worker_threads, worker_budget, NdArray, SeedableRng64};
 
@@ -132,8 +131,8 @@ pub struct BrownoutPolicy {
     pub hold: Duration,
     /// Deepest brownout level (`0` disables brownout).
     pub max_level: u8,
-    /// Per-level multiplier on the predictor's `compute_fraction`: level `k` trains
-    /// its predictor against `compute_fraction × budget_factor^k`.
+    /// Per-level multiplier on the batch bound's `compute_fraction`: level `k` sizes
+    /// batches against `compute_fraction × budget_factor^k`.
     pub budget_factor: f32,
 }
 
@@ -156,7 +155,7 @@ pub struct ServerConfig {
     /// model per batch and caps its kernel parallelism at its share of
     /// `worker_budget()`.
     pub workers: usize,
-    /// Hard cap on any batch, over and above the predictor's target.
+    /// Hard cap on any batch, over and above the latency budget's target.
     pub max_batch: usize,
     /// Per-request latency SLO: the deadline a request receives at admission.
     pub slo: Duration,
@@ -464,76 +463,12 @@ struct QueueState {
     tenants: HashMap<Arc<str>, TenantState>,
 }
 
-/// Per-model-version serve planner: the latency-budget predictor plus the cost model
-/// it consults, built once per version and shared by every worker.
-struct Planner {
-    predictor: BatchSizePredictor,
-    budget: LatencyBudget,
-    memory: MemoryModel,
-    /// Frozen mean scheduler group target (`None` for non-group checkpoints).
-    groups: Option<usize>,
-    max_len: usize,
-    /// Per-level multiplier on the compute budget (from [`BrownoutPolicy`]).
-    budget_factor: f32,
-    /// Lazily trained brownout predictors, one per non-zero level; each is trained
-    /// against the level's shrunken compute budget the first time the level is hit.
-    browned: Mutex<HashMap<u8, Arc<BatchSizePredictor>>>,
-}
-
-impl Planner {
-    fn build(model: &InferModel, config: &ServerConfig, bytes_per_sec: f64) -> Self {
-        let memory = model.memory_model();
-        let budget = LatencyBudget {
-            slo: config.slo,
-            compute_fraction: config.compute_fraction,
-            bytes_per_sec,
-        };
-        let max_len = model.config().max_len.max(2);
-        let predictor = budget.train_predictor(&memory, max_len, config.max_batch, 5, 3);
-        let groups = model.mean_groups().map(|g| g.round().max(1.0) as usize);
-        Self {
-            predictor,
-            budget,
-            memory,
-            groups,
-            max_len,
-            budget_factor: config.brownout.budget_factor,
-            browned: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The `N` plugged into `B = f(L, N)`: the checkpoint's frozen mean scheduler
-    /// target, or (for non-group attention) the window count — the cost model's
-    /// saturation point.
-    fn groups_for(&self, len: usize) -> usize {
-        self.groups.unwrap_or_else(|| self.memory.windows(len)).max(1)
-    }
-
-    /// Target batch size for a length bucket at a brownout level, under the latency
-    /// budget and the hard cap. Level 0 is the eagerly trained full-budget predictor;
-    /// deeper levels train (once) against a geometrically shrunken compute budget.
-    fn target(&self, len: usize, max_batch: usize, level: u8) -> usize {
-        let n = self.groups_for(len);
-        let b = if level == 0 {
-            self.predictor.predict(len, n)
-        } else {
-            self.level_predictor(level, max_batch).predict(len, n)
-        };
-        b.clamp(1, max_batch.max(1))
-    }
-
-    fn level_predictor(&self, level: u8, max_batch: usize) -> Arc<BatchSizePredictor> {
-        let mut map = crate::lock_mx(&self.browned);
-        Arc::clone(map.entry(level).or_insert_with(|| {
-            let budget = LatencyBudget {
-                slo: self.budget.slo,
-                compute_fraction: self.budget.compute_fraction
-                    * self.budget_factor.powi(level as i32),
-                bytes_per_sec: self.budget.bytes_per_sec,
-            };
-            Arc::new(budget.train_predictor(&self.memory, self.max_len, max_batch, 5, 3))
-        }))
-    }
+/// The `N` the serve cost model charges at length `len`: the checkpoint's frozen mean
+/// scheduler target, or (for non-group attention) the window count — the cost model's
+/// saturation point, never a sentinel that would inflate the byte estimate.
+fn serve_groups(model: &InferModel, len: usize) -> usize {
+    let groups = model.mean_groups().map(|g| g.round() as usize);
+    groups.unwrap_or_else(|| model.memory_model().windows(len)).max(1)
 }
 
 /// Circuit-breaker state machine (guarded by `Shared::breaker`).
@@ -576,7 +511,6 @@ struct Shared {
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     config: ServerConfig,
-    planners: Mutex<HashMap<u64, Arc<Planner>>>,
     calibrated: Mutex<Option<f64>>,
     shutdown: AtomicBool,
     /// Kernel-thread share of each worker (`worker_budget() / workers`, at least 1).
@@ -591,18 +525,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// The planner for a model version, building (and calibrating, once per server)
-    /// on first sight of the version.
-    fn planner_for(&self, handle: &ModelHandle) -> Arc<Planner> {
-        if let Some(p) = crate::lock_mx(&self.planners).get(&handle.version) {
-            return Arc::clone(p);
-        }
-        let bytes_per_sec = self.bytes_per_sec(&handle.model);
-        let planner = Arc::new(Planner::build(&handle.model, &self.config, bytes_per_sec));
-        let mut planners = crate::lock_mx(&self.planners);
-        Arc::clone(planners.entry(handle.version).or_insert(planner))
-    }
-
     /// The configured byte throughput, or a one-time calibration: time a probe forward
     /// and divide the cost model's byte estimate by the measured wall time.
     fn bytes_per_sec(&self, model: &InferModel) -> f64 {
@@ -631,16 +553,7 @@ impl Shared {
             })
             .fold(f64::INFINITY, f64::min)
             .max(1e-9);
-        // A model that reports no groups (non-group attention) must fall back to the
-        // cost model's saturation point, not a sentinel: `usize::MAX` groups would
-        // inflate the byte estimate and mis-train every predictor downstream.
-        let n = model
-            .mean_groups()
-            .map(|g| g.round().max(1.0) as usize)
-            .unwrap_or(usize::MAX)
-            .min(model.memory_model().windows(len))
-            .max(1);
-        let bytes = model.memory_model().serve_bytes_for(1, len, n) as f64;
+        let bytes = model.memory_model().serve_bytes_for(1, len, serve_groups(model, len)) as f64;
         let b = bytes / secs;
         *calibrated = Some(b);
         b
@@ -799,7 +712,6 @@ impl Server {
             registry,
             metrics: Arc::new(Metrics::default()),
             config,
-            planners: Mutex::new(HashMap::new()),
             calibrated: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             kernel_cap,
@@ -1177,7 +1089,7 @@ fn sweep_expired(shared: &Shared, st: &mut QueueState, now: Instant) {
 /// Blocks until a batch can be closed (returning `None` on drained shutdown).
 ///
 /// The close policy, evaluated under the queue lock against the *oldest* request:
-/// its length anchors the bucket, the §5.2 planner sets the bucket's target `B` (at
+/// its length anchors the bucket, the latency budget sets the bucket's target `B` (at
 /// the current brownout level), and the batch closes as soon as (a) `B` same-length
 /// requests are queued, (b) the `linger` window since the oldest enqueue expires, or
 /// (c) the oldest request's remaining SLO slack shrinks to the compute slice one
@@ -1205,11 +1117,11 @@ fn next_batch(shared: &Shared) -> Option<ClosedBatch> {
             st = crate::lock_mx(&shared.state);
             continue;
         };
-        // planner_for never blocks on queue work (separate lock), but it can be slow
-        // once per version (calibration + predictor training); drop the queue lock so
-        // admissions keep flowing during it.
+        // Calibration never blocks on queue work (separate lock), but it is slow once
+        // per server (a timed probe forward); drop the queue lock so admissions keep
+        // flowing during it.
         drop(st);
-        let planner = shared.planner_for(&handle);
+        let bytes_per_sec = shared.bytes_per_sec(&handle.model);
         st = crate::lock_mx(&shared.state);
         sweep_expired(shared, &mut st, Instant::now());
         if st.pending.is_empty() {
@@ -1217,19 +1129,30 @@ fn next_batch(shared: &Shared) -> Option<ClosedBatch> {
         }
 
         let level = shared.metrics.faults.brownout_level.load(Ordering::Relaxed).min(255) as u8;
+        let config = &shared.config;
+        let budget = LatencyBudget {
+            slo: config.slo,
+            compute_fraction: config.compute_fraction,
+            bytes_per_sec,
+        }
+        .browned(config.brownout.budget_factor, level);
+        let memory = handle.model.memory_model();
+        let target_for = |len: usize| {
+            budget.max_batch_size(&memory, len, serve_groups(&handle.model, len), config.max_batch)
+        };
         let now = Instant::now();
         let oldest = &st.pending[0];
         let anchor_len = oldest.input.shape()[1];
-        let target = planner.target(anchor_len, shared.config.max_batch, level);
+        let target = target_for(anchor_len);
         let matching = st.pending.iter().filter(|p| p.input.shape()[1] == anchor_len).count();
         let fill_by = oldest.enqueued + shared.config.linger;
         // Close early once the oldest request's slack can only just cover one batch's
         // compute: estimated at the target size — the worst batch we might run.
-        let compute = planner.budget.estimated_compute(
-            &planner.memory,
+        let compute = budget.estimated_compute(
+            &memory,
             target,
             anchor_len,
-            planner.groups_for(anchor_len),
+            serve_groups(&handle.model, anchor_len),
         );
         let close_by = oldest.slo_deadline.checked_sub(compute).unwrap_or(oldest.enqueued);
         let slo_pressed = now >= close_by;
@@ -1253,12 +1176,7 @@ fn next_batch(shared: &Shared) -> Option<ClosedBatch> {
         // order). The chosen batch is the one holding the oldest request — index 0.
         let lengths: Vec<usize> = st.pending.iter().map(|p| p.input.shape()[1]).collect();
         let mut rng = SeedableRng64::seed_from_u64(0); // shuffle off: never consulted
-        let batches = batch_indices_by_length(
-            &lengths,
-            |len| planner.target(len, shared.config.max_batch, level),
-            false,
-            &mut rng,
-        );
+        let batches = batch_indices_by_length(&lengths, target_for, false, &mut rng);
         let chosen =
             batches.into_iter().find(|b| b.contains(&0)).expect("oldest request is in a batch");
         let early_close = slo_pressed && chosen.len() < target;

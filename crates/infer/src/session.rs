@@ -15,18 +15,8 @@ use rita_tensor::{NdArray, SeedableRng64};
 
 use crate::model::InferModel;
 
-/// Tunables of a serving session.
-#[derive(Debug, Clone, Copy)]
-pub struct SessionConfig {
-    /// Largest number of same-length requests answered in one stacked batch.
-    pub max_batch: usize,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        Self { max_batch: 64 }
-    }
-}
+/// Largest number of same-length requests a session answers in one stacked batch.
+const MAX_BATCH: usize = 64;
 
 /// One class prediction for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,28 +138,20 @@ pub(crate) fn validate_request(
     Ok(())
 }
 
-/// A loaded model plus batching state — the object a server holds per worker thread.
+/// A loaded model answering request sets in length-bucketed batches.
 pub struct InferSession {
     model: InferModel,
-    config: SessionConfig,
 }
 
 impl InferSession {
     /// Wraps an already-loaded model.
     pub fn new(model: InferModel) -> Self {
-        Self { model, config: SessionConfig::default() }
+        Self { model }
     }
 
     /// Loads a checkpoint and wraps it in a session.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
         Ok(Self::new(InferModel::from_checkpoint(ckpt)?))
-    }
-
-    /// Replaces the session tunables.
-    pub fn with_config(mut self, config: SessionConfig) -> Self {
-        assert!(config.max_batch > 0, "max_batch must be positive");
-        self.config = config;
-        self
     }
 
     /// The loaded model.
@@ -189,7 +171,7 @@ impl InferSession {
 
     /// Answers a set of concurrent classification requests (each `(channels, length)`,
     /// lengths may differ) in request order. Requests are grouped into rectangular
-    /// length-bucketed batches of at most `max_batch` before the forward pass. The
+    /// length-bucketed batches of at most 64 (`MAX_BATCH`) before the forward pass. The
     /// whole set is validated first — a malformed request rejects the call without
     /// running any compute.
     pub fn classify(&self, requests: &[NdArray]) -> Result<Vec<Prediction>, RequestError> {
@@ -253,7 +235,7 @@ impl InferSession {
         let lengths: Vec<usize> = requests.iter().map(|r| r.shape()[1]).collect();
         // Deterministic bucketing (shuffle off): the rng is never consulted.
         let mut rng = SeedableRng64::seed_from_u64(0);
-        let batches = batch_indices_by_length(&lengths, |_| self.config.max_batch, false, &mut rng);
+        let batches = batch_indices_by_length(&lengths, |_| MAX_BATCH, false, &mut rng);
         batches.into_iter().map(move |indices| {
             let samples: Vec<NdArray> = indices.iter().map(|&i| requests[i].clone()).collect();
             let batch = stack_samples(&samples);

@@ -157,6 +157,40 @@ fn slo_pressure_closes_batches_early() {
 }
 
 #[test]
+fn batches_fill_to_the_exact_latency_bound() {
+    // A 2 s SLO at compute fraction 0.5 and 30 000 cost-model bytes/s is a 30 000-byte
+    // compute slice. The serve cost of length-24 requests on this model admits exactly
+    // 7 of them, so 7 queued at once (with a linger long enough never to fire) must be
+    // served as one batch of 7 — no fewer.
+    let config = ServerConfig {
+        workers: 1,
+        max_batch: 8,
+        slo: Duration::from_secs(2),
+        compute_fraction: 0.5,
+        linger: Duration::from_secs(10),
+        bytes_per_sec: Some(30_000.0),
+        ..Default::default()
+    };
+    let registry = registry_with(3);
+    let model = registry.current().unwrap().model;
+    let (memory, groups) = (model.memory_model(), model.mean_groups().unwrap() as usize);
+    assert!(memory.serve_bytes_for(7, 24, groups) <= 30_000);
+    assert!(memory.serve_bytes_for(8, 24, groups) > 30_000);
+
+    let server = Server::start(registry, config);
+    let tickets: Vec<_> = mixed_requests(13, &[24; 7])
+        .into_iter()
+        .map(|r| server.submit("bound", r).unwrap())
+        .collect();
+    for t in tickets {
+        t.wait().unwrap();
+    }
+    let snap = server.metrics().snapshot();
+    assert_eq!((snap.batches, snap.batch_size.max), (1, 7), "{snap:?}");
+    server.shutdown();
+}
+
+#[test]
 fn same_tenant_same_length_requests_are_served_fifo() {
     // One worker, batch size forced to 1: every batch is exactly the oldest queued
     // request, so completions must follow submission order. The check is
