@@ -4,9 +4,9 @@
 //! [`build_graph`] lays out the whole RITA forward — window embedding, encoder stack,
 //! task head — as [`rita_nn::graph`] nodes whose IDs are the dot-separated parameter
 //! paths the module visitors produce, so a checkpoint's tensors bind to the graph by
-//! name with no translation table. The graph is emitted *unfused* (separate matmul and
-//! add-bias nodes); [`Graph::peephole`] folds the chains the kernels can run as one
-//! node.
+//! name with no translation table. Each node is one call of a training module (a
+//! `Linear` layer is one [`Op::Linear`] node, the time-aware convolution one
+//! [`Op::WindowEmbed`] node), so the graph is emitted in the form the serving tier runs.
 //!
 //! [`run_var`] walks a compiled schedule with the same `Var` operations the training
 //! modules call, under `no_grad`. Because the training forward and this interpreter
@@ -29,18 +29,16 @@ use crate::model::RitaConfig;
 /// (rebuilt from the config, never checkpointed).
 pub const POSITIONAL: &str = "positional";
 
-/// Emits an unfused linear layer (`matmul` + optional-bias `add_bias`) and returns the
-/// output value.
+/// Emits a linear layer as one node named `prefix` and returns its output value.
 fn emit_linear(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
-    let w = g.param(&format!("{prefix}.weight"), false);
-    let b = g.param(&format!("{prefix}.bias"), true);
-    let y = g.push(&format!("{prefix}.matmul"), Op::Matmul, vec![x, w]);
-    g.push(&format!("{prefix}.add_bias"), Op::AddBias, vec![y, b])
+    let w = g.param(&format!("{prefix}.weight"));
+    let b = g.param(&format!("{prefix}.bias"));
+    g.push(prefix, Op::Linear, vec![x, w, b])
 }
 
 fn emit_layer_norm(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
-    let gamma = g.param(&format!("{prefix}.gamma"), false);
-    let beta = g.param(&format!("{prefix}.beta"), false);
+    let gamma = g.param(&format!("{prefix}.gamma"));
+    let beta = g.param(&format!("{prefix}.beta"));
     g.push(
         prefix,
         Op::LayerNorm { eps: rita_nn::layers::LayerNorm::DEFAULT_EPS },
@@ -65,19 +63,15 @@ pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>
     let mut g = Graph::new();
     let x = g.add_input("input");
 
-    // Input stage: time-aware convolution as unfold + linear, then [CLS] + positions.
-    let windows = g.push(
-        &format!("{bb}embedding.unfold"),
-        Op::Unfold1d { window: config.window, stride: config.stride },
-        vec![x],
-    );
+    // Input stage: time-aware convolution as one windowed projection, then [CLS] +
+    // positions.
     let embedded = {
-        let w = g.param(&format!("{bb}embedding.conv.weight"), false);
-        let b = g.param(&format!("{bb}embedding.conv.bias"), true);
-        let y = g.push(&format!("{bb}embedding.conv.matmul"), Op::Matmul, vec![windows, w]);
-        g.push(&format!("{bb}embedding.conv.add_bias"), Op::AddBias, vec![y, b])
+        let w = g.param(&format!("{bb}embedding.conv.weight"));
+        let b = g.param(&format!("{bb}embedding.conv.bias"));
+        let op = Op::WindowEmbed { window: config.window, stride: config.stride };
+        g.push(&format!("{bb}embedding.conv"), op, vec![x, w, b])
     };
-    let cls = g.param(&format!("{bb}embedding.cls"), false);
+    let cls = g.param(&format!("{bb}embedding.cls"));
     let pos = g.positional(POSITIONAL);
     let mut h = g.push(&format!("{bb}embedding"), Op::ClsConcatPos, vec![embedded, cls, pos]);
 
@@ -100,12 +94,12 @@ pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>
                 kmeans_iters: group_defaults.kmeans_iters,
             },
             AttentionKind::Performer { features } => {
-                attn_inputs.push(g.param(&format!("{p}.attention.omega"), false));
+                attn_inputs.push(g.param(&format!("{p}.attention.omega")));
                 AttnOp::Performer { features }
             }
             AttentionKind::Linformer { .. } => {
-                attn_inputs.push(g.param(&format!("{p}.attention.e_proj"), false));
-                attn_inputs.push(g.param(&format!("{p}.attention.f_proj"), false));
+                attn_inputs.push(g.param(&format!("{p}.attention.e_proj")));
+                attn_inputs.push(g.param(&format!("{p}.attention.f_proj")));
                 AttnOp::Linformer { max_windows: config.max_windows() + 1 }
             }
         };
@@ -186,12 +180,9 @@ pub fn run_var(
 /// One node under the `Var` interpreter, using exactly the training modules' op chains.
 fn exec_var(op: &Op, ins: &[Var], input_shape: &[usize]) -> Var {
     match op {
-        Op::Matmul => ins[0].matmul(&ins[1]),
-        Op::AddBias => ins[0].add(&ins[1]),
-        Op::Linear { bias } => ins[0].linear(&ins[1], bias.then(|| &ins[2])),
-        Op::Unfold1d { window, stride } => ins[0].unfold1d(*window, *stride),
-        Op::WindowEmbed { window, stride, bias } => {
-            ins[0].unfold1d(*window, *stride).linear(&ins[1], bias.then(|| &ins[2]))
+        Op::Linear => ins[0].linear(&ins[1], Some(&ins[2])),
+        Op::WindowEmbed { window, stride } => {
+            ins[0].unfold1d(*window, *stride).linear(&ins[1], Some(&ins[2]))
         }
         Op::ClsConcatPos => {
             // Mirrors `TimeConvEmbed::forward` after the convolution.
@@ -265,8 +256,7 @@ mod tests {
             let clf = Classifier::new(config, 4, &mut rng);
             let ckpt = Checkpoint::of_classifier(&clf, None);
             let graph = build_graph(&config, ckpt.task, &ckpt.scheduler);
-            let mut graph_paths: Vec<String> =
-                graph.param_paths().into_iter().map(|(p, _)| p).collect();
+            let mut graph_paths = graph.param_paths();
             let mut ckpt_paths: Vec<String> = ckpt.tensors.iter().map(|(p, _)| p.clone()).collect();
             graph_paths.sort();
             ckpt_paths.sort();
@@ -274,6 +264,8 @@ mod tests {
         }
     }
 
+    /// The graph `build_graph` emits is the one the serving tier runs, so this pins the
+    /// served graph against the module tree's own forward, bit for bit.
     #[test]
     fn var_oracle_matches_the_training_forward_bitwise() {
         let mut rng = SeedableRng64::seed_from_u64(1);
@@ -300,35 +292,5 @@ mod tests {
                 kind.name()
             );
         }
-    }
-
-    #[test]
-    fn fused_graph_is_bit_identical_to_the_unfused_one() {
-        let mut rng = SeedableRng64::seed_from_u64(2);
-        let config = RitaConfig::tiny(
-            2,
-            45,
-            AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: false },
-        );
-        let clf = Classifier::new(config, 3, &mut rng);
-        let ckpt = Checkpoint::of_classifier(&clf, None);
-        let x = NdArray::randn(&[3, 2, 38], 1.0, &mut rng);
-        let table = sinusoidal_table(config.max_windows() + 1, config.d_model);
-        let lookup = |name: &str| {
-            if name == POSITIONAL {
-                return Some(table.clone());
-            }
-            ckpt.tensors.iter().find(|(p, _)| p == name).map(|(_, t)| t.to_f32())
-        };
-
-        let unfused = build_graph(&config, ckpt.task, &ckpt.scheduler);
-        let mut fused = unfused.clone();
-        let folded = fused.peephole();
-        assert!(folded > 0, "peephole should fuse the linear and embedding chains");
-        assert!(fused.nodes.len() < unfused.nodes.len());
-
-        let a = run_var(&unfused, &x, &lookup).unwrap();
-        let b = run_var(&fused, &x, &lookup).unwrap();
-        assert_eq!(a.to_array().as_slice(), b.to_array().as_slice());
     }
 }

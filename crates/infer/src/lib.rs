@@ -6,9 +6,9 @@
 //! Training runs through `rita-nn`'s autograd `Var` machinery; even under `no_grad`,
 //! every operation allocates a graph node and every output buffer comes fresh from the
 //! allocator. This crate instead **executes compiled plans**: loading a checkpoint
-//! emits the static forward graph (`rita_core::graph::build_graph`), a peephole pass
-//! fuses matmul+bias and unfold+projection chains, and each `(batch, length)` shape
-//! bucket is compiled once into a plan — topological schedule, per-value shapes,
+//! emits the static forward graph (`rita_core::graph::build_graph`, one node per module
+//! call, served as emitted), and each `(batch, length)` shape bucket is compiled once
+//! into a plan — topological schedule, per-value shapes,
 //! last-use positions, and an exact arena of buffer capacities that pre-sizes the
 //! tensor crate's thread-local pool (`rita_tensor::pool_reserve`). The plan interpreter
 //! runs raw [`NdArray`] kernels with no `Var` allocation per op and recycles each
@@ -21,8 +21,8 @@
 //! forward pass (layer norm as sum → scale → sub → square → …, attention through the
 //! fused streaming kernel, grouping through `rita_core::group::group_key_blocks`) —
 //! both interpret the *same graph*, so there is no hand-kept mirror to drift. Pooled
-//! buffers are re-zeroed before reuse, and fusion only merges nodes whose kernel
-//! sequence is unchanged. The result is bit-identical to a `no_grad` `Var` forward —
+//! buffers are re-zeroed before reuse, and each node runs the kernel sequence of the
+//! module call it stands for. The result is bit-identical to a `no_grad` `Var` forward —
 //! the property `tests/infer_parity.rs` and `tests/plan_executor.rs` pin at 0 ulp
 //! across every attention variant, with the `Var` interpreter
 //! (`rita_core::graph::run_var`) kept in-tree as the exactness oracle. Kernel or plan

@@ -3,10 +3,10 @@
 //!
 //! There is no hand-written forward here any more. `rita_core::graph::build_graph`
 //! emits the same graph the training module tree defines (node IDs are the
-//! checkpoint's own tensor paths), a peephole pass folds matmul+bias and
-//! unfold+projection chains into fused nodes, and `crate::plan` interprets the
-//! compiled plan with raw [`NdArray`] kernels. Bit-parity with a `no_grad` training
-//! forward is a property of the shared graph and kernels — pinned by
+//! checkpoint's own tensor paths, one node per module call), the model serves that
+//! graph as emitted, and `crate::plan` interprets the compiled plan with raw
+//! [`NdArray`] kernels. Bit-parity with a `no_grad` training forward is a property of
+//! the shared graph and kernels — pinned by
 //! `tests/infer_parity.rs` and the `Var` oracle interpreter — not of a mirror kept in
 //! sync by hand.
 
@@ -27,8 +27,8 @@ use crate::plan::{note_plan_cache, CachedPlan, InferError};
 /// how checkpoint weight records are bound.
 ///
 /// * Under [`Precision::Int8`], eligible weight matrices — rank-2 records consumed only as
-///   the weight operand of `Matmul`/`Linear`/`WindowEmbed` nodes — are bound as
-///   pre-packed [`QuantMatrix`] panels and multiplied by the quantized engine
+///   the weight operand of `Linear`/`WindowEmbed` nodes — are bound as pre-packed
+///   [`QuantMatrix`] panels and multiplied by the quantized engine
 ///   (`NdArray::matmul_quant`): int8 checkpoint records bind **directly**, with no
 ///   load-time inflation to f32, and f32 `.weight` records are quantized once at
 ///   load. Ineligible records (norm gains, biases, projection tables consumed as a
@@ -101,12 +101,11 @@ pub struct InferModel {
 
 impl InferModel {
     /// Loads a checkpoint into servable form: emits the forward graph for the
-    /// checkpoint's config/task, drops optional parameters the checkpoint does not
-    /// carry, runs the peephole fusion pass, and binds every remaining graph value to
-    /// its tensor. Validates that every tensor the graph needs is present and none are
-    /// left over; tensor *shapes* are checked when the first plan for a shape bucket
-    /// compiles, and a mismatch fails that request with a typed error rather than
-    /// panicking a worker.
+    /// checkpoint's config/task and binds every parameter value to its tensor.
+    /// Validates that every tensor the graph needs is present (a missing one, bias
+    /// included, is [`CheckpointError::MissingTensor`]) and none are left over; tensor
+    /// *shapes* are checked when the first plan for a shape bucket compiles, and a
+    /// mismatch fails that request with a typed error rather than panicking a worker.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
         Self::from_checkpoint_with(ckpt, Precision::for_checkpoint(ckpt))
     }
@@ -124,9 +123,7 @@ impl InferModel {
         let by_path: HashMap<&str, &TensorRecord> =
             ckpt.tensors.iter().map(|(p, t)| (p.as_str(), t)).collect();
 
-        let mut graph = build_graph(&config, ckpt.task, &ckpt.scheduler);
-        graph.prune_missing_optional(&|path| by_path.contains_key(path));
-        graph.peephole();
+        let graph = build_graph(&config, ckpt.task, &ckpt.scheduler);
 
         // A value may bind quantized only if *every* consumption is the weight
         // operand of a quantized-capable op — then no kernel ever needs the f32 form.
@@ -135,8 +132,7 @@ impl InferModel {
         for node in &graph.nodes {
             for (pos, v) in node.inputs.iter().enumerate() {
                 consumed[v.0] = true;
-                let weight_pos = pos == 1
-                    && matches!(node.op, Op::Matmul | Op::Linear { .. } | Op::WindowEmbed { .. });
+                let weight_pos = pos == 1 && matches!(node.op, Op::Linear | Op::WindowEmbed { .. });
                 if !weight_pos {
                     weight_only[v.0] = false;
                 }
@@ -149,7 +145,7 @@ impl InferModel {
         let mut used: std::collections::HashSet<&str> = Default::default();
         for (i, info) in graph.values.iter().enumerate() {
             match &info.binding {
-                Some(Binding::Param { path, optional }) => match by_path.get(path.as_str()) {
+                Some(Binding::Param { path }) => match by_path.get(path.as_str()) {
                     Some(&rec) => {
                         used.insert(path.as_str());
                         shapes_by_name.insert(path.clone(), rec.shape().to_vec());
@@ -181,9 +177,6 @@ impl InferModel {
                             rec => bound[i] = Some(rec.to_f32()),
                         }
                     }
-                    // Absent optionals were pruned out of the node set above; the
-                    // orphaned value just stays unbound.
-                    None if *optional => {}
                     None => return Err(CheckpointError::MissingTensor(path.clone())),
                 },
                 Some(Binding::Positional) => {
@@ -256,7 +249,8 @@ impl InferModel {
         self.task
     }
 
-    /// The bound forward graph (after pruning and fusion) — for diagnostics and tests.
+    /// The bound forward graph, exactly as `build_graph` emitted it — for diagnostics
+    /// and tests.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }

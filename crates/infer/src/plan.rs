@@ -218,33 +218,23 @@ fn exec_node(
     qins: &[Option<Arc<QuantMatrix>>],
     input_len: usize,
 ) -> Result<NdArray, InferError> {
-    // The weight operand of the three GEMM-shaped ops may arrive quantized; the
-    // dispatch below is the *only* place the executor branches on precision for
-    // weights — every other op sees f32 exactly as before.
-    let weight_mm = |x: &NdArray, w: &NdArray, wq: &Option<Arc<QuantMatrix>>| match wq {
-        Some(wq) => x.matmul_quant(wq),
-        None => x.matmul(w),
-    };
-    // The product is freshly allocated and unshared, so the bias lands in place.
-    let add_bias = |y: NdArray, b: Option<&NdArray>| match b {
-        Some(b) => y.add_row_bias(b).map_err(|e| node_err(node, e)),
-        None => Ok(y),
+    // `x · w + b` with the weight operand possibly quantized: this is the *only* place
+    // the executor branches on precision for weights — every other op sees f32. The
+    // product is freshly allocated and unshared, so the bias lands in place.
+    let linear = |x: &NdArray| {
+        let y = match &qins[1] {
+            Some(wq) => x.matmul_quant(wq),
+            None => x.matmul(&ins[1]),
+        };
+        y.and_then(|y| y.add_row_bias(&ins[2])).map_err(|e| node_err(node, e))
     };
     match &node.op {
-        Op::Matmul => weight_mm(&ins[0], &ins[1], &qins[1]).map_err(|e| node_err(node, e)),
-        Op::AddBias => ins[0].add(&ins[1]).map_err(|e| node_err(node, e)),
-        Op::Linear { bias } => {
-            let y = weight_mm(&ins[0], &ins[1], &qins[1]).map_err(|e| node_err(node, e))?;
-            add_bias(y, bias.then(|| &ins[2]))
-        }
-        Op::Unfold1d { window, stride } => {
-            ins[0].unfold1d(*window, *stride).map_err(|e| node_err(node, e))
-        }
-        Op::WindowEmbed { window, stride, bias } => {
+        Op::Linear => linear(&ins[0]),
+        Op::WindowEmbed { window, stride } => {
             let windows = ins[0].unfold1d(*window, *stride).map_err(|e| node_err(node, e))?;
-            let y = weight_mm(&windows, &ins[1], &qins[1]).map_err(|e| node_err(node, e))?;
+            let y = linear(&windows);
             reclaim(windows);
-            add_bias(y, bias.then(|| &ins[2]))
+            y
         }
         Op::ClsConcatPos => {
             // Mirrors the tail of `TimeConvEmbed::forward`.

@@ -45,9 +45,9 @@ pub enum PublishError {
     /// an unknown format.
     Checkpoint(CheckpointError),
     /// The checkpoint loaded, but the independent static analyzer found
-    /// error-severity defects (wrong-shape tensors, illegal fusion, orphan params…).
-    /// The full diagnostic report rides along; the registry's current version is
-    /// untouched.
+    /// error-severity defects (wrong-shape tensors, a serving graph that differs from
+    /// the emitted one, orphan params…). The full diagnostic report rides along; the
+    /// registry's current version is untouched.
     Rejected(Report),
 }
 
@@ -126,9 +126,9 @@ impl ModelRegistry {
     /// (`rita_verify`) over the checkpoint × graph pair, and only then atomically
     /// installs it as the current version, returning its version id. Any
     /// error-severity diagnostic refuses activation with the report attached
-    /// ([`PublishError::Rejected`]), so a wrong-shape tensor or an illegal fusion is
-    /// caught before a single request sees the new version; requests admitted before
-    /// the swap finish on the version they started with.
+    /// ([`PublishError::Rejected`]), so a wrong-shape tensor is caught before a single
+    /// request sees the new version; requests admitted before the swap finish on the
+    /// version they started with.
     pub fn publish(&self, ckpt: &Checkpoint) -> Result<u64, PublishError> {
         // Load and verify outside the lock: they are the slow part, and readers
         // should keep serving the old version meanwhile.
@@ -446,7 +446,7 @@ mod tests {
         reg.publish(&checkpoint(1)).unwrap();
         let before = reg.current().unwrap();
         let mut broken = checkpoint(2);
-        // Drop a required tensor (a bias would be tolerated): the load must fail.
+        // Drop a required tensor: the load must fail.
         broken.tensors.retain(|(p, _)| p != "head.weight");
         assert!(matches!(reg.publish(&broken), Err(PublishError::Checkpoint(_))));
         let after = reg.current().unwrap();

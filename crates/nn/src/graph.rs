@@ -1,16 +1,17 @@
 //! A small static graph IR for the RITA forward pass: one graph, two interpreters.
 //!
-//! The training module tree *emits* this graph once (node IDs are the dot-separated
-//! parameter paths the [`crate::module`] visitors already produce), a topological
-//! scheduler orders it, and [`Graph::compile`] runs an ahead-of-time shape and lifetime
-//! pass per `(batch, length)` bucket so the executor knows, before the first kernel
-//! runs, every activation's shape, its last use, and the exact arena of buffer
-//! capacities the whole pass needs.
+//! The graph is emitted once, one node per training-module call and in the form it
+//! runs: no rewrite pass sits between emission and execution. Node IDs are the
+//! dot-separated parameter paths the [`crate::module`] visitors already produce. A
+//! topological scheduler orders the graph, and [`Graph::compile`] runs an ahead-of-time
+//! shape and lifetime pass per `(batch, length)` bucket so the executor knows, before
+//! the first kernel runs, every activation's shape, its last use, and the exact arena
+//! of buffer capacities the whole pass needs.
 //!
 //! The IR is deliberately tiny: single-output nodes, a fixed op vocabulary covering the
 //! RITA forward (window embedding, encoder layers with four attention variants, task
-//! heads), and values that are either the run input, a named parameter, a deterministic
-//! table, or a node output. Interpreters live downstream: `rita-core` walks a plan with
+//! heads), and values that are either the run input, a named (always required)
+//! parameter, a deterministic table, or a node output. Interpreters live downstream: `rita-core` walks a plan with
 //! `no_grad` [`crate::Var`] ops (the exactness oracle), `rita-infer` walks the same
 //! plan with raw `NdArray` kernels (the serving path). Because both execute the same
 //! schedule over the same kernels, their outputs are bit-identical by construction.
@@ -26,13 +27,12 @@ pub struct ValueId(pub usize);
 pub enum Binding {
     /// The run's input batch, shaped `(batch, channels, length)`.
     Input,
-    /// A named parameter or buffer from the checkpoint / module tree.
+    /// A named parameter or buffer from the checkpoint / module tree; every one is
+    /// required.
     Param {
         /// Dot-separated path in the module-visitor grammar, e.g.
         /// `model.encoder.layers.0.q_proj.weight`.
         path: String,
-        /// Whether the plan tolerates the tensor being absent (e.g. an optional bias).
-        optional: bool,
     },
     /// A deterministic table rebuilt from the config rather than checkpointed (the
     /// sinusoidal positional table), looked up by the value's name.
@@ -75,36 +75,19 @@ pub enum AttnOp {
     },
 }
 
-/// The op vocabulary. Fused ops ([`Op::Linear`], [`Op::WindowEmbed`]) are produced by
-/// [`Graph::peephole`] and run the same kernel sequence as the chains they replace, so
-/// fusion never changes bits — only node and slot count.
+/// The op vocabulary: one op per call the training modules make, so each node runs
+/// the kernel sequence of the module it stands for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
-    /// `inputs: [x, w]` — (batched, broadcasting) matrix product.
-    Matmul,
-    /// `inputs: [y, b]` — add a rank-1 bias over the last axis.
-    AddBias,
-    /// `inputs: [x, w]` or `[x, w, b]` — fused matmul + optional bias.
-    Linear {
-        /// Whether the node carries a bias input.
-        bias: bool,
-    },
-    /// `inputs: [x]` — slide windows over `(batch, channels, length)`.
-    Unfold1d {
-        /// Window width in timestamps.
-        window: usize,
-        /// Window stride in timestamps.
-        stride: usize,
-    },
-    /// `inputs: [x, w]` or `[x, w, b]` — fused unfold + window projection (the
-    /// time-aware convolution as one node).
+    /// `inputs: [x, w, b]` — `x · w + b` over the last axis (a `Linear` layer).
+    Linear,
+    /// `inputs: [x, w, b]` — slide windows over `(batch, channels, length)` and project
+    /// each (the time-aware convolution as one node).
     WindowEmbed {
         /// Window width in timestamps.
         window: usize,
         /// Window stride in timestamps.
         stride: usize,
-        /// Whether the node carries a bias input.
-        bias: bool,
     },
     /// `inputs: [embedded, cls, pos]` — prepend the broadcast `[CLS]` token and add
     /// positional encodings.
@@ -163,44 +146,17 @@ impl Op {
         input_shape: &[usize],
     ) -> Result<Vec<usize>, String> {
         match self {
-            Op::Matmul => {
-                let [x, w] = expect_inputs::<2>(inputs)?;
-                matmul_shape(x, w)
+            Op::Linear => {
+                let [x, w, b] = expect_inputs::<3>(inputs)?;
+                let out = matmul_shape(x, w)?;
+                check_bias(&out, b)?;
+                Ok(out)
             }
-            Op::AddBias => {
-                let [y, b] = expect_inputs::<2>(inputs)?;
-                check_bias(y, b)?;
-                Ok(y.to_vec())
-            }
-            Op::Linear { bias } => {
-                let (x, w) = if *bias {
-                    let [x, w, b] = expect_inputs::<3>(inputs)?;
-                    let out = matmul_shape(x, w)?;
-                    check_bias(&out, b)?;
-                    (x, w)
-                } else {
-                    let [x, w] = expect_inputs::<2>(inputs)?;
-                    (x, w)
-                };
-                matmul_shape(x, w)
-            }
-            Op::Unfold1d { window, stride } => {
-                let [x] = expect_inputs::<1>(inputs)?;
-                unfold_shape(x, *window, *stride)
-            }
-            Op::WindowEmbed { window, stride, bias } => {
-                let (x, w, b) = if *bias {
-                    let [x, w, b] = expect_inputs::<3>(inputs)?;
-                    (x, w, Some(b))
-                } else {
-                    let [x, w] = expect_inputs::<2>(inputs)?;
-                    (x, w, None)
-                };
+            Op::WindowEmbed { window, stride } => {
+                let [x, w, b] = expect_inputs::<3>(inputs)?;
                 let unfolded = unfold_shape(x, *window, *stride)?;
                 let out = matmul_shape(&unfolded, w)?;
-                if let Some(b) = b {
-                    check_bias(&out, b)?;
-                }
+                check_bias(&out, b)?;
                 Ok(out)
             }
             Op::ClsConcatPos => {
@@ -515,8 +471,8 @@ impl Graph {
     }
 
     /// Adds a named parameter value.
-    pub fn param(&mut self, path: &str, optional: bool) -> ValueId {
-        self.add_value(path, Some(Binding::Param { path: path.to_string(), optional }))
+    pub fn param(&mut self, path: &str) -> ValueId {
+        self.add_value(path, Some(Binding::Param { path: path.to_string() }))
     }
 
     /// Adds a deterministic-table value (looked up by `name` at bind time).
@@ -537,12 +493,12 @@ impl Graph {
         output
     }
 
-    /// Every parameter path the graph binds, with its optionality.
-    pub fn param_paths(&self) -> Vec<(String, bool)> {
+    /// Every parameter path the graph binds.
+    pub fn param_paths(&self) -> Vec<String> {
         self.values
             .iter()
             .filter_map(|v| match &v.binding {
-                Some(Binding::Param { path, optional }) => Some((path.clone(), *optional)),
+                Some(Binding::Param { path }) => Some(path.clone()),
                 _ => None,
             })
             .collect()
@@ -626,130 +582,6 @@ impl Graph {
         Ok(order)
     }
 
-    /// Drops optional parameters the checkpoint does not carry: an [`Op::AddBias`]
-    /// whose bias is absent disappears (consumers rewire to its input), and fused ops
-    /// shed their bias input. Run before [`Graph::peephole`] so fusion only sees
-    /// parameters that exist.
-    pub fn prune_missing_optional(&mut self, has: &dyn Fn(&str) -> bool) {
-        let absent: Vec<bool> = self
-            .values
-            .iter()
-            .map(|v| match &v.binding {
-                Some(Binding::Param { path, optional: true }) => !has(path),
-                _ => false,
-            })
-            .collect();
-        let mut remap: Vec<ValueId> = (0..self.values.len()).map(ValueId).collect();
-        let mut kept = Vec::with_capacity(self.nodes.len());
-        for mut node in std::mem::take(&mut self.nodes) {
-            for v in &mut node.inputs {
-                *v = remap[v.0];
-            }
-            match node.op {
-                Op::AddBias if absent[node.inputs[1].0] => {
-                    remap[node.output.0] = node.inputs[0];
-                }
-                Op::Linear { bias: true } if absent[node.inputs[2].0] => {
-                    node.op = Op::Linear { bias: false };
-                    node.inputs.truncate(2);
-                    kept.push(node);
-                }
-                Op::WindowEmbed { window, stride, bias: true } if absent[node.inputs[2].0] => {
-                    node.op = Op::WindowEmbed { window, stride, bias: false };
-                    node.inputs.truncate(2);
-                    kept.push(node);
-                }
-                _ => kept.push(node),
-            }
-        }
-        self.nodes = kept;
-        self.output = remap[self.output.0];
-        self.encoder_output = remap[self.encoder_output.0];
-    }
-
-    /// The first fusion pass: folds `Matmul + AddBias` chains into [`Op::Linear`]
-    /// nodes and `Unfold1d + Linear` chains into [`Op::WindowEmbed`] nodes, wherever
-    /// the intermediate has exactly one consumer and is not a graph output. Returns
-    /// the number of nodes fused away. Bit-identical: the fused executors run the same
-    /// kernels in the same order, just with fewer nodes and arena slots.
-    pub fn peephole(&mut self) -> usize {
-        self.fuse_matmul_bias() + self.fuse_window_embed()
-    }
-
-    fn fusible(&self, intermediate: ValueId, consumers: &[usize]) -> bool {
-        consumers[intermediate.0] == 1
-            && intermediate != self.output
-            && intermediate != self.encoder_output
-    }
-
-    fn fuse_matmul_bias(&mut self) -> usize {
-        let producers = self.producers();
-        let consumers = self.consumer_counts();
-        let mut fused = 0usize;
-        let mut removed = vec![false; self.nodes.len()];
-        for j in 0..self.nodes.len() {
-            if self.nodes[j].op != Op::AddBias {
-                continue;
-            }
-            let y = self.nodes[j].inputs[0];
-            let b = self.nodes[j].inputs[1];
-            let Some(i) = producers[y.0] else { continue };
-            let bias_is_param = matches!(self.values[b.0].binding, Some(Binding::Param { .. }));
-            if self.nodes[i].op != Op::Matmul
-                || removed[i]
-                || !self.fusible(y, &consumers)
-                || !bias_is_param
-            {
-                continue;
-            }
-            let out = self.nodes[j].output;
-            let node = &mut self.nodes[i];
-            node.op = Op::Linear { bias: true };
-            node.inputs.push(b);
-            node.output = out;
-            if let Some(stripped) = node.id.strip_suffix(".matmul") {
-                node.id = stripped.to_string();
-            }
-            removed[j] = true;
-            fused += 1;
-        }
-        self.nodes = std::mem::take(&mut self.nodes)
-            .into_iter()
-            .zip(removed)
-            .filter_map(|(n, r)| (!r).then_some(n))
-            .collect();
-        fused
-    }
-
-    fn fuse_window_embed(&mut self) -> usize {
-        let producers = self.producers();
-        let consumers = self.consumer_counts();
-        let mut fused = 0usize;
-        let mut removed = vec![false; self.nodes.len()];
-        for j in 0..self.nodes.len() {
-            let Op::Linear { bias } = self.nodes[j].op else { continue };
-            let y = self.nodes[j].inputs[0];
-            let Some(i) = producers[y.0] else { continue };
-            let Op::Unfold1d { window, stride } = self.nodes[i].op else { continue };
-            if removed[i] || !self.fusible(y, &consumers) {
-                continue;
-            }
-            let mut inputs = vec![self.nodes[i].inputs[0]];
-            inputs.extend(self.nodes[j].inputs[1..].iter().copied());
-            let node = &mut self.nodes[j];
-            node.op = Op::WindowEmbed { window, stride, bias };
-            node.inputs = inputs;
-            removed[i] = true;
-            fused += 1;
-        }
-        self.nodes = std::mem::take(&mut self.nodes)
-            .into_iter()
-            .zip(removed)
-            .filter_map(|(n, r)| (!r).then_some(n))
-            .collect();
-        fused
-    }
-
     /// Compiles the graph for one input shape: schedules it, infers every value's
     /// shape (`lookup` supplies parameter and table shapes by name), computes last
     /// uses, and simulates the executor's allocate/recycle walk to produce the exact
@@ -764,8 +596,8 @@ impl Graph {
         let mut shapes: Vec<Vec<usize>> = vec![Vec::new(); self.values.len()];
         let mut known = vec![false; self.values.len()];
         for (i, info) in self.values.iter().enumerate() {
-            // Orphaned values (e.g. params left behind by pruning or fusion) are not
-            // the plan's problem — only what the schedule actually reads must bind.
+            // Values no node reads are not the plan's problem — only what the schedule
+            // actually reads must bind.
             if consumers[i] == 0 {
                 continue;
             }
@@ -883,19 +715,19 @@ impl Default for Graph {
 mod tests {
     use super::*;
 
-    /// A toy two-linear chain with a residual: input → linear1 → linear2 → add(input-ish).
+    /// A toy two-linear chain with a residual and an activation:
+    /// input → l1 → l2 → add(l1, l2) → gelu.
     fn toy() -> Graph {
         let mut g = Graph::new();
         let x = g.add_input("input");
-        let w1 = g.param("l1.weight", false);
-        let b1 = g.param("l1.bias", true);
-        let w2 = g.param("l2.weight", false);
-        let b2 = g.param("l2.bias", true);
-        let y1 = g.push("l1.matmul", Op::Matmul, vec![x, w1]);
-        let y1b = g.push("l1.add_bias", Op::AddBias, vec![y1, b1]);
-        let y2 = g.push("l2.matmul", Op::Matmul, vec![y1b, w2]);
-        let y2b = g.push("l2.add_bias", Op::AddBias, vec![y2, b2]);
-        let out = g.push("residual", Op::Add, vec![y1b, y2b]);
+        let w1 = g.param("l1.weight");
+        let b1 = g.param("l1.bias");
+        let w2 = g.param("l2.weight");
+        let b2 = g.param("l2.bias");
+        let y1 = g.push("l1", Op::Linear, vec![x, w1, b1]);
+        let y2 = g.push("l2", Op::Linear, vec![y1, w2, b2]);
+        let sum = g.push("residual", Op::Add, vec![y1, y2]);
+        let out = g.push("act", Op::Gelu, vec![sum]);
         g.output = out;
         g.encoder_output = out;
         g.validate().expect("toy graph is well-formed");
@@ -913,7 +745,7 @@ mod tests {
     #[test]
     fn schedule_preserves_emission_order() {
         let g = toy();
-        assert_eq!(g.schedule().unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(g.schedule().unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -921,40 +753,22 @@ mod tests {
         let g = toy();
         let plan = g.compile(&[2, 5, 8], &toy_lookup).unwrap();
         assert_eq!(plan.shapes[g.output.0], vec![2, 5, 8]);
-        // y1b is read by l2.matmul (pos 2) and the residual (pos 4).
-        let y1b = g.nodes[1].output;
-        assert_eq!(plan.last_use[y1b.0], Some(4));
-        // Five materialising nodes, but lifetimes overlap at most three deep.
+        // y1 is read by l2 (pos 1) and the residual (pos 2).
+        let y1 = g.nodes[0].output;
+        assert_eq!(plan.last_use[y1.0], Some(2));
+        // Four materialising nodes, but lifetimes overlap at most three deep.
         assert_eq!(plan.arena.len(), 3);
         assert!(plan.arena.iter().all(|&c| c == 4 * (2 * 5 * 8)), "slots are in bytes");
     }
 
     #[test]
-    fn peephole_fuses_linear_chains_and_renames() {
-        let mut g = toy();
-        assert_eq!(g.peephole(), 2);
-        assert_eq!(g.nodes.len(), 3);
-        assert_eq!(g.nodes[0].id, "l1");
-        assert_eq!(g.nodes[0].op, Op::Linear { bias: true });
-        assert_eq!(g.nodes[0].inputs.len(), 3);
-        // The fused graph still compiles and plans a smaller arena.
-        let plan = g.compile(&[2, 5, 8], &toy_lookup).unwrap();
-        assert_eq!(plan.shapes[g.output.0], vec![2, 5, 8]);
-        assert_eq!(plan.arena.len(), 3);
-    }
-
-    #[test]
-    fn missing_optional_bias_is_pruned_and_required_params_error() {
-        let mut g = toy();
-        g.prune_missing_optional(&|p| p != "l2.bias");
-        // The l2 add-bias node disappeared; the residual now reads the raw matmul.
-        assert_eq!(g.nodes.len(), 4);
-        let plan =
-            g.compile(&[2, 5, 8], &|p| if p == "l2.bias" { None } else { toy_lookup(p) }).unwrap();
-        assert_eq!(plan.shapes[g.output.0], vec![2, 5, 8]);
-
+    fn missing_required_params_are_a_compile_error() {
         let err = toy().compile(&[2, 5, 8], &|_| None).unwrap_err();
         assert!(matches!(err, PlanError::MissingParam(_)));
+        let err = toy()
+            .compile(&[2, 5, 8], &|p| if p == "l2.bias" { None } else { toy_lookup(p) })
+            .unwrap_err();
+        assert_eq!(err, PlanError::MissingParam("l2.bias".into()));
     }
 
     #[test]
@@ -970,7 +784,7 @@ mod tests {
             })
             .unwrap_err();
         match err {
-            PlanError::Shape { node, .. } => assert_eq!(node, "l2.matmul"),
+            PlanError::Shape { node, .. } => assert_eq!(node, "l2"),
             other => panic!("expected shape error, got {other:?}"),
         }
     }
@@ -992,14 +806,21 @@ mod tests {
     fn aliased_views_keep_their_base_slot_live() {
         let mut g = Graph::new();
         let x = g.add_input("input");
-        let w = g.param("l.weight", false);
-        let y = g.push("l.matmul", Op::Matmul, vec![x, w]); // (2, 6, 8)
+        let w = g.param("l.weight");
+        let b = g.param("l.bias");
+        let y = g.push("l", Op::Linear, vec![x, w, b]); // (2, 6, 8)
         let split = g.push("split", Op::SplitHeads { heads: 2 }, vec![y]);
         let merged = g.push("merge", Op::MergeHeads, vec![split]);
         g.output = merged;
         g.encoder_output = merged;
-        let plan = g.compile(&[2, 6, 8], &|p| (p == "l.weight").then(|| vec![8, 8])).unwrap();
-        // The split is a view: only matmul and merge allocate.
+        let plan = g
+            .compile(&[2, 6, 8], &|p| match p {
+                "l.weight" => Some(vec![8, 8]),
+                "l.bias" => Some(vec![8]),
+                _ => None,
+            })
+            .unwrap();
+        // The split is a view: only the linear and the merge allocate.
         assert_eq!(plan.arena.len(), 2);
         assert_eq!(plan.shapes[split.0], vec![2, 2, 6, 4]);
     }

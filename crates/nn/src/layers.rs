@@ -12,8 +12,8 @@ pub use crate::module::{BufferVisitor, BufferVisitorMut, Module, ParamPath, Para
 pub struct Linear {
     /// Weight of shape `(in_features, out_features)`.
     pub weight: Var,
-    /// Bias of shape `(out_features,)`, absent when constructed with `new_no_bias`.
-    pub bias: Option<Var>,
+    /// Bias of shape `(out_features,)`.
+    pub bias: Var,
 }
 
 impl Linear {
@@ -22,19 +22,12 @@ impl Linear {
         let weight =
             Var::parameter(NdArray::kaiming(&[in_features, out_features], in_features, rng));
         let bias = Var::parameter(NdArray::zeros(&[out_features]));
-        Self { weight, bias: Some(bias) }
-    }
-
-    /// Creates a linear layer without a bias term.
-    pub fn new_no_bias(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
-        let weight =
-            Var::parameter(NdArray::kaiming(&[in_features, out_features], in_features, rng));
-        Self { weight, bias: None }
+        Self { weight, bias }
     }
 
     /// Applies the layer to an input whose last dimension equals `in_features`.
     pub fn forward(&self, x: &Var) -> Var {
-        x.linear(&self.weight, self.bias.as_ref())
+        x.linear(&self.weight, Some(&self.bias))
     }
 
     /// Input feature dimension.
@@ -51,9 +44,7 @@ impl Linear {
 impl Module for Linear {
     fn visit_params(&self, v: &mut ParamVisitor<'_>) {
         v.leaf("weight", &self.weight);
-        if let Some(b) = &self.bias {
-            v.leaf("bias", b);
-        }
+        v.leaf("bias", &self.bias);
     }
 }
 
@@ -259,8 +250,6 @@ mod tests {
         let x = Var::constant(NdArray::ones(&[2, 5, 4]));
         let y = lin.forward(&x);
         assert_eq!(y.shape(), vec![2, 5, 3]);
-        let nb = Linear::new_no_bias(4, 3, &mut r);
-        assert_eq!(nb.num_parameters(), 12);
     }
 
     #[test]
@@ -270,7 +259,7 @@ mod tests {
         let x = Var::constant(NdArray::ones(&[4, 3]));
         lin.forward(&x).sum_all().backward();
         let gw = lin.weight.grad().unwrap();
-        let gb = lin.bias.as_ref().unwrap().grad().unwrap();
+        let gb = lin.bias.grad().unwrap();
         assert!(gw.as_slice().iter().all(|&g| (g - 4.0).abs() < 1e-5));
         assert!(gb.as_slice().iter().all(|&g| (g - 4.0).abs() < 1e-5));
     }

@@ -271,8 +271,7 @@ pub fn verify_shapes(
     let mut derived: Vec<Option<Vec<usize>>> = vec![None; graph.values.len()];
 
     // Leaves: the run input, checkpoint parameters, deterministic tables. Only what
-    // the schedule actually reads must resolve (pruning and fusion orphan values on
-    // purpose).
+    // the schedule actually reads must resolve.
     for (i, info) in graph.values.iter().enumerate() {
         if consumers[i] == 0 {
             continue;
@@ -511,24 +510,25 @@ pub fn verify_lifetimes(
     diags
 }
 
-/// Analysis 5 — binding coverage over the graph × checkpoint pair: every required
-/// parameter resolves, absent optionals were pruned out of the node set, and no
-/// checkpoint tensor is orphaned. (Shape agreement of bound parameters is the shape
-/// analysis's leaf check; record-internal dtype soundness is [`verify_records`]'s
-/// job, since binding coverage only sees logical shapes.)
+/// Analysis 5 — binding coverage over the graph × checkpoint pair: every parameter a
+/// node reads resolves, and no checkpoint tensor is orphaned. (Shape agreement of
+/// bound parameters is the shape analysis's leaf check; record-internal dtype
+/// soundness is [`verify_records`]'s job, since binding coverage only sees logical
+/// shapes.)
 pub fn verify_bindings(graph: &Graph, tensors: &HashMap<String, Vec<usize>>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let consumers = consumer_counts(graph);
     let mut bound_paths: HashSet<&str> = HashSet::new();
     for (i, info) in graph.values.iter().enumerate() {
-        let Some(Binding::Param { path, optional }) = &info.binding else { continue };
+        let Some(Binding::Param { path }) = &info.binding else { continue };
         bound_paths.insert(path.as_str());
-        if consumers[i] == 0 || tensors.contains_key(path) {
-            continue;
+        if consumers[i] > 0 && !tensors.contains_key(path) {
+            diags.push(Diagnostic::error(
+                Analysis::Binding,
+                path.clone(),
+                VerifyError::MissingParam,
+            ));
         }
-        let error =
-            if *optional { VerifyError::UnprunedOptional } else { VerifyError::MissingParam };
-        diags.push(Diagnostic::error(Analysis::Binding, path.clone(), error));
     }
     let mut orphans: Vec<&String> =
         tensors.keys().filter(|p| !bound_paths.contains(p.as_str())).collect();

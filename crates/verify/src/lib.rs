@@ -5,15 +5,15 @@
 //! is the second implementation that makes that trust earned: every property the plan
 //! claims is **re-derived from scratch** here, with its own shape calculus
 //! (the `shape` module, no calls into `Op::infer_shape`), its own topological-order
-//! recomputation, its own allocate/recycle replay, and a structural proof that the
-//! peephole fusions preserve semantics. Where any derivation disagrees with the plan,
-//! the verifier returns a typed [`Diagnostic`] — it never panics on publish-path
-//! input.
+//! recomputation, its own allocate/recycle replay, and a node-for-node check that the
+//! graph being served is the one `build_graph` emits. Where any derivation disagrees
+//! with the plan, the verifier returns a typed [`Diagnostic`] — it never panics on
+//! publish-path input.
 //!
 //! Entry points:
 //! - [`verify_plan`] — audit one compiled [`Plan`] against its [`Graph`];
-//! - [`verify_with_graph`] — audit a checkpoint against an already-built (pruned +
-//!   fused) graph: bindings, fusion legality, and probe-plan compilation;
+//! - [`verify_with_graph`] — audit a checkpoint against an already-built serving
+//!   graph: bindings, emission, and probe-plan compilation;
 //! - [`verify_checkpoint`] — audit a checkpoint end-to-end, building the graph the
 //!   same way the serving tier does.
 //!
@@ -31,7 +31,7 @@ use rita_core::graph::{build_graph, POSITIONAL};
 use rita_nn::graph::{Graph, Plan, PlanError};
 
 mod checks;
-mod fusion;
+mod emission;
 mod mutate;
 mod report;
 mod shape;
@@ -40,7 +40,6 @@ pub use checks::{
     verify_bindings, verify_lifetimes, verify_records, verify_schedule, verify_shapes,
     verify_structure,
 };
-pub use fusion::verify_fusion;
 pub use mutate::{flip_byte, Corruption, Target, ALL};
 pub use report::{Analysis, Diagnostic, Report, Severity, VerifyError};
 
@@ -109,15 +108,13 @@ fn plan_error_diagnostic(e: PlanError) -> Diagnostic {
     }
 }
 
-/// Audits a checkpoint against an already-built serving graph (pruned + fused, as
-/// [`rita_infer::InferModel::from_checkpoint`] ships it): configuration consistency,
-/// SSA structure, binding coverage, record dtype soundness (quantization scales and
-/// payload/shape agreement), fusion legality against a freshly re-emitted
-/// pre-fusion reference, and full plan verification at two probe input shapes
+/// Audits a checkpoint against an already-built serving graph (the one
+/// `rita_infer::InferModel::from_checkpoint` serves): configuration consistency, SSA
+/// structure, binding coverage, record dtype soundness (quantization scales and
+/// payload/shape agreement), node-for-node agreement with a fresh `build_graph`
+/// emission, and full plan verification at two probe input shapes
 /// (`(1, channels, max_len)` and `(2, channels, window)`).
-///
-/// [`rita_infer::InferModel::from_checkpoint`]: https://docs.rs/rita-infer
-pub fn verify_with_graph(ckpt: &Checkpoint, post: &Graph) -> Report {
+pub fn verify_with_graph(ckpt: &Checkpoint, served: &Graph) -> Report {
     let mut report = Report::new();
     let config = &ckpt.config;
     if let Err(detail) = config.check() {
@@ -130,7 +127,7 @@ pub fn verify_with_graph(ckpt: &Checkpoint, post: &Graph) -> Report {
         // meaningful without one.
         return report;
     }
-    let structure = verify_structure(post);
+    let structure = verify_structure(served);
     let unindexable = !structure.is_empty();
     report.extend(structure);
     if unindexable {
@@ -139,15 +136,12 @@ pub fn verify_with_graph(ckpt: &Checkpoint, post: &Graph) -> Report {
 
     let tensor_shapes: HashMap<String, Vec<usize>> =
         ckpt.tensors.iter().map(|(p, t)| (p.clone(), t.shape().to_vec())).collect();
-    report.extend(verify_bindings(post, &tensor_shapes));
+    report.extend(verify_bindings(served, &tensor_shapes));
     report.extend(verify_records(ckpt));
-
-    // Fusion legality: re-emit the graph for this config/task, prune the same
-    // optionals the serving path pruned, but do NOT fuse — then prove the shipped
-    // graph expands to the same primitive dataflow.
-    let mut pre = build_graph(config, ckpt.task, &ckpt.scheduler);
-    pre.prune_missing_optional(&|path| tensor_shapes.contains_key(path));
-    report.extend(verify_fusion(&pre, post));
+    report.extend(emission::verify_emission(
+        &build_graph(config, ckpt.task, &ckpt.scheduler),
+        served,
+    ));
 
     let positional_shape = vec![config.max_windows() + 1, config.d_model];
     let lookup = |name: &str| -> Option<Vec<usize>> {
@@ -158,8 +152,8 @@ pub fn verify_with_graph(ckpt: &Checkpoint, post: &Graph) -> Report {
         }
     };
     for input_shape in [[1, config.channels, config.max_len], [2, config.channels, config.window]] {
-        match post.compile(&input_shape, &lookup) {
-            Ok(plan) => report.extend(verify_plan(post, &plan, &lookup).diagnostics),
+        match served.compile(&input_shape, &lookup) {
+            Ok(plan) => report.extend(verify_plan(served, &plan, &lookup).diagnostics),
             Err(e) => report.push(plan_error_diagnostic(e)),
         }
     }
@@ -167,8 +161,8 @@ pub fn verify_with_graph(ckpt: &Checkpoint, post: &Graph) -> Report {
 }
 
 /// Audits a checkpoint end-to-end: builds the serving graph exactly the way the
-/// inference tier does (emit → prune absent optionals → peephole fusion), then runs
-/// the full [`verify_with_graph`] battery. This is what `examples/verify.rs` and the
+/// inference tier does (`build_graph`, served as emitted), then runs the full
+/// [`verify_with_graph`] battery. This is what `examples/verify.rs` and the
 /// publish path call.
 pub fn verify_checkpoint(ckpt: &Checkpoint) -> Report {
     if let Err(detail) = ckpt.config.check() {
@@ -180,10 +174,7 @@ pub fn verify_checkpoint(ckpt: &Checkpoint) -> Report {
         ));
         return report;
     }
-    let mut post = build_graph(&ckpt.config, ckpt.task, &ckpt.scheduler);
-    post.prune_missing_optional(&|path| ckpt.tensors.iter().any(|(p, _)| p == path));
-    post.peephole();
-    verify_with_graph(ckpt, &post)
+    verify_with_graph(ckpt, &build_graph(&ckpt.config, ckpt.task, &ckpt.scheduler))
 }
 
 #[cfg(test)]
@@ -195,7 +186,7 @@ mod tests {
     fn toy() -> Graph {
         let mut g = Graph::new();
         let x = g.add_input("input");
-        let w = g.param("w", false);
+        let w = g.param("w");
         let a = g.push("a", Op::Gelu, vec![x]);
         let b = g.push("b", Op::Gelu, vec![a]);
         let y = g.push("y", Op::Add, vec![b, w]);

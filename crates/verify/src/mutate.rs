@@ -42,9 +42,9 @@ pub enum Corruption {
     ShrinkArena,
     /// Move a value's planned free point before its final read — read-after-free.
     TruncateLifetime,
-    /// Swap the weight operands of two fused `Linear` nodes — a rewrite that no
-    /// longer computes the pre-fusion expression.
-    ForgeFusion,
+    /// Swap the weight operands of two `Linear` nodes — a served graph that is no
+    /// longer the one `build_graph` emits, though every shape may still agree.
+    SwapWeights,
     /// Retarget a parameter binding at a path the checkpoint does not carry —
     /// breaking resolution and orphaning the original tensor.
     RetargetParam,
@@ -79,7 +79,7 @@ pub const ALL: [Corruption; 9] = [
     Corruption::PerturbShape,
     Corruption::ShrinkArena,
     Corruption::TruncateLifetime,
-    Corruption::ForgeFusion,
+    Corruption::SwapWeights,
     Corruption::RetargetParam,
     Corruption::PerturbScale,
     Corruption::DtypeMismatch,
@@ -92,7 +92,7 @@ impl Corruption {
             Corruption::SwapSchedule | Corruption::DropNode => Analysis::Schedule,
             Corruption::PerturbShape => Analysis::Shape,
             Corruption::ShrinkArena | Corruption::TruncateLifetime => Analysis::Lifetime,
-            Corruption::ForgeFusion => Analysis::Fusion,
+            Corruption::SwapWeights => Analysis::Emission,
             Corruption::RetargetParam => Analysis::Binding,
             Corruption::PerturbScale | Corruption::DtypeMismatch => Analysis::Dtype,
         }
@@ -101,7 +101,7 @@ impl Corruption {
     /// What this class damages.
     pub fn target(self) -> Target {
         match self {
-            Corruption::ForgeFusion | Corruption::RetargetParam => Target::Graph,
+            Corruption::SwapWeights | Corruption::RetargetParam => Target::Graph,
             Corruption::PerturbScale | Corruption::DtypeMismatch => Target::Checkpoint,
             _ => Target::Plan,
         }
@@ -170,7 +170,7 @@ impl Corruption {
                 plan.last_use[v] = Some(p - 1);
                 true
             }
-            Corruption::ForgeFusion
+            Corruption::SwapWeights
             | Corruption::RetargetParam
             | Corruption::PerturbScale
             | Corruption::DtypeMismatch => false,
@@ -181,12 +181,12 @@ impl Corruption {
     /// this class. Only meaningful for [`Target::Graph`] classes.
     pub fn apply_to_graph(self, graph: &mut Graph, site: usize) -> bool {
         match self {
-            Corruption::ForgeFusion => {
+            Corruption::SwapWeights => {
                 let linears: Vec<usize> = graph
                     .nodes
                     .iter()
                     .enumerate()
-                    .filter(|(_, n)| matches!(n.op, rita_nn::graph::Op::Linear { .. }))
+                    .filter(|(_, n)| n.op == rita_nn::graph::Op::Linear)
                     .map(|(i, _)| i)
                     .collect();
                 if linears.len() < 2 {

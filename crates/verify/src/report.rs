@@ -31,11 +31,10 @@ pub enum Analysis {
     Shape,
     /// Buffer-lifetime soundness: recomputed last uses, read-after-free, arena peak.
     Lifetime,
-    /// Fusion legality: the fused graph expands to the same primitive dataflow as the
-    /// pre-fusion graph.
-    Fusion,
-    /// Binding coverage: params resolve in the checkpoint, no orphans, prune
-    /// consistency.
+    /// Emission: the served graph is, node for node, the one `build_graph` emits for
+    /// the checkpoint.
+    Emission,
+    /// Binding coverage: params resolve in the checkpoint, no orphans.
     Binding,
     /// Record dtype soundness: quantized checkpoint records carry payloads and
     /// scales consistent with their declared dtype and shape.
@@ -51,7 +50,7 @@ impl Analysis {
             Analysis::Schedule => "schedule",
             Analysis::Shape => "shape",
             Analysis::Lifetime => "lifetime",
-            Analysis::Fusion => "fusion",
+            Analysis::Emission => "emission",
             Analysis::Binding => "binding",
             Analysis::Dtype => "dtype",
         }
@@ -173,13 +172,9 @@ pub enum VerifyError {
     },
     /// A checkpoint tensor that no graph value binds.
     OrphanTensor,
-    /// An absent optional parameter is still read by a node — the optional-prune pass
-    /// did not run or did not converge.
-    UnprunedOptional,
-    /// A fused node does not expand to the same primitive dataflow as the pre-fusion
-    /// graph.
-    FusionMismatch {
-        /// Where and how the two primitive expansions diverge.
+    /// The served graph is not, node for node, the graph `build_graph` emits.
+    EmissionMismatch {
+        /// The first node (or output) that differs, as emitted and as served.
         detail: String,
     },
     /// A quantized record carries an unusable dequantization scale (non-finite, zero,
@@ -273,10 +268,9 @@ impl std::fmt::Display for VerifyError {
                 "checkpoint tensor shape {checkpoint:?} disagrees with planned {planned:?}"
             ),
             VerifyError::OrphanTensor => write!(f, "checkpoint tensor bound by no graph value"),
-            VerifyError::UnprunedOptional => {
-                write!(f, "absent optional parameter is still read by a node")
+            VerifyError::EmissionMismatch { detail } => {
+                write!(f, "served graph differs from the emission: {detail}")
             }
-            VerifyError::FusionMismatch { detail } => write!(f, "illegal fusion: {detail}"),
             VerifyError::BadScale { column, value } => {
                 write!(f, "unusable dequantization scale {value} for output column {column}")
             }

@@ -132,36 +132,14 @@ fn attention(attn: &AttnOp, ins: &[&[usize]]) -> ShapeResult {
 /// (needed by [`Op::Fold1d`], whose output length is the run's series length).
 pub(crate) fn derive(op: &Op, ins: &[&[usize]], run_input: &[usize]) -> ShapeResult {
     match op {
-        Op::Matmul => {
-            want_arity(ins, 2)?;
-            mul_shape(ins[0], ins[1])
+        Op::Linear => {
+            want_arity(ins, 3)?;
+            bias_shape(&mul_shape(ins[0], ins[1])?, ins[2])
         }
-        Op::AddBias => {
-            want_arity(ins, 2)?;
-            bias_shape(ins[0], ins[1])
-        }
-        Op::Linear { bias } => {
-            want_arity(ins, if *bias { 3 } else { 2 })?;
-            let y = mul_shape(ins[0], ins[1])?;
-            if *bias {
-                bias_shape(&y, ins[2])
-            } else {
-                Ok(y)
-            }
-        }
-        Op::Unfold1d { window, stride } => {
-            want_arity(ins, 1)?;
-            unfolded(ins[0], *window, *stride)
-        }
-        Op::WindowEmbed { window, stride, bias } => {
-            want_arity(ins, if *bias { 3 } else { 2 })?;
+        Op::WindowEmbed { window, stride } => {
+            want_arity(ins, 3)?;
             let w = unfolded(ins[0], *window, *stride)?;
-            let y = mul_shape(&w, ins[1])?;
-            if *bias {
-                bias_shape(&y, ins[2])
-            } else {
-                Ok(y)
-            }
+            bias_shape(&mul_shape(&w, ins[1])?, ins[2])
         }
         Op::ClsConcatPos => {
             want_arity(ins, 3)?;

@@ -6,9 +6,10 @@
 //! a deployment pipeline.
 //!
 //! With no arguments it runs a self-test, as CI does: train a tiny classifier, save
-//! and reload its checkpoint, and demand a clean report — then corrupt a copy of the
-//! checkpoint (wrong-shape head weight) as a negative control and demand the analyzer
-//! rejects it. Either direction failing exits non-zero.
+//! and reload its checkpoint, and demand a clean report — then, as negative controls,
+//! corrupt one copy of the checkpoint (wrong-shape head weight) and remove one `.bias`
+//! from another, and demand the analyzer rejects both. Any direction failing exits
+//! non-zero.
 //!
 //! Run with: `cargo run --release --example verify [CHECKPOINT...]`
 //! (set `RITA_QUICK=1` for a seconds-scale smoke run)
@@ -58,7 +59,7 @@ fn audit_files(paths: &[String]) -> ExitCode {
     }
 }
 
-/// Train → save → reload → verify clean, then corrupt → verify rejected.
+/// Train → save → reload → verify clean, then corrupt or drop a bias → verify rejected.
 fn self_test() -> ExitCode {
     let quick = std::env::var_os("RITA_QUICK").is_some();
     let (n_train, epochs) = if quick { (12, 1) } else { (60, 3) };
@@ -93,7 +94,7 @@ fn self_test() -> ExitCode {
 
     // Negative control: a wrong-shape head weight must be rejected before it could
     // ever activate. An analyzer that accepts this is not guarding anything.
-    let mut bad = ckpt;
+    let mut bad = ckpt.clone();
     let head = bad
         .tensors
         .iter_mut()
@@ -107,6 +108,25 @@ fn self_test() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    println!("self-test passed: clean checkpoint accepted, corrupted checkpoint rejected");
+    // Negative control: every parameter is required, biases included — a checkpoint
+    // with one `.bias` removed must be rejected too.
+    let mut biasless = ckpt;
+    let at = biasless
+        .tensors
+        .iter()
+        .position(|(p, _)| p.ends_with(".bias"))
+        .expect("classifier checkpoint has a bias tensor");
+    let (dropped, _) = biasless.tensors.remove(at);
+    let rejected = verify_checkpoint(&biasless);
+    println!("copy without {dropped}: {}", rejected.to_json());
+    if !rejected.has_errors() {
+        eprintln!("self-test FAILED: checkpoint without {dropped} was not rejected");
+        return ExitCode::FAILURE;
+    }
+
+    println!(
+        "self-test passed: clean checkpoint accepted, corrupted and bias-less checkpoints \
+         rejected"
+    );
     ExitCode::SUCCESS
 }

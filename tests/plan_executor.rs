@@ -3,17 +3,18 @@
 //! `rita-infer` compiles the static forward graph (`rita_core::graph::build_graph`)
 //! into per-shape plans and interprets them with raw `NdArray` kernels; the `no_grad`
 //! `Var` interpreter (`rita_core::graph::run_var`) over the *same* graph is the
-//! in-tree exactness oracle. These tests pin that the two interpreters agree at 0 ulp
-//! across every attention variant, task head, and shape bucket, that peephole fusion
-//! shrinks the plan without changing bits, that the plan cache counts hits and misses,
-//! and that a malformed checkpoint fails the *request* (typed `InferError`) — never
-//! the worker thread serving it.
+//! in-tree exactness oracle. The model serves the graph exactly as `build_graph` emits
+//! it. These tests pin that the two interpreters agree at 0 ulp across every attention
+//! variant, task head, and shape bucket, that the plan cache counts hits and misses,
+//! that a checkpoint missing any parameter (a bias included) is refused by every loader
+//! and by the verifier, and that a malformed checkpoint fails the *request* (typed
+//! `InferError`) — never the worker thread serving it.
 
 use std::time::Duration;
 
 use rand::SeedableRng;
 use rita::core::attention::AttentionKind;
-use rita::core::checkpoint::{Checkpoint, TensorRecord};
+use rita::core::checkpoint::{Checkpoint, CheckpointError, TensorRecord};
 use rita::core::graph::{build_graph, run_var, POSITIONAL};
 use rita::core::model::embedding::sinusoidal_table;
 use rita::core::model::RitaConfig;
@@ -24,6 +25,7 @@ use rita::infer::{
 };
 use rita::nn::graph::{Graph, PlanError};
 use rita::tensor::{NdArray, SeedableRng64};
+use rita::verify::{verify_checkpoint, Analysis, VerifyError};
 
 fn rng(seed: u64) -> SeedableRng64 {
     SeedableRng64::seed_from_u64(seed)
@@ -65,13 +67,13 @@ fn planned_executor_matches_the_var_oracle_across_kinds_and_lengths() {
         let config = RitaConfig::tiny(3, 60, kind);
         let clf = Classifier::new(config, 4, &mut r);
         let ckpt = Checkpoint::of_classifier(&clf, None);
-        let unfused = build_graph(&config, ckpt.task, &ckpt.scheduler);
+        let emitted = build_graph(&config, ckpt.task, &ckpt.scheduler);
         let model = InferModel::from_checkpoint(&ckpt).unwrap();
 
         for &(batch, len) in &[(2usize, 33usize), (3, 60), (1, 47)] {
             let x = NdArray::randn(&[batch, 3, len], 1.0, &mut r);
             let planned = model.logits(&x);
-            let reference = oracle(&unfused, &ckpt, &x);
+            let reference = oracle(&emitted, &ckpt, &x);
             assert_eq!(
                 reference.as_slice(),
                 planned.as_slice(),
@@ -90,50 +92,67 @@ fn imputer_and_backbone_plans_match_the_oracle() {
         let config = RitaConfig::tiny(2, 45, kind);
         let imp = Imputer::new(config, &mut r);
         let ckpt = Checkpoint::of_imputer(&imp, None);
-        let unfused = build_graph(&config, ckpt.task, &ckpt.scheduler);
+        let emitted = build_graph(&config, ckpt.task, &ckpt.scheduler);
         let model = InferModel::from_checkpoint(&ckpt).unwrap();
         for &len in &[30usize, 45] {
             let x = NdArray::randn(&[2, 2, len], 1.0, &mut r);
             let planned = model.reconstruct(&x);
-            let reference = oracle(&unfused, &ckpt, &x);
+            let reference = oracle(&emitted, &ckpt, &x);
             assert_eq!(reference.as_slice(), planned.as_slice(), "{name} imputer, len {len}");
         }
 
         let mut r = rng(223);
         let backbone = rita::core::RitaModel::new(RitaConfig::tiny(3, 40, kind), &mut r);
         let ckpt = Checkpoint::of_backbone(&backbone);
-        let unfused = build_graph(&ckpt.config, ckpt.task, &ckpt.scheduler);
+        let emitted = build_graph(&ckpt.config, ckpt.task, &ckpt.scheduler);
         let model = InferModel::from_checkpoint(&ckpt).unwrap();
         let x = NdArray::randn(&[2, 3, 40], 1.0, &mut r);
         let planned = model.encode(&x);
-        let reference = oracle(&unfused, &ckpt, &x);
+        let reference = oracle(&emitted, &ckpt, &x);
         assert_eq!(reference.as_slice(), planned.as_slice(), "{name} backbone encode");
     }
 }
 
-/// Peephole fusion folds matmul+bias chains (and the embedding's unfold+projection)
-/// into single nodes — the loaded model's graph is strictly smaller than the emitted
-/// one, and the bits do not move (already proven against the unfused oracle above).
+/// Every parameter is required on the serving side, as it is on the training side: a
+/// classifier checkpoint with one bias removed is refused by `InferModel`, by the
+/// registry, by the verifier (a `MissingParam` binding error), and by
+/// `restore_classifier` — one rule for every loader.
 #[test]
-fn peephole_fusion_shrinks_the_loaded_graph() {
-    let mut r = rng(31);
-    let kind = AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: false };
-    let config = RitaConfig::tiny(3, 60, kind);
+fn a_checkpoint_missing_a_bias_is_refused_by_every_loader() {
+    const BIAS: &str = "model.encoder.layers.0.q_proj.bias";
+    let mut r = rng(37);
+    let config = RitaConfig::tiny(3, 60, AttentionKind::Vanilla);
     let clf = Classifier::new(config, 4, &mut r);
-    let ckpt = Checkpoint::of_classifier(&clf, None);
-    let unfused = build_graph(&config, ckpt.task, &ckpt.scheduler);
-    let model = InferModel::from_checkpoint(&ckpt).unwrap();
-    let fused = model.graph();
+    let mut ckpt = Checkpoint::of_classifier(&clf, None);
+    let before = ckpt.tensors.len();
+    ckpt.tensors.retain(|(p, _)| p != BIAS);
+    assert_eq!(ckpt.tensors.len(), before - 1, "classifier checkpoints carry {BIAS}");
+
+    match InferModel::from_checkpoint(&ckpt) {
+        Err(CheckpointError::MissingTensor(path)) => assert_eq!(path, BIAS),
+        Err(e) => panic!("expected MissingTensor({BIAS}), got {e}"),
+        Ok(_) => panic!("a checkpoint without {BIAS} must not load"),
+    }
+    let registry = ModelRegistry::new();
+    match registry.publish(&ckpt) {
+        Err(PublishError::Checkpoint(CheckpointError::MissingTensor(path))) => {
+            assert_eq!(path, BIAS)
+        }
+        other => panic!("expected the publish to be refused, got {other:?}"),
+    }
+    assert_eq!(registry.current_version(), None);
+
+    let report = verify_checkpoint(&ckpt);
     assert!(
-        fused.nodes.len() < unfused.nodes.len(),
-        "fusion did not shrink the graph: {} vs {}",
-        fused.nodes.len(),
-        unfused.nodes.len()
+        report.diagnostics.iter().any(|d| d.analysis == Analysis::Binding
+            && d.node == BIAS
+            && d.error == VerifyError::MissingParam),
+        "expected a MissingParam binding error for {BIAS}, got:\n{report}"
     );
-    // Every linear in a tiny classifier fuses: 4 attention projections + 2 ff linears
-    // per layer, the embedding projection, and the head.
-    let folded = unfused.nodes.len() - fused.nodes.len();
-    assert!(folded >= 8, "expected at least 8 folded chains, got {folded}");
+    assert!(matches!(
+        ckpt.restore_classifier(&mut r),
+        Err(CheckpointError::MissingTensor(path)) if path == BIAS
+    ));
 }
 
 /// Plans are compiled once per `(batch, length)` bucket and then served from the

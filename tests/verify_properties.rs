@@ -6,7 +6,7 @@
 //!    checkpoint, and its compiled plans verify clean per shape bucket.
 //! 2. **Rejection completeness** — every [`Corruption`] class the mutator can inject
 //!    (nine: swapped/dropped schedule entries, perturbed AOT shape, shrunk arena,
-//!    truncated lifetime, forged fusion, retargeted param path, perturbed
+//!    truncated lifetime, swapped `Linear` weights, retargeted param path, perturbed
 //!    dequantization scale, record dtype mismatch) is rejected with an error
 //!    diagnostic from the *matching* analysis, across several injection sites.
 //!
@@ -53,9 +53,7 @@ fn checkpoints_for(kind: AttentionKind) -> Vec<(&'static str, Checkpoint)> {
 fn serving_graph(
     ckpt: &Checkpoint,
 ) -> (rita::nn::graph::Graph, std::collections::HashMap<String, Vec<usize>>) {
-    let mut g = build_graph(&ckpt.config, ckpt.task, &ckpt.scheduler);
-    g.prune_missing_optional(&|path| ckpt.tensors.iter().any(|(p, _)| p == path));
-    g.peephole();
+    let g = build_graph(&ckpt.config, ckpt.task, &ckpt.scheduler);
     let mut shapes: std::collections::HashMap<String, Vec<usize>> =
         ckpt.tensors.iter().map(|(p, t)| (p.clone(), t.shape().to_vec())).collect();
     shapes.insert(POSITIONAL.to_string(), vec![ckpt.config.max_windows() + 1, ckpt.config.d_model]);
