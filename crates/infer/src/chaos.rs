@@ -6,7 +6,7 @@
 //!
 //! | point | fires as | exercises |
 //! |---|---|---|
-//! | `worker_panic` | `panic!` inside a worker's batch | catch-unwind isolation, the supervisor respawn path, the circuit breaker |
+//! | `worker_panic` | `panic!` inside a worker's batch | catch-unwind isolation, the in-place worker restart, the circuit breaker |
 //! | `slow_batch` | a sleep before the batch forward | hard-deadline cancellation, brownout under queue pressure |
 //! | `poison_logits` | the batch output replaced with NaN | non-finite detection, quarantine + last-good rollback |
 //! | `corrupt_publish` | one byte of the checkpoint file flipped in `publish_path` | the version-2 CRC trailer, publish rejection with traffic on last-good |
@@ -169,8 +169,8 @@ pub fn inject(config: ChaosConfig) -> ChaosGuard {
         p.reset();
     }
     *crate::lock_mx(&CONFIG) = config;
-    // Injected panics are expected control flow for the supervisor; keep them off
-    // stderr. Anything else still reaches the previous hook.
+    // Injected panics are expected control flow for a worker's restart path; keep
+    // them off stderr. Anything else still reaches the previous hook.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let silenced = info.payload().downcast_ref::<&str>().is_some_and(|s| *s == PANIC_MESSAGE)

@@ -108,7 +108,7 @@ pub(crate) fn reclaim(a: NdArray) {
 // every *other* worker down with it — the cascade PR 9 removes. Every shared structure
 // guarded by these locks stays structurally valid mid-mutation (counters, maps, and
 // deques whose individual operations are panic-atomic), so recovering the guard is
-// sound: the supervisor restarts the crashed worker and everyone else keeps serving.
+// sound: the crashed worker restarts its drain loop and everyone else keeps serving.
 
 pub(crate) fn lock_mx<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)

@@ -155,14 +155,16 @@ pub struct TenantSnapshot {
     pub retry_after_us: u64,
 }
 
-/// Fault-tolerance counters: everything the supervision tree, circuit breaker,
+/// Fault-tolerance counters: everything the worker restart path, circuit breaker,
 /// rollback path, and brownout controller record. All relaxed atomics, same
 /// discipline as the rest of [`Metrics`].
 #[derive(Debug, Default)]
 pub struct FaultCounters {
-    /// Worker threads that died to a panic and were caught by the supervisor.
+    /// Panics a worker caught while serving, each counted before the crashed batch's
+    /// requests are answered.
     pub worker_panics: AtomicU64,
-    /// Workers respawned by the supervisor.
+    /// Times a worker resumed its drain loop on its own thread after a panic; like
+    /// `worker_panics`, counted before the crashed batch's requests are answered.
     pub worker_respawns: AtomicU64,
     /// Times the circuit breaker tripped open.
     pub breaker_opens: AtomicU64,
@@ -187,9 +189,9 @@ pub struct FaultCounters {
 /// Point-in-time view of [`FaultCounters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSnapshot {
-    /// Worker panics caught by the supervisor.
+    /// Worker panics caught while serving.
     pub worker_panics: u64,
-    /// Workers respawned.
+    /// Worker restarts after a panic (same thread).
     pub worker_respawns: u64,
     /// Breaker trips.
     pub breaker_opens: u64,

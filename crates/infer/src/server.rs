@@ -27,11 +27,12 @@
 //!
 //! ## Fault tolerance
 //!
-//! Workers are **panic-isolated and supervised**: each drains batches inside
-//! `catch_unwind`, so a panicking batch converts to per-request
-//! [`ServeError::Internal`] answers (a drop guard on every queued request guarantees
-//! no ticket is ever lost *or* answered twice) while a supervisor thread respawns the
-//! crashed worker with capped exponential backoff. Recurring crashes trip a
+//! Workers are **panic-isolated and restart themselves**: each drains batches inside
+//! `catch_unwind`. When a batch panics, its worker first records the crash (panic and
+//! restart counters, circuit breaker), then drops the batch, whose drop guards answer
+//! every request with [`ServeError::Internal`] (no ticket is ever lost *or* answered
+//! twice), then backs off (capped exponential) and resumes draining on the same
+//! thread — a server runs no thread but its workers. Recurring crashes trip a
 //! **circuit breaker** ([`BreakerPolicy`]): submissions fail fast with
 //! [`ServeError::Unavailable`] and a `retry_after` hint until a cooldown passes, then
 //! a few half-open probes decide between closing the breaker and doubling the
@@ -41,9 +42,15 @@
 //! they are cancelled with [`ServeError::DeadlineExceeded`] — never silently served
 //! stale — and sustained queue pressure triggers **brownout** ([`BrownoutPolicy`]):
 //! the latency budget that sizes batches shrinks level by level, trading batch
-//! quality for queue drain before load is shed outright. Every shared lock
-//! acquisition recovers from poisoning (see the crate-root helpers), so one crashed
-//! worker can never wedge the others.
+//! quality for queue drain before load is shed outright.
+//!
+//! ## One lock
+//!
+//! The queue, the tenants' token buckets, the breaker and the brownout controller
+//! live behind one mutex, the queue lock: a valid submit from a known tenant takes it
+//! once and no other mutex (validation reads the current model under the registry's
+//! `RwLock`, shared). Every acquisition recovers from poisoning (see the crate-root
+//! helpers), so one crashed batch can never wedge the other workers.
 //!
 //! ## Worker-pool budget sharing
 //!
@@ -53,7 +60,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
@@ -62,9 +70,15 @@ use rita_data::batch::{batch_indices_by_length, stack_samples};
 use rita_tensor::{with_worker_threads, worker_budget, NdArray, SeedableRng64};
 
 use crate::metrics::{Metrics, TenantMetrics};
-use crate::model::{InferModel, Precision};
-use crate::registry::{ModelHandle, ModelRegistry, PublishError};
+use crate::model::InferModel;
+use crate::registry::{ModelHandle, ModelRegistry};
 use crate::session::{validate_request, RequestError};
+
+/// Pause before a worker resumes after its second crash within a breaker window;
+/// doubles per further crash in the streak.
+const RESTART_BACKOFF: Duration = Duration::from_millis(10);
+/// Ceiling on [`RESTART_BACKOFF`]'s doubling.
+const RESTART_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Admission policy for one tenant.
 #[derive(Debug, Clone, Copy)]
@@ -180,18 +194,6 @@ pub struct ServerConfig {
     pub breaker: BreakerPolicy,
     /// Brownout policy for sustained queue pressure.
     pub brownout: BrownoutPolicy,
-    /// Supervisor backoff before respawning a worker that crashed twice in quick
-    /// succession (doubles per consecutive crash, capped at
-    /// [`respawn_backoff_max`](Self::respawn_backoff_max)).
-    pub respawn_backoff: Duration,
-    /// Ceiling on the respawn backoff.
-    pub respawn_backoff_max: Duration,
-    /// Numeric precision applied to checkpoints published through
-    /// [`Server::publish`]. `None` honours each checkpoint's own dtypes (f32 records
-    /// serve as f32, int8 records serve quantized); `Some(p)` forces policy `p`, e.g.
-    /// `Some(Precision::Int8)` quantizes eligible f32 weights at load for a
-    /// mixed-precision rollout. Publishing directly on the registry bypasses this.
-    pub precision: Option<Precision>,
 }
 
 impl Default for ServerConfig {
@@ -208,9 +210,6 @@ impl Default for ServerConfig {
             deadline: None,
             breaker: BreakerPolicy::default(),
             brownout: BrownoutPolicy::default(),
-            respawn_backoff: Duration::from_millis(10),
-            respawn_backoff_max: Duration::from_secs(1),
-            precision: None,
         }
     }
 }
@@ -252,9 +251,9 @@ pub enum ServeError {
     /// only fires if a corrupt plan slips past it for an unprobed shape bucket.
     Rejected(rita_verify::Report),
     /// The worker serving this request's batch crashed, or the model produced
-    /// non-finite logits. The request was *answered*, not lost — resubmit freely; the
-    /// supervisor has already respawned the worker (and rolled the model back when
-    /// the fault was the model's).
+    /// non-finite logits. The request was *answered*, not lost — resubmit freely. A
+    /// crash is recorded (panic and restart counters, circuit breaker) before this
+    /// answer is delivered, and a model fault has already rolled the model back.
     Internal {
         /// Human-readable cause.
         detail: String,
@@ -382,8 +381,8 @@ impl Slot {
 /// One queued request.
 ///
 /// `Pending` is a **drop guard**: once a request is admitted, the only ways out are
-/// an explicit [`answer`](Self::answer) or — if a panic unwinds the worker that held
-/// it — the `Drop` impl, which answers [`ServeError::Internal`]. A client ticket can
+/// an explicit [`answer`](Self::answer) or — if its batch panicked — the `Drop` impl,
+/// which answers [`ServeError::Internal`]. A client ticket can
 /// therefore never hang on a crashed batch, and (via the slot's fill-once latch)
 /// never observe two answers.
 struct Pending {
@@ -411,8 +410,8 @@ impl Drop for Pending {
         if self.slot.answered.load(Ordering::Acquire) {
             return;
         }
-        // Reached only when a panic unwound the worker mid-batch: convert the crash
-        // into a typed per-request error instead of a hung client.
+        // Reached only after a panic, when the worker drops the batch it was serving:
+        // convert the crash into a typed per-request error instead of a hung client.
         if self.slot.fill(Err(ServeError::Internal {
             detail: "worker crashed while serving this batch".into(),
         })) {
@@ -458,9 +457,14 @@ impl TenantState {
     }
 }
 
+/// Everything the queue lock guards: the queue, the tenants, the breaker and the
+/// brownout controller. Admission consults the breaker under this lock, and the
+/// queue depth the brownout controller tracks changes only under it.
 struct QueueState {
     pending: VecDeque<Pending>,
     tenants: HashMap<Arc<str>, TenantState>,
+    breaker: Breaker,
+    brownout: Brownout,
 }
 
 /// The `N` the serve cost model charges at length `len`: the checkpoint's frozen mean
@@ -471,7 +475,32 @@ fn serve_groups(model: &InferModel, len: usize) -> usize {
     groups.unwrap_or_else(|| model.memory_model().windows(len)).max(1)
 }
 
-/// Circuit-breaker state machine (guarded by `Shared::breaker`).
+/// The serving throughput in cost-model bytes/second: time a probe forward and divide
+/// the cost model's byte estimate by the measured wall time.
+fn calibrate(model: &InferModel) -> f64 {
+    let config = model.config();
+    let len = config.max_len.max(config.window);
+    let data: Vec<f32> = (0..config.channels * len).map(|i| (i as f32 * 0.37).sin()).collect();
+    let probe =
+        NdArray::from_vec(data, &[1, config.channels, len]).expect("probe shape matches data");
+    // Warm the arena/dispatch once, then time the faster of two runs (cold-start
+    // noise makes the budget too pessimistic otherwise).
+    let _ = model.logits(&probe);
+    let secs = (0..2)
+        .map(|_| {
+            let start = Instant::now();
+            let out = model.logits(&probe);
+            let elapsed = start.elapsed().as_secs_f64();
+            crate::reclaim(out);
+            elapsed
+        })
+        .fold(f64::INFINITY, f64::min)
+        .max(1e-9);
+    let bytes = model.memory_model().serve_bytes_for(1, len, serve_groups(model, len)) as f64;
+    bytes / secs
+}
+
+/// Circuit-breaker state machine (part of [`QueueState`]).
 enum BreakerState {
     /// Normal operation; `recent` tracks crashes inside the sliding window.
     Closed,
@@ -488,17 +517,6 @@ struct Breaker {
     recent: VecDeque<Instant>,
 }
 
-/// A worker thread's exit report, consumed by the supervisor.
-struct WorkerReport {
-    index: usize,
-    /// `Some(panic message)` when the worker died to a panic, `None` on clean exit.
-    crashed: Option<String>,
-}
-
-struct SupervisorState {
-    reports: VecDeque<WorkerReport>,
-}
-
 struct Brownout {
     level: u8,
     above_since: Option<Instant>,
@@ -506,63 +524,28 @@ struct Brownout {
 }
 
 struct Shared {
+    /// The queue lock — the serving core's one mutex.
     state: Mutex<QueueState>,
     work_cv: Condvar,
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     config: ServerConfig,
-    calibrated: Mutex<Option<f64>>,
+    /// The startup calibration ([`calibrate`]) when `config.bytes_per_sec` is `None`:
+    /// measured once, then read without a lock.
+    calibrated: OnceLock<f64>,
     shutdown: AtomicBool,
     /// Kernel-thread share of each worker (`worker_budget() / workers`, at least 1).
     kernel_cap: usize,
-    supervisor: Mutex<SupervisorState>,
-    supervisor_cv: Condvar,
-    breaker: Mutex<Breaker>,
-    /// Fast-path flag: `true` while the breaker is open or half-open, so the happy
-    /// path pays one relaxed load instead of a lock.
+    /// Fast-path flag: `true` while the breaker is open or half-open, so a served
+    /// batch pays one load instead of the queue lock.
     breaker_engaged: AtomicBool,
-    brownout: Mutex<Brownout>,
 }
 
 impl Shared {
-    /// The configured byte throughput, or a one-time calibration: time a probe forward
-    /// and divide the cost model's byte estimate by the measured wall time.
-    fn bytes_per_sec(&self, model: &InferModel) -> f64 {
-        if let Some(b) = self.config.bytes_per_sec {
-            return b;
-        }
-        let mut calibrated = crate::lock_mx(&self.calibrated);
-        if let Some(b) = *calibrated {
-            return b;
-        }
-        let config = model.config();
-        let len = config.max_len.max(config.window);
-        let data: Vec<f32> = (0..config.channels * len).map(|i| (i as f32 * 0.37).sin()).collect();
-        let probe =
-            NdArray::from_vec(data, &[1, config.channels, len]).expect("probe shape matches data");
-        // Warm the arena/dispatch once, then time the faster of two runs (cold-start
-        // noise makes the budget too pessimistic otherwise).
-        let _ = model.logits(&probe);
-        let secs = (0..2)
-            .map(|_| {
-                let start = Instant::now();
-                let out = model.logits(&probe);
-                let elapsed = start.elapsed().as_secs_f64();
-                crate::reclaim(out);
-                elapsed
-            })
-            .fold(f64::INFINITY, f64::min)
-            .max(1e-9);
-        let bytes = model.memory_model().serve_bytes_for(1, len, serve_groups(model, len)) as f64;
-        let b = bytes / secs;
-        *calibrated = Some(b);
-        b
-    }
-
-    /// Admission-side breaker gate (only consulted while `breaker_engaged`): `Ok` to
-    /// admit (possibly as a half-open probe), `Err(retry_after)` to reject fast.
-    fn breaker_admit(&self, now: Instant) -> Result<(), Duration> {
-        let mut b = crate::lock_mx(&self.breaker);
+    /// Admission-side breaker gate, under the queue lock (only consulted while
+    /// `breaker_engaged`): `Ok` to admit (possibly as a half-open probe),
+    /// `Err(retry_after)` to reject fast.
+    fn breaker_admit(&self, b: &mut Breaker, now: Instant) -> Result<(), Duration> {
         match b.state {
             BreakerState::Closed => Ok(()),
             BreakerState::Open { until, cooldown } => {
@@ -589,13 +572,14 @@ impl Shared {
         }
     }
 
-    /// Supervisor-side: records one worker crash and trips/extends the breaker.
+    /// Worker-side, after a panic: records the crash and trips/extends the breaker.
     fn breaker_on_crash(&self, now: Instant) {
         let policy = self.config.breaker;
         if policy.threshold == 0 {
             return;
         }
-        let mut b = crate::lock_mx(&self.breaker);
+        let mut st = crate::lock_mx(&self.state);
+        let b = &mut st.breaker;
         match b.state {
             BreakerState::Closed => {
                 b.recent.push_back(now);
@@ -633,7 +617,8 @@ impl Shared {
         if !self.breaker_engaged.load(Ordering::Acquire) {
             return;
         }
-        let mut b = crate::lock_mx(&self.breaker);
+        let mut st = crate::lock_mx(&self.state);
+        let b = &mut st.breaker;
         if matches!(b.state, BreakerState::HalfOpen { .. }) {
             b.state = BreakerState::Closed;
             b.recent.clear();
@@ -641,18 +626,19 @@ impl Shared {
         }
     }
 
-    /// Brownout watermark tracking: called with the queue depth after every
-    /// enqueue/dequeue. Raises the level after `hold` above the high watermark,
-    /// decays it after `hold` below the low watermark.
-    fn note_queue_depth(&self, depth: usize, now: Instant) {
+    /// Brownout watermark tracking, under the queue lock after every enqueue/dequeue.
+    /// Raises the level after `hold` above the high watermark, decays it after `hold`
+    /// below the low watermark.
+    fn note_queue_depth(&self, st: &mut QueueState, now: Instant) {
         let policy = self.config.brownout;
         if policy.max_level == 0 {
             return;
         }
+        let depth = st.pending.len();
         let cap = self.config.max_queue_depth as f64;
         let high = (cap * policy.high_fraction).ceil() as usize;
         let low = (cap * policy.low_fraction).floor() as usize;
-        let mut b = crate::lock_mx(&self.brownout);
+        let b = &mut st.brownout;
         if depth >= high.max(1) {
             b.below_since = None;
             let since = *b.above_since.get_or_insert(now);
@@ -687,18 +673,17 @@ fn note_model_fault(shared: &Shared, version: u64) {
 }
 
 /// The serving core: an admission-controlled request queue over continuous-batching
-/// worker threads, supervised for fault tolerance. See the module docs for the
+/// worker threads that restart themselves after a panic. See the module docs for the
 /// batching, SLO, and failure semantics.
 pub struct Server {
     shared: Arc<Shared>,
-    supervisor: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts `config.workers` worker threads over `registry`, plus the supervisor
-    /// that respawns them on crashes. The registry may still be empty; submissions
-    /// are rejected with [`ServeError::NoModel`] until the first
-    /// [`ModelRegistry::publish`].
+    /// Starts `config.workers` worker threads over `registry` — the server's only
+    /// threads. The registry may still be empty; submissions are rejected with
+    /// [`ServeError::NoModel`] until the first [`ModelRegistry::publish`].
     pub fn start(registry: Arc<ModelRegistry>, config: ServerConfig) -> Server {
         assert!(config.workers > 0, "a server needs at least one worker");
         assert!(config.max_batch > 0, "max_batch must be positive");
@@ -707,46 +692,36 @@ impl Server {
         // fan-out and the kernel fan-outs never multiply.
         let kernel_cap = (worker_budget() / config.workers).max(1);
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState { pending: Default::default(), tenants: HashMap::new() }),
+            state: Mutex::new(QueueState {
+                pending: VecDeque::new(),
+                tenants: HashMap::new(),
+                breaker: Breaker { state: BreakerState::Closed, recent: VecDeque::new() },
+                brownout: Brownout { level: 0, above_since: None, below_since: None },
+            }),
             work_cv: Condvar::new(),
             registry,
             metrics: Arc::new(Metrics::default()),
             config,
-            calibrated: Mutex::new(None),
+            calibrated: OnceLock::new(),
             shutdown: AtomicBool::new(false),
             kernel_cap,
-            supervisor: Mutex::new(SupervisorState { reports: VecDeque::new() }),
-            supervisor_cv: Condvar::new(),
-            breaker: Mutex::new(Breaker { state: BreakerState::Closed, recent: VecDeque::new() }),
             breaker_engaged: AtomicBool::new(false),
-            brownout: Mutex::new(Brownout { level: 0, above_since: None, below_since: None }),
         });
-        let handles: Vec<Option<std::thread::JoinHandle<()>>> =
-            (0..config.workers).map(|i| Some(spawn_worker(&shared, i, 0))).collect();
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("rita-serve-sup".into())
-                .spawn(move || supervisor_loop(&shared, handles))
-                .expect("spawn serving supervisor")
-        };
-        Server { shared, supervisor: Some(supervisor) }
+        let workers = (0..config.workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("rita-serve-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn serving worker")
+            })
+            .collect();
+        Server { shared, workers }
     }
 
     /// The server's model registry (publish/rollback while serving).
     pub fn registry(&self) -> &Arc<ModelRegistry> {
         &self.shared.registry
-    }
-
-    /// Publishes `ckpt` through the registry at the server's configured
-    /// [`precision`](ServerConfig::precision) (each checkpoint's own dtypes when
-    /// `None`). The swap is atomic exactly as with a direct registry publish;
-    /// in-flight batches finish on the version they snapshotted.
-    pub fn publish(&self, ckpt: &rita_core::checkpoint::Checkpoint) -> Result<u64, PublishError> {
-        match self.shared.config.precision {
-            Some(p) => self.shared.registry.publish_with(ckpt, p),
-            None => self.shared.registry.publish(ckpt),
-        }
     }
 
     /// The server's metrics (snapshot any time).
@@ -755,16 +730,17 @@ impl Server {
     }
 
     /// Sets (or replaces) the admission policy of one tenant. Existing queued requests
-    /// are unaffected; the token bucket restarts full to `burst`.
+    /// are unaffected. A new tenant's token bucket starts full to `burst`; an existing
+    /// one keeps its tokens, capped at the new `burst`, so re-setting a policy never
+    /// hands out a free burst.
     pub fn set_tenant_policy(&self, tenant: &str, policy: TenantPolicy) {
         let mut st = crate::lock_mx(&self.shared.state);
-        let metrics = self.shared.metrics.tenant(tenant);
         let entry = st.tenants.entry(Arc::from(tenant)).or_insert_with(|| TenantState {
             policy,
             tokens: policy.burst.max(1.0),
             refilled: Instant::now(),
             queued: 0,
-            metrics,
+            metrics: self.shared.metrics.tenant(tenant),
         });
         entry.policy = policy;
         entry.tokens = entry.tokens.min(policy.burst.max(1.0));
@@ -799,36 +775,32 @@ impl Server {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShutDown);
         }
-        let now = Instant::now();
-        // Breaker fast path: one relaxed load while healthy.
-        if self.shared.breaker_engaged.load(Ordering::Acquire) {
-            if let Err(retry_after) = self.shared.breaker_admit(now) {
-                self.shared.metrics.faults.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .metrics
-                    .faults
-                    .last_retry_after_us
-                    .store(retry_after.as_micros() as u64, Ordering::Relaxed);
-                return Err(ServeError::Unavailable { retry_after });
-            }
-        }
         let Some(handle) = self.shared.registry.current() else {
             return Err(ServeError::NoModel);
         };
         if handle.model.num_classes().is_none() {
             return Err(ServeError::Invalid(RequestError::WrongHead { requested: "classify" }));
         }
-        let tenant_metrics = self.shared.metrics.tenant(tenant);
         if let Err(e) = validate_request(handle.model.config(), 0, &input) {
-            tenant_metrics.invalid.fetch_add(1, Ordering::Relaxed);
+            self.shared.metrics.tenant(tenant).invalid.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Invalid(e));
         }
+        let now = Instant::now();
         let mut st = crate::lock_mx(&self.shared.state);
         // Re-check under the lock: a request enqueued here is guaranteed to be drained
         // by a worker (shutdown drains under this same lock), so a ticket can never be
         // orphaned by a concurrent shutdown.
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShutDown);
+        }
+        // Breaker fast path: one load while healthy.
+        if self.shared.breaker_engaged.load(Ordering::Acquire) {
+            if let Err(retry_after) = self.shared.breaker_admit(&mut st.breaker, now) {
+                let faults = &self.shared.metrics.faults;
+                faults.breaker_rejections.fetch_add(1, Ordering::Relaxed);
+                faults.last_retry_after_us.store(retry_after.as_micros() as u64, Ordering::Relaxed);
+                return Err(ServeError::Unavailable { retry_after });
+            }
         }
         if st.pending.len() >= self.shared.config.max_queue_depth {
             self.shared.metrics.shed_queue_full.fetch_add(1, Ordering::Relaxed);
@@ -840,12 +812,14 @@ impl Server {
         }
         let default_policy = self.shared.config.default_policy;
         let key: Arc<str> = Arc::from(tenant);
+        // A known tenant's state caches its metrics handle: the metrics registry is
+        // consulted once per tenant lifetime, never on the steady-state path.
         let state = st.tenants.entry(Arc::clone(&key)).or_insert_with(|| TenantState {
             policy: default_policy,
             tokens: default_policy.burst.max(1.0),
             refilled: now,
             queued: 0,
-            metrics: Arc::clone(&tenant_metrics),
+            metrics: self.shared.metrics.tenant(tenant),
         });
         if state.queued >= state.policy.max_queue_depth {
             state.metrics.shed_depth.fetch_add(1, Ordering::Relaxed);
@@ -869,6 +843,7 @@ impl Server {
         }
         state.queued += 1;
         state.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        let tenant_metrics = Arc::clone(&state.metrics);
         let slot = Arc::new(Slot {
             answered: AtomicBool::new(false),
             done: Mutex::new(None),
@@ -884,10 +859,9 @@ impl Server {
             hard_deadline: deadline.map(|d| now + d),
             slot: Arc::clone(&slot),
         });
-        let depth = st.pending.len();
-        self.shared.metrics.queue_depth.store(depth as u64, Ordering::Relaxed);
+        self.shared.metrics.queue_depth.store(st.pending.len() as u64, Ordering::Relaxed);
+        self.shared.note_queue_depth(&mut st, now);
         drop(st);
-        self.shared.note_queue_depth(depth, now);
         self.shared.work_cv.notify_one();
         Ok(Ticket { slot })
     }
@@ -908,7 +882,7 @@ impl Server {
     }
 
     /// Stops admitting requests, drains the queue (every already-admitted request is
-    /// still served), and joins the workers via the supervisor.
+    /// still served), and joins the workers.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -922,122 +896,19 @@ impl Server {
             self.shared.shutdown.store(true, Ordering::Release);
             self.shared.work_cv.notify_all();
         }
-        {
-            let _reports = crate::lock_mx(&self.shared.supervisor);
-            self.shared.supervisor_cv.notify_all();
-        }
-        if let Some(sup) = self.supervisor.take() {
-            let _ = sup.join();
+        // A worker's drain loop runs under `catch_unwind`, so it ends by returning;
+        // this also runs from `Drop`, which must not panic on a join error.
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.supervisor.is_some() {
+        if !self.workers.is_empty() {
             self.shutdown_inner();
         }
-    }
-}
-
-/// Spawns one panic-isolated worker thread. The wrapper catches any unwind from the
-/// serve loop and reports the exit (clean or crashed) to the supervisor; unanswered
-/// requests of a crashed batch are answered by their drop guards during the unwind,
-/// *before* the report is filed.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    index: usize,
-    generation: u64,
-) -> std::thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    let name = if generation == 0 {
-        format!("rita-serve-{index}")
-    } else {
-        format!("rita-serve-{index}-r{generation}")
-    };
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            let crashed =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_loop(&shared)))
-                    .err()
-                    .map(|payload| panic_message(payload.as_ref()));
-            let mut sup = crate::lock_mx(&shared.supervisor);
-            sup.reports.push_back(WorkerReport { index, crashed });
-            drop(sup);
-            shared.supervisor_cv.notify_all();
-        })
-        .expect("spawn serving worker")
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
-/// The supervision loop: reaps worker exit reports, counts crashes into the circuit
-/// breaker, and respawns crashed workers with capped exponential backoff (per-worker
-/// crash streaks reset after a quiet [`BreakerPolicy::window`]). Runs until shutdown
-/// has drained every worker.
-fn supervisor_loop(shared: &Arc<Shared>, mut handles: Vec<Option<std::thread::JoinHandle<()>>>) {
-    let mut live = handles.len();
-    let mut streaks: Vec<(u32, Option<Instant>)> = vec![(0, None); handles.len()];
-    let mut generations: Vec<u64> = vec![0; handles.len()];
-    loop {
-        let report = {
-            let mut sup = crate::lock_mx(&shared.supervisor);
-            loop {
-                if let Some(r) = sup.reports.pop_front() {
-                    break Some(r);
-                }
-                if live == 0 {
-                    break None;
-                }
-                // Timed wait: shutdown may be flagged without a report in flight.
-                sup = crate::wait_cv_timeout(&shared.supervisor_cv, sup, Duration::from_millis(50));
-            }
-        };
-        let Some(report) = report else { return };
-        if let Some(h) = handles[report.index].take() {
-            let _ = h.join();
-        }
-        let Some(message) = report.crashed else {
-            live -= 1;
-            continue;
-        };
-        let now = Instant::now();
-        let _ = message; // the panic payload is already surfaced via ticket errors
-        shared.metrics.faults.worker_panics.fetch_add(1, Ordering::Relaxed);
-        shared.breaker_on_crash(now);
-        let (streak, last) = &mut streaks[report.index];
-        if last.is_some_and(|l| now.saturating_duration_since(l) > shared.config.breaker.window) {
-            *streak = 0;
-        }
-        *streak += 1;
-        *last = Some(now);
-        // During shutdown with nothing left queued there is nothing to respawn for.
-        if shared.shutdown.load(Ordering::Acquire)
-            && crate::lock_mx(&shared.state).pending.is_empty()
-        {
-            live -= 1;
-            continue;
-        }
-        if *streak > 1 && !shared.shutdown.load(Ordering::Acquire) {
-            let backoff = shared
-                .config
-                .respawn_backoff
-                .saturating_mul(1u32 << (*streak - 2).min(16))
-                .min(shared.config.respawn_backoff_max);
-            std::thread::sleep(backoff);
-        }
-        generations[report.index] += 1;
-        handles[report.index] = Some(spawn_worker(shared, report.index, generations[report.index]));
-        shared.metrics.faults.worker_respawns.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1048,9 +919,44 @@ struct ClosedBatch {
     early_close: bool,
 }
 
-/// Drains the queue until shutdown: waits for work, closes batches under the SLO
-/// policy, and serves them on the current model snapshot.
+/// One worker thread, its own restarter: runs [`drain`] under `catch_unwind` until
+/// shutdown has drained the queue. After a panic it records the crash — panic count,
+/// circuit breaker, restart count — and only then drops the batch it was serving,
+/// whose drop guards answer [`ServeError::Internal`]: a client that sees the crash
+/// finds it already counted. It then backs off (from the second crash within a
+/// [`BreakerPolicy::window`], doubling per crash, capped) and resumes on this thread.
 fn worker_loop(shared: &Shared) {
+    // The batch being served. A panic leaves it here; it is then only dropped, never
+    // read.
+    let mut held: Option<ClosedBatch> = None;
+    let mut streak = 0u32;
+    let mut last_crash: Option<Instant> = None;
+    while std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drain(shared, &mut held)))
+        .is_err()
+    {
+        let now = Instant::now();
+        let faults = &shared.metrics.faults;
+        faults.worker_panics.fetch_add(1, Ordering::Relaxed);
+        shared.breaker_on_crash(now);
+        faults.worker_respawns.fetch_add(1, Ordering::Relaxed);
+        drop(held.take());
+        if last_crash
+            .is_some_and(|l| now.saturating_duration_since(l) > shared.config.breaker.window)
+        {
+            streak = 0;
+        }
+        streak += 1;
+        last_crash = Some(now);
+        if streak > 1 && !shared.shutdown.load(Ordering::Acquire) {
+            let backoff = RESTART_BACKOFF.saturating_mul(1 << (streak - 2).min(16));
+            std::thread::sleep(backoff.min(RESTART_BACKOFF_MAX));
+        }
+    }
+}
+
+/// Drains the queue until shutdown: waits for work, closes batches under the SLO
+/// policy, and serves each, held in `held`, on its model snapshot.
+fn drain(shared: &Shared, held: &mut Option<ClosedBatch>) {
     let mut last_version: Option<u64> = None;
     while let Some(batch) = next_batch(shared) {
         if last_version.is_some_and(|v| v != batch.handle.version) {
@@ -1062,7 +968,8 @@ fn worker_loop(shared: &Shared) {
                 .record_version(batch.handle.version, batch.handle.model.precision().as_str());
         }
         last_version = Some(batch.handle.version);
-        serve_batch(shared, batch);
+        serve_batch(shared, held.insert(batch));
+        *held = None;
     }
 }
 
@@ -1117,19 +1024,18 @@ fn next_batch(shared: &Shared) -> Option<ClosedBatch> {
             st = crate::lock_mx(&shared.state);
             continue;
         };
-        // Calibration never blocks on queue work (separate lock), but it is slow once
-        // per server (a timed probe forward); drop the queue lock so admissions keep
-        // flowing during it.
-        drop(st);
-        let bytes_per_sec = shared.bytes_per_sec(&handle.model);
-        st = crate::lock_mx(&shared.state);
-        sweep_expired(shared, &mut st, Instant::now());
-        if st.pending.is_empty() {
-            continue; // another worker drained the queue while we planned
-        }
-
-        let level = shared.metrics.faults.brownout_level.load(Ordering::Relaxed).min(255) as u8;
         let config = &shared.config;
+        let Some(bytes_per_sec) = config.bytes_per_sec.or_else(|| shared.calibrated.get().copied())
+        else {
+            // Calibration is slow once per server (a timed probe forward): run it
+            // without the queue lock so admissions keep flowing, then start over.
+            drop(st);
+            shared.calibrated.get_or_init(|| calibrate(&handle.model));
+            st = crate::lock_mx(&shared.state);
+            continue;
+        };
+
+        let level = st.brownout.level;
         let budget = LatencyBudget {
             slo: config.slo,
             compute_fraction: config.compute_fraction,
@@ -1188,13 +1094,11 @@ fn next_batch(shared: &Shared) -> Option<ClosedBatch> {
         requests.reverse();
         let refs: Vec<&Pending> = requests.iter().collect();
         note_dequeued(&mut st, &shared.metrics, &refs);
-        let depth = st.pending.len();
-        if depth > 0 {
+        shared.note_queue_depth(&mut st, now);
+        if !st.pending.is_empty() {
             // Leftover work: hand it to a sibling worker while we compute.
             shared.work_cv.notify_one();
         }
-        drop(st);
-        shared.note_queue_depth(depth, now);
         return Some(ClosedBatch { handle, requests, early_close });
     }
 }
@@ -1214,11 +1118,11 @@ fn note_dequeued(st: &mut QueueState, metrics: &Metrics, leaving: &[&Pending]) {
 ///
 /// Failure semantics: a forward error or non-finite logits fail every ticket in the
 /// batch with a typed error *and* quarantine the model version (rolling traffic back
-/// to last-good); a panic anywhere in here unwinds through the drop guards, which
-/// answer [`ServeError::Internal`] on every unanswered ticket before the supervisor
-/// learns of the crash. Requests whose hard deadline passed during compute are
-/// cancelled, never served stale.
-fn serve_batch(shared: &Shared, batch: ClosedBatch) {
+/// to last-good); a panic anywhere in here leaves the batch with [`worker_loop`], which
+/// records the crash and then drops it, its drop guards answering
+/// [`ServeError::Internal`] on every unanswered ticket. Requests whose hard deadline
+/// passed during compute are cancelled, never served stale.
+fn serve_batch(shared: &Shared, batch: &ClosedBatch) {
     let ClosedBatch { handle, requests, early_close } = batch;
     // Chaos injection point: may sleep (slow batch) and may panic (worker crash) —
     // compiled in, armed only inside `chaos::inject` scopes.
@@ -1235,14 +1139,14 @@ fn serve_batch(shared: &Shared, batch: ClosedBatch) {
     shared.metrics.record_pool(&pool_before, &rita_tensor::pool_stats());
     shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
     shared.metrics.batch_size.record(requests.len() as u64);
-    if early_close {
+    if *early_close {
         shared.metrics.early_closes.fetch_add(1, Ordering::Relaxed);
     }
     let logits = match logits {
         Ok(logits) => logits,
         Err(e) => {
             note_model_fault(shared, handle.version);
-            for p in &requests {
+            for p in requests {
                 let err = match &e {
                     crate::InferError::Rejected(report) => ServeError::Rejected(report.clone()),
                     other => ServeError::Infer(other.clone()),
@@ -1261,7 +1165,7 @@ fn serve_batch(shared: &Shared, batch: ClosedBatch) {
     if !flat.as_slice().iter().all(|v| v.is_finite()) {
         note_model_fault(shared, handle.version);
         let detail = format!("model v{} produced non-finite logits", handle.version);
-        for p in &requests {
+        for p in requests {
             p.tenant_metrics.failed.fetch_add(1, Ordering::Relaxed);
             p.answer(Err(ServeError::Internal { detail: detail.clone() }));
         }

@@ -180,7 +180,7 @@ pub fn verify_checkpoint(ckpt: &Checkpoint) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rita_nn::graph::Op;
+    use rita_nn::graph::{Op, ValueId};
 
     /// input -> gelu -> gelu -> output, one rank-1 param added at the end.
     fn toy() -> Graph {
@@ -235,6 +235,82 @@ mod tests {
             diags.iter().any(|d| matches!(d.error, VerifyError::UnboundRead { .. })),
             "got: {diags:?}"
         );
+    }
+
+    /// The checks no mutation class reaches: each case hand-corrupts the toy graph or
+    /// its plan once and must draw an error of its variant from its analysis.
+    #[test]
+    fn hand_corruptions_fire_their_diagnostics() {
+        type Case = (&'static str, fn(&mut Graph, &mut Plan), fn(&VerifyError) -> bool, Analysis);
+        let cases: [Case; 9] = [
+            (
+                "two nodes named `a`",
+                |g, _| g.nodes[1].id = "a".into(),
+                |e| matches!(e, VerifyError::DuplicateNodeId),
+                Analysis::Structure,
+            ),
+            (
+                "`b` writes `a`'s output",
+                |g, _| g.nodes[1].output = g.nodes[0].output,
+                |e| matches!(e, VerifyError::DuplicateProducer),
+                Analysis::Structure,
+            ),
+            (
+                "`y` writes the parameter `w`",
+                |g, _| g.nodes[2].output = ValueId(1),
+                |e| matches!(e, VerifyError::ProducesBoundValue),
+                Analysis::Structure,
+            ),
+            (
+                "`b` reads value 99 of 5",
+                |g, _| g.nodes[1].inputs[0] = ValueId(99),
+                |e| matches!(e, VerifyError::ValueOutOfRange { index: 99 }),
+                Analysis::Structure,
+            ),
+            (
+                "the output's producer is gone",
+                |g, _| drop(g.nodes.pop()),
+                |e| matches!(e, VerifyError::MissingOutput),
+                Analysis::Structure,
+            ),
+            (
+                "`a` scheduled twice",
+                |_, plan| plan.order[1] = plan.order[0],
+                |e| matches!(e, VerifyError::ScheduleEntry { position: 1, .. }),
+                Analysis::Schedule,
+            ),
+            (
+                "`a` reads `b`, which reads `a`",
+                |g, _| g.nodes[0].inputs[0] = ValueId(3),
+                |e| matches!(e, VerifyError::Cycle),
+                Analysis::Schedule,
+            ),
+            (
+                "the input's table entry disagrees with the plan's input shape",
+                |g, plan| plan.shapes[g.input.0] = vec![2, 3, 5],
+                |e| matches!(e, VerifyError::InputShape { .. }),
+                Analysis::Shape,
+            ),
+            (
+                "`w` planned at a shape the lookup does not give",
+                |_, plan| plan.shapes[1] = vec![5],
+                |e| matches!(e, VerifyError::ParamShapeMismatch { .. }),
+                Analysis::Binding,
+            ),
+        ];
+        for (what, corrupt, is_variant, analysis) in cases {
+            let mut g = toy();
+            let mut plan = g.compile(&[2, 3, 4], &toy_lookup).unwrap();
+            corrupt(&mut g, &mut plan);
+            let report = verify_plan(&g, &plan, &toy_lookup);
+            assert!(
+                report.diagnostics.iter().any(|d| {
+                    d.severity == Severity::Error && d.analysis == analysis && is_variant(&d.error)
+                }),
+                "{what}: expected a {} error, got:\n{report}",
+                analysis.name()
+            );
+        }
     }
 
     #[test]

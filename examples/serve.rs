@@ -145,8 +145,9 @@ fn main() {
     );
 
     // 4. Fault drill: inject one worker panic mid-stream. The crashed batch fails
-    //    with a typed error instead of hanging its clients, the supervisor respawns
-    //    the worker, and traffic resumes on the same weights.
+    //    with a typed error instead of hanging its clients, the worker counts the
+    //    crash and restarts on its own thread, and traffic continues on the same
+    //    weights.
     {
         use rita::infer::chaos::{self, ChaosConfig, Injection};
         let _chaos =

@@ -295,21 +295,20 @@ fn hot_swap_is_atomic_and_rollback_restores_old_answers() {
 }
 
 /// The mixed-precision rollout, observed from the serving tier: an f32 version and
-/// its int8 canary serve side by side, [`Server::publish`] honours the config's
-/// precision override, and the metrics JSON names each served version's precision.
+/// its int8 canary serve side by side, a precision override at publish quantizes the
+/// canary, and the metrics JSON names each served version's precision.
 #[test]
 fn mixed_precision_rollout_is_observable_in_metrics() {
     let ckpt = checkpoint(61);
     let registry = Arc::new(ModelRegistry::new());
     registry.publish(&ckpt).unwrap();
-    let config = ServerConfig { precision: Some(Precision::Int8), ..fast_config(1) };
-    let server = Server::start(Arc::clone(&registry), config);
+    let server = Server::start(Arc::clone(&registry), fast_config(1));
     let requests = mixed_requests(62, &[40, 64]);
     assert_eq!(server.classify("mixed", requests[0].clone()).unwrap().model_version, 1);
 
-    // Roll out the canary through the server: the config forces Int8, so the same
-    // f32 checkpoint publishes with its eligible weights quantized at load.
-    let v2 = server.publish(&ckpt).unwrap();
+    // Roll out the canary while serving: forcing Int8 publishes the same f32
+    // checkpoint with its eligible weights quantized at load.
+    let v2 = registry.publish_with(&ckpt, Precision::Int8).unwrap();
     assert_eq!(registry.get(v2).unwrap().model.precision(), Precision::Int8);
     assert!(registry.get(v2).unwrap().model.quantized_params() > 0);
     let mut served_v2 = false;
@@ -409,6 +408,16 @@ fn admission_control_sheds_with_typed_reasons() {
         }
         other => panic!("expected rate-limit shed, got {other:?}"),
     }
+    // Re-setting the policy with a larger burst keeps the drained bucket drained: a
+    // policy update never hands out a free burst.
+    server.set_tenant_policy(
+        "metered",
+        TenantPolicy { rate_per_sec: Some(0.0), burst: 4.0, max_queue_depth: 64 },
+    );
+    match server.submit("metered", reqs[1].clone()) {
+        Err(ServeError::Overloaded { reason, .. }) => assert_eq!(reason, ShedReason::RateLimited),
+        other => panic!("expected the re-set tenant to stay drained, got {other:?}"),
+    }
     // An unmetered tenant is unaffected.
     server.classify("open", reqs[2].clone()).unwrap();
     first.wait().unwrap();
@@ -425,9 +434,9 @@ fn admission_control_sheds_with_typed_reasons() {
         other => panic!("expected tenant-depth shed, got {other:?}"),
     }
     let snap = server.metrics().snapshot();
-    assert_eq!(snap.shed(), 2);
+    assert_eq!(snap.shed(), 3);
     let metered = snap.tenants.iter().find(|(n, _)| n == "metered").unwrap();
-    assert_eq!((metered.1.accepted, metered.1.shed_rate), (1, 1));
+    assert_eq!((metered.1.accepted, metered.1.shed_rate), (1, 2));
     server.shutdown();
 
     // Global queue bound: a zero-depth server sheds everything as QueueFull.
@@ -605,7 +614,7 @@ fn shutdown_drains_every_admitted_request() {
 
 /// Regression for a lost wake-up: `shutdown` used to set its flag and notify without
 /// holding the queue lock, so a worker between its `shutdown` check and its condvar
-/// wait in `next_batch` never woke and `shutdown` hung in the supervisor join. Workers
+/// wait in `next_batch` never woke and `shutdown` hung joining the workers. Workers
 /// are racing towards exactly that window right after `start`; a watchdog turns a
 /// hang into a failure instead of a stuck test run.
 #[test]
