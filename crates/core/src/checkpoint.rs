@@ -725,16 +725,10 @@ impl Checkpoint {
             dropout,
             attention,
         };
-        if config.channels == 0
-            || config.window == 0
-            || config.stride == 0
-            || config.max_len < config.window
-            || config.n_layers == 0
-            || config.n_heads == 0
-            || !config.d_model.is_multiple_of(config.n_heads.max(1))
-            || !(0.0..1.0).contains(&config.dropout)
-        {
-            return Err(CheckpointError::Corrupted(format!("invalid model config {config:?}")));
+        if let Err(rule) = config.check() {
+            return Err(CheckpointError::Corrupted(format!(
+                "invalid model config ({rule}): {config:?}"
+            )));
         }
 
         let sched_len = r.u32("scheduler count")?;
@@ -1165,6 +1159,29 @@ mod tests {
             matches!(err, CheckpointError::Corrupted(_) | CheckpointError::Truncated(_)),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_config_breaking_a_check_rule_is_corrupted_naming_the_rule() {
+        let clf = classifier(AttentionKind::Vanilla, 6);
+        let bytes = Checkpoint::of_classifier(&clf, None).to_bytes();
+        // The eight config dims (u32) follow magic, version, task tag and class count;
+        // the dropout (f32) follows them. d_model is 16, so 3 heads do not divide it.
+        let dims_at = 8 + 4 + 1 + 4;
+        let heads_at = dims_at + 5 * 4;
+        let dropout_at = dims_at + 8 * 4;
+        for (at, value, rule) in [
+            (heads_at, 3u32.to_le_bytes(), "d_model must be divisible by n_heads"),
+            (dropout_at, 1.0f32.to_le_bytes(), "dropout must be in [0, 1)"),
+        ] {
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 4].copy_from_slice(&value);
+            refresh_file_crc(&mut corrupt);
+            match Checkpoint::from_bytes(&corrupt) {
+                Err(CheckpointError::Corrupted(why)) => assert!(why.contains(rule), "{why}"),
+                other => panic!("expected Corrupted naming '{rule}', got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! memory-bandwidth bound, so its wall time is roughly proportional to the bytes it
 //! touches ([`MemoryModel::serve_bytes_for`]). A measured serving throughput
 //! (`bytes_per_sec`, calibrated by timing one representative forward) turns the compute
-//! slice of the SLO into a byte budget `S`. The serving cost is affine in the batch,
+//! slice of the SLO — a fixed half, [`LatencyBudget::COMPUTE_FRACTION`] — into a byte
+//! budget `S`. The serving cost is affine in the batch,
 //! `(p + B·a(L, N))·bpe`, so the largest batch under `S` is one division
 //! ([`LatencyBudget::max_batch_size`]). Training fits §5.2's `B = f(L, N)` because the
 //! paper's oracle is a real forward and backward pass; this oracle is one formula, so
@@ -26,30 +27,22 @@ use super::memory::MemoryModel;
 pub struct LatencyBudget {
     /// The per-request latency SLO the serving tier promises.
     pub slo: Duration,
-    /// Fraction of the SLO one batch's compute may consume; the rest is headroom for
-    /// queueing, batch assembly, and response delivery. The paper's Alg. 2 keeps 90 %
-    /// of GPU memory occupied; a latency budget needs more slack because queueing time
-    /// is paid *before* compute starts.
-    pub compute_fraction: f32,
     /// Calibrated serving throughput in cost-model bytes per second: how fast the
     /// actual kernels chew through [`MemoryModel::serve_bytes_for`] on this machine.
     pub bytes_per_sec: f64,
 }
 
 impl LatencyBudget {
-    /// Default compute slice of the SLO (half; the rest absorbs queueing and batching).
-    pub const DEFAULT_COMPUTE_FRACTION: f32 = 0.5;
+    /// Fraction of the SLO one batch's compute may consume; the rest is headroom for
+    /// queueing, batch assembly, and response delivery. The paper's Alg. 2 keeps 90 %
+    /// of GPU memory occupied; a latency budget needs more slack because queueing time
+    /// is paid *before* compute starts.
+    pub const COMPUTE_FRACTION: f64 = 0.5;
 
-    /// This budget at brownout `level`: the compute slice shrunk by `budget_factor`
-    /// once per level.
-    pub fn browned(&self, budget_factor: f32, level: u8) -> Self {
-        Self { compute_fraction: self.compute_fraction * budget_factor.powi(level as i32), ..*self }
-    }
-
-    /// The byte budget one batch's compute may spend: `slo × compute_fraction`
+    /// The byte budget one batch's compute may spend: `slo × COMPUTE_FRACTION`
     /// converted through the calibrated throughput. Always at least 1.
     pub fn serve_budget_bytes(&self) -> usize {
-        let seconds = self.slo.as_secs_f64() * self.compute_fraction.clamp(0.0, 1.0) as f64;
+        let seconds = self.slo.as_secs_f64() * Self::COMPUTE_FRACTION;
         (seconds * self.bytes_per_sec).max(1.0) as usize
     }
 
@@ -95,13 +88,9 @@ mod tests {
         // regime: one request already over budget (floor 1), an interior bound, and
         // the cap.
         let mut budgets = Vec::new();
-        for slo_ms in [1u64, 10, 50, 250] {
-            for compute_fraction in [0.1f32, 0.5, 1.0] {
-                for bytes_per_sec in [1e6, 1e8, 1e9, 1e10] {
-                    let slo = Duration::from_millis(slo_ms);
-                    let lb = LatencyBudget { slo, compute_fraction, bytes_per_sec };
-                    budgets.extend((0..=3).map(|level| lb.browned(0.5, level)));
-                }
+        for slo_ms in [1u64, 5, 10, 50, 250, 1000] {
+            for bytes_per_sec in [1e6, 1e7, 1e8, 1e9, 1e10] {
+                budgets.push(LatencyBudget { slo: Duration::from_millis(slo_ms), bytes_per_sec });
             }
         }
         let f32_model = MemoryModel::default();

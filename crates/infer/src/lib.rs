@@ -84,8 +84,8 @@ pub use plan::{plan_cache_stats, InferError, PlanCacheStats};
 pub use registry::{ModelHandle, ModelRegistry, PublishError};
 pub use rita_tensor::{pool_reset, pool_stats, PoolStats};
 pub use server::{
-    BreakerPolicy, BrownoutPolicy, ServeError, ServedResponse, Server, ServerConfig, ShedReason,
-    TenantPolicy, Ticket,
+    BreakerPolicy, ServeError, ServedResponse, Server, ServerConfig, ShedReason, TenantPolicy,
+    Ticket,
 };
 pub use session::{InferSession, Prediction, RequestError};
 

@@ -156,8 +156,8 @@ pub struct TenantSnapshot {
 }
 
 /// Fault-tolerance counters: everything the worker restart path, circuit breaker,
-/// rollback path, and brownout controller record. All relaxed atomics, same
-/// discipline as the rest of [`Metrics`].
+/// rollback path and deadline checks record. All relaxed atomics, same discipline as
+/// the rest of [`Metrics`].
 #[derive(Debug, Default)]
 pub struct FaultCounters {
     /// Panics a worker caught while serving, each counted before the crashed batch's
@@ -178,10 +178,6 @@ pub struct FaultCounters {
     pub rollbacks: AtomicU64,
     /// Requests answered with `ServeError::Internal` (crashed mid-batch).
     pub internal_errors: AtomicU64,
-    /// Current brownout level (gauge; 0 = full latency budget).
-    pub brownout_level: AtomicU64,
-    /// Times the brownout level was raised.
-    pub brownout_raises: AtomicU64,
     /// The most recent `retry_after` hint handed out by the breaker (µs, gauge).
     pub last_retry_after_us: AtomicU64,
 }
@@ -205,10 +201,6 @@ pub struct FaultSnapshot {
     pub rollbacks: u64,
     /// Requests answered with `ServeError::Internal`.
     pub internal_errors: u64,
-    /// Current brownout level.
-    pub brownout_level: u64,
-    /// Brownout raises.
-    pub brownout_raises: u64,
     /// Most recent breaker `retry_after` hint (µs).
     pub last_retry_after_us: u64,
 }
@@ -280,7 +272,7 @@ pub struct Metrics {
     pub queue_wait_us: Histogram,
     /// Buffer-pool behaviour, aggregated over worker threads.
     pub pool: PoolCounters,
-    /// Supervision, breaker, rollback, and brownout counters.
+    /// Worker restart, breaker, rollback and deadline counters.
     pub faults: FaultCounters,
     tenants: Mutex<BTreeMap<String, Arc<TenantMetrics>>>,
     /// Numeric precision of every model version a worker has served a batch on, so a
@@ -371,8 +363,6 @@ impl Metrics {
                 model_faults: self.faults.model_faults.load(Ordering::Relaxed),
                 rollbacks: self.faults.rollbacks.load(Ordering::Relaxed),
                 internal_errors: self.faults.internal_errors.load(Ordering::Relaxed),
-                brownout_level: self.faults.brownout_level.load(Ordering::Relaxed),
-                brownout_raises: self.faults.brownout_raises.load(Ordering::Relaxed),
                 last_retry_after_us: self.faults.last_retry_after_us.load(Ordering::Relaxed),
             },
             plan_cache: plan_cache_stats(),
@@ -404,7 +394,7 @@ pub struct MetricsSnapshot {
     pub queue_wait_us: HistogramSnapshot,
     /// Aggregated buffer-pool behaviour (hits, misses, bytes) across workers.
     pub pool: PoolSnapshot,
-    /// Supervision, breaker, rollback, and brownout counters.
+    /// Worker restart, breaker, rollback and deadline counters.
     pub faults: FaultSnapshot,
     /// Process-wide plan-cache hit/miss counters.
     pub plan_cache: PlanCacheStats,
@@ -448,7 +438,7 @@ impl MetricsSnapshot {
              \"faults\": {{\"worker_panics\": {}, \"worker_respawns\": {}, \
              \"breaker_opens\": {}, \"breaker_rejections\": {}, \"deadline_expired\": {}, \
              \"model_faults\": {}, \"rollbacks\": {}, \"internal_errors\": {}, \
-             \"brownout_level\": {}, \"brownout_raises\": {}, \"last_retry_after_us\": {}}}, \
+             \"last_retry_after_us\": {}}}, \
              \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}}, \
              \"versions\": {{",
             self.queue_depth,
@@ -475,8 +465,6 @@ impl MetricsSnapshot {
             self.faults.model_faults,
             self.faults.rollbacks,
             self.faults.internal_errors,
-            self.faults.brownout_level,
-            self.faults.brownout_raises,
             self.faults.last_retry_after_us,
             self.plan_cache.hits,
             self.plan_cache.misses,

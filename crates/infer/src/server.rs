@@ -11,8 +11,10 @@
 //! The batcher reuses the training engine's length-bucketed batcher
 //! (`batch_indices_by_length`) over the live queue: the oldest queued request anchors
 //! the next batch, and the batch's target size is the largest `B` whose forward-only
-//! cost fits the *latency* budget `slo × compute_fraction`, converted to bytes through
-//! a calibrated throughput (see `rita_core::scheduler::latency`). A batch closes when
+//! cost fits the *latency* budget, half the SLO ([`LatencyBudget::COMPUTE_FRACTION`]),
+//! converted to bytes through a calibrated throughput (see
+//! `rita_core::scheduler::latency`). Every batch is sized against that one budget,
+//! however deep the queue; overload is admission control's to shed. A batch closes when
 //! it reaches its target, when the batching window (`linger`) expires, or **early**
 //! when the oldest request approaches its SLO deadline — a request never waits for
 //! batch-mates it cannot afford.
@@ -40,16 +42,13 @@
 //! the faulty version in the registry, which atomically rolls traffic back to the
 //! pinned last-good checkpoint. Requests may carry a **hard deadline** past which
 //! they are cancelled with [`ServeError::DeadlineExceeded`] — never silently served
-//! stale — and sustained queue pressure triggers **brownout** ([`BrownoutPolicy`]):
-//! the latency budget that sizes batches shrinks level by level, trading batch
-//! quality for queue drain before load is shed outright.
+//! stale.
 //!
 //! ## One lock
 //!
-//! The queue, the tenants' token buckets, the breaker and the brownout controller
-//! live behind one mutex, the queue lock: a valid submit from a known tenant takes it
-//! once and no other mutex (validation reads the current model under the registry's
-//! `RwLock`, shared). Every acquisition recovers from poisoning (see the crate-root
+//! The queue, the tenants' token buckets and the breaker live behind one mutex, the
+//! queue lock: a valid submit from a known tenant takes it once and no other mutex
+//! (validation reads the current model under the registry's `RwLock`, shared). Every acquisition recovers from poisoning (see the crate-root
 //! helpers), so one crashed batch can never wedge the other workers.
 //!
 //! ## Worker-pool budget sharing
@@ -131,37 +130,6 @@ impl Default for BreakerPolicy {
     }
 }
 
-/// Brownout policy: degrade the latency budget under sustained queue pressure before
-/// shedding load outright.
-#[derive(Debug, Clone, Copy)]
-pub struct BrownoutPolicy {
-    /// Queue depth (as a fraction of `max_queue_depth`) above which pressure counts
-    /// toward raising the brownout level.
-    pub high_fraction: f64,
-    /// Queue depth fraction below which the level decays back toward zero.
-    pub low_fraction: f64,
-    /// How long the queue must hold above/below a watermark before the level moves —
-    /// the hysteresis that keeps one spiky second from flapping the budget.
-    pub hold: Duration,
-    /// Deepest brownout level (`0` disables brownout).
-    pub max_level: u8,
-    /// Per-level multiplier on the batch bound's `compute_fraction`: level `k` sizes
-    /// batches against `compute_fraction × budget_factor^k`.
-    pub budget_factor: f32,
-}
-
-impl Default for BrownoutPolicy {
-    fn default() -> Self {
-        Self {
-            high_fraction: 0.75,
-            low_fraction: 0.25,
-            hold: Duration::from_millis(100),
-            max_level: 3,
-            budget_factor: 0.5,
-        }
-    }
-}
-
 /// Tunables of the serving core.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
@@ -171,11 +139,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Hard cap on any batch, over and above the latency budget's target.
     pub max_batch: usize,
-    /// Per-request latency SLO: the deadline a request receives at admission.
+    /// Per-request latency SLO: the deadline a request receives at admission. Half
+    /// of it ([`LatencyBudget::COMPUTE_FRACTION`]) is the compute one batch may spend.
     pub slo: Duration,
-    /// Fraction of the SLO one batch's compute may spend; the batcher closes a batch
-    /// early once the oldest request's remaining slack shrinks to this slice.
-    pub compute_fraction: f32,
     /// Longest a batch waits for same-length batch-mates before closing under target.
     pub linger: Duration,
     /// Global queue bound; beyond it submissions shed with [`ShedReason::QueueFull`].
@@ -192,8 +158,6 @@ pub struct ServerConfig {
     pub deadline: Option<Duration>,
     /// Circuit-breaker policy for recurring worker crashes.
     pub breaker: BreakerPolicy,
-    /// Brownout policy for sustained queue pressure.
-    pub brownout: BrownoutPolicy,
 }
 
 impl Default for ServerConfig {
@@ -202,14 +166,12 @@ impl Default for ServerConfig {
             workers: 2,
             max_batch: 64,
             slo: Duration::from_millis(250),
-            compute_fraction: LatencyBudget::DEFAULT_COMPUTE_FRACTION,
             linger: Duration::from_millis(2),
             max_queue_depth: 1024,
             default_policy: TenantPolicy::default(),
             bytes_per_sec: None,
             deadline: None,
             breaker: BreakerPolicy::default(),
-            brownout: BrownoutPolicy::default(),
         }
     }
 }
@@ -242,14 +204,13 @@ pub enum ServeError {
     Invalid(RequestError),
     /// The forward pass failed — e.g. a malformed checkpoint tensor caught by plan
     /// compilation. Every request in the affected batch receives this error; the
-    /// worker thread survives and keeps serving.
+    /// worker thread survives and keeps serving. A plan the static analyzer rejected
+    /// arrives as [`InferError::Rejected`](crate::InferError::Rejected) with its full
+    /// diagnostic report; with publish-time verification in front, that only happens
+    /// if a corrupt plan slips past it for an unprobed shape bucket.
     Infer(crate::InferError),
     /// No checkpoint has been published to the registry yet.
     NoModel,
-    /// The static analyzer rejected the plan this request would have run on; the full
-    /// diagnostic report rides along. With publish-time verification in front, this
-    /// only fires if a corrupt plan slips past it for an unprobed shape bucket.
-    Rejected(rita_verify::Report),
     /// The worker serving this request's batch crashed, or the model produced
     /// non-finite logits. The request was *answered*, not lost — resubmit freely. A
     /// crash is recorded (panic and restart counters, circuit breaker) before this
@@ -292,9 +253,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Invalid(e) => write!(f, "invalid request: {e}"),
             ServeError::Infer(e) => write!(f, "forward pass failed: {e}"),
             ServeError::NoModel => write!(f, "no model published"),
-            ServeError::Rejected(report) => {
-                write!(f, "rejected by static verification: {report}")
-            }
             ServeError::Internal { detail } => write!(f, "internal server error: {detail}"),
             ServeError::DeadlineExceeded { late_by } => {
                 write!(f, "deadline exceeded by {:.1}ms", late_by.as_secs_f64() * 1e3)
@@ -457,14 +415,12 @@ impl TenantState {
     }
 }
 
-/// Everything the queue lock guards: the queue, the tenants, the breaker and the
-/// brownout controller. Admission consults the breaker under this lock, and the
-/// queue depth the brownout controller tracks changes only under it.
+/// Everything the queue lock guards: the queue, the tenants and the breaker.
+/// Admission consults the breaker under this lock.
 struct QueueState {
     pending: VecDeque<Pending>,
     tenants: HashMap<Arc<str>, TenantState>,
     breaker: Breaker,
-    brownout: Brownout,
 }
 
 /// The `N` the serve cost model charges at length `len`: the checkpoint's frozen mean
@@ -515,12 +471,6 @@ enum BreakerState {
 struct Breaker {
     state: BreakerState,
     recent: VecDeque<Instant>,
-}
-
-struct Brownout {
-    level: u8,
-    above_since: Option<Instant>,
-    below_since: Option<Instant>,
 }
 
 struct Shared {
@@ -625,42 +575,6 @@ impl Shared {
             self.breaker_engaged.store(false, Ordering::Release);
         }
     }
-
-    /// Brownout watermark tracking, under the queue lock after every enqueue/dequeue.
-    /// Raises the level after `hold` above the high watermark, decays it after `hold`
-    /// below the low watermark.
-    fn note_queue_depth(&self, st: &mut QueueState, now: Instant) {
-        let policy = self.config.brownout;
-        if policy.max_level == 0 {
-            return;
-        }
-        let depth = st.pending.len();
-        let cap = self.config.max_queue_depth as f64;
-        let high = (cap * policy.high_fraction).ceil() as usize;
-        let low = (cap * policy.low_fraction).floor() as usize;
-        let b = &mut st.brownout;
-        if depth >= high.max(1) {
-            b.below_since = None;
-            let since = *b.above_since.get_or_insert(now);
-            if now.saturating_duration_since(since) >= policy.hold && b.level < policy.max_level {
-                b.level += 1;
-                b.above_since = Some(now); // restart the hold for the next raise
-                self.metrics.faults.brownout_level.store(b.level as u64, Ordering::Relaxed);
-                self.metrics.faults.brownout_raises.fetch_add(1, Ordering::Relaxed);
-            }
-        } else if depth <= low {
-            b.above_since = None;
-            let since = *b.below_since.get_or_insert(now);
-            if now.saturating_duration_since(since) >= policy.hold && b.level > 0 {
-                b.level -= 1;
-                b.below_since = Some(now);
-                self.metrics.faults.brownout_level.store(b.level as u64, Ordering::Relaxed);
-            }
-        } else {
-            b.above_since = None;
-            b.below_since = None;
-        }
-    }
 }
 
 /// A serve-time model fault (executor error, non-finite logits): count it and
@@ -696,7 +610,6 @@ impl Server {
                 pending: VecDeque::new(),
                 tenants: HashMap::new(),
                 breaker: Breaker { state: BreakerState::Closed, recent: VecDeque::new() },
-                brownout: Brownout { level: 0, above_since: None, below_since: None },
             }),
             work_cv: Condvar::new(),
             registry,
@@ -860,7 +773,6 @@ impl Server {
             slot: Arc::clone(&slot),
         });
         self.shared.metrics.queue_depth.store(st.pending.len() as u64, Ordering::Relaxed);
-        self.shared.note_queue_depth(&mut st, now);
         drop(st);
         self.shared.work_cv.notify_one();
         Ok(Ticket { slot })
@@ -874,11 +786,6 @@ impl Server {
     /// Requests currently queued.
     pub fn queue_depth(&self) -> usize {
         crate::lock_mx(&self.shared.state).pending.len()
-    }
-
-    /// Current brownout level (0 = full latency budget).
-    pub fn brownout_level(&self) -> u8 {
-        self.shared.metrics.faults.brownout_level.load(Ordering::Relaxed) as u8
     }
 
     /// Stops admitting requests, drains the queue (every already-admitted request is
@@ -996,12 +903,11 @@ fn sweep_expired(shared: &Shared, st: &mut QueueState, now: Instant) {
 /// Blocks until a batch can be closed (returning `None` on drained shutdown).
 ///
 /// The close policy, evaluated under the queue lock against the *oldest* request:
-/// its length anchors the bucket, the latency budget sets the bucket's target `B` (at
-/// the current brownout level), and the batch closes as soon as (a) `B` same-length
-/// requests are queued, (b) the `linger` window since the oldest enqueue expires, or
-/// (c) the oldest request's remaining SLO slack shrinks to the compute slice one
-/// batch needs — the early close that keeps tail latencies inside the SLO instead of
-/// waiting for batch-mates.
+/// its length anchors the bucket, the latency budget sets the bucket's target `B`, and
+/// the batch closes as soon as (a) `B` same-length requests are queued, (b) the
+/// `linger` window since the oldest enqueue expires, or (c) the oldest request's
+/// remaining SLO slack shrinks to the compute slice one batch needs — the early close
+/// that keeps tail latencies inside the SLO instead of waiting for batch-mates.
 fn next_batch(shared: &Shared) -> Option<ClosedBatch> {
     let mut st: MutexGuard<'_, QueueState> = crate::lock_mx(&shared.state);
     loop {
@@ -1035,13 +941,7 @@ fn next_batch(shared: &Shared) -> Option<ClosedBatch> {
             continue;
         };
 
-        let level = st.brownout.level;
-        let budget = LatencyBudget {
-            slo: config.slo,
-            compute_fraction: config.compute_fraction,
-            bytes_per_sec,
-        }
-        .browned(config.brownout.budget_factor, level);
+        let budget = LatencyBudget { slo: config.slo, bytes_per_sec };
         let memory = handle.model.memory_model();
         let target_for = |len: usize| {
             budget.max_batch_size(&memory, len, serve_groups(&handle.model, len), config.max_batch)
@@ -1094,7 +994,6 @@ fn next_batch(shared: &Shared) -> Option<ClosedBatch> {
         requests.reverse();
         let refs: Vec<&Pending> = requests.iter().collect();
         note_dequeued(&mut st, &shared.metrics, &refs);
-        shared.note_queue_depth(&mut st, now);
         if !st.pending.is_empty() {
             // Leftover work: hand it to a sibling worker while we compute.
             shared.work_cv.notify_one();
@@ -1147,12 +1046,8 @@ fn serve_batch(shared: &Shared, batch: &ClosedBatch) {
         Err(e) => {
             note_model_fault(shared, handle.version);
             for p in requests {
-                let err = match &e {
-                    crate::InferError::Rejected(report) => ServeError::Rejected(report.clone()),
-                    other => ServeError::Infer(other.clone()),
-                };
                 p.tenant_metrics.failed.fetch_add(1, Ordering::Relaxed);
-                p.answer(Err(err));
+                p.answer(Err(ServeError::Infer(e.clone())));
             }
             return;
         }

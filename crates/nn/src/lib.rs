@@ -14,7 +14,7 @@
 //! * [`graph`] — a static forward-graph IR (nodes with stable parameter-path IDs,
 //!   topological scheduling, ahead-of-time shape/lifetime planning) that downstream
 //!   crates emit from module trees and interpret.
-//! * [`optim`] — `Sgd` and `AdamW` optimisers plus gradient clipping.
+//! * [`optim`] — the `AdamW` optimiser plus gradient clipping.
 //! * [`loss`] — cross entropy, MSE and masked MSE (the cloze-pretraining loss).
 //! * [`gradcheck`] — finite-difference gradient verification used by the test-suites of
 //!   every downstream crate.

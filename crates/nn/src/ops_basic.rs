@@ -186,19 +186,6 @@ impl Var {
         )
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Var {
-        Var::from_op(
-            self.value().map(|x| x.max(0.0)),
-            vec![self.clone()],
-            Box::new(move |g, parents| {
-                let x = parents[0].value();
-                let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                vec![g.mul(&mask).expect("relu backward")]
-            }),
-        )
-    }
-
     // ------------------------------------------------------------------ reductions
 
     /// Sum of all elements, producing a scalar.
@@ -409,13 +396,11 @@ mod tests {
 
     #[test]
     fn activation_gradients_match_finite_difference() {
-        // Avoid exact 0.0: ReLU's kink makes finite differences disagree there.
         let x0 = NdArray::from_slice(&[-1.5, -0.3, 0.05, 0.4, 2.0]);
         for (name, f) in [
             ("exp", Box::new(|v: &Var| v.exp()) as Box<dyn Fn(&Var) -> Var>),
             ("tanh", Box::new(|v: &Var| v.tanh())),
             ("sigmoid", Box::new(|v: &Var| v.sigmoid())),
-            ("relu", Box::new(|v: &Var| v.relu())),
             ("gelu", Box::new(|v: &Var| v.gelu())),
             ("square", Box::new(|v: &Var| v.square())),
         ] {

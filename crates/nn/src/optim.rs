@@ -1,8 +1,8 @@
-//! Optimisers: SGD (with momentum) and AdamW (decoupled weight decay), plus global
-//! gradient-norm clipping. The RITA experiments use AdamW with lr = 1e-4 and weight
-//! decay = 1e-4, matching the paper's configuration (Appendix A.1).
+//! The AdamW optimiser (decoupled weight decay) plus global gradient-norm clipping. The
+//! RITA experiments use AdamW with lr = 1e-4 and weight decay = 1e-4, matching the
+//! paper's configuration (Appendix A.1).
 //!
-//! Both optimisers manage a set of **named, deduplicated** parameter slots: moment state
+//! AdamW manages a set of **named, deduplicated** parameter slots: moment state
 //! is keyed by the parameter's [`ParamPath`] (so it can round-trip through checkpoints),
 //! and a `Var` appearing under several paths (tied weights) is collapsed — by node
 //! identity — into one slot, so it is stepped and weight-decayed exactly once per
@@ -39,71 +39,6 @@ fn positional_named(params: Vec<Var>) -> Vec<(ParamPath, Var)> {
         .enumerate()
         .map(|(i, var)| (ParamPath::root().join("param").join(&i.to_string()), var))
         .collect()
-}
-
-/// Stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    slots: Vec<SgdSlot>,
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-}
-
-struct SgdSlot {
-    #[allow(dead_code)] // the key exists for symmetry with AdamW / future state export
-    path: ParamPath,
-    var: Var,
-    velocity: NdArray,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser over anonymous parameters (deduplicated by identity).
-    pub fn new(params: Vec<Var>, lr: f32, momentum: f32) -> Self {
-        Self::with_named(positional_named(params), lr, momentum)
-    }
-
-    /// Creates an SGD optimiser over a module's named parameter tree.
-    pub fn for_module(module: &(impl Module + ?Sized), lr: f32, momentum: f32) -> Self {
-        Self::with_named(module.named_parameters(), lr, momentum)
-    }
-
-    /// Creates an SGD optimiser over named parameters (deduplicated by identity).
-    pub fn with_named(named: Vec<(ParamPath, Var)>, lr: f32, momentum: f32) -> Self {
-        let slots = dedupe_named(named)
-            .into_iter()
-            .map(|(path, var)| {
-                let velocity = NdArray::zeros(&var.shape());
-                SgdSlot { path, var, velocity }
-            })
-            .collect();
-        Self { slots, lr, momentum }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self) {
-        for slot in &mut self.slots {
-            let Some(g) = slot.var.grad() else { continue };
-            if self.momentum > 0.0 {
-                slot.velocity = slot.velocity.scale(self.momentum).add(&g).expect("sgd momentum");
-                let v = &slot.velocity;
-                slot.var.update_value(|w| w.axpy(-self.lr, v).expect("sgd step"));
-            } else {
-                slot.var.update_value(|w| w.axpy(-self.lr, &g).expect("sgd step"));
-            }
-        }
-    }
-
-    fn zero_grad(&self) {
-        for slot in &self.slots {
-            slot.var.zero_grad();
-        }
-    }
-
-    fn parameters(&self) -> Vec<Var> {
-        self.slots.iter().map(|s| s.var.clone()).collect()
-    }
 }
 
 /// AdamW: Adam with decoupled weight decay (Loshchilov & Hutter, 2017).
@@ -319,26 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = Var::parameter(NdArray::zeros(&[4]));
-        let target = NdArray::from_slice(&[1.0, -2.0, 3.0, 0.5]);
-        let opt = Sgd::new(vec![w.clone()], 0.1, 0.0);
-        let err = quadratic_converges(opt, w, target, 100);
-        assert!(err < 1e-3, "err {err}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_faster_than_plain() {
-        let target = NdArray::from_slice(&[2.0, -1.0]);
-        let w1 = Var::parameter(NdArray::zeros(&[2]));
-        let plain =
-            quadratic_converges(Sgd::new(vec![w1.clone()], 0.01, 0.0), w1, target.clone(), 50);
-        let w2 = Var::parameter(NdArray::zeros(&[2]));
-        let momentum = quadratic_converges(Sgd::new(vec![w2.clone()], 0.01, 0.9), w2, target, 50);
-        assert!(momentum < plain, "momentum {momentum} vs plain {plain}");
-    }
-
-    #[test]
     fn adamw_converges_on_quadratic() {
         let w = Var::parameter(NdArray::zeros(&[4]));
         let target = NdArray::from_slice(&[1.0, -2.0, 3.0, 0.5]);
@@ -367,7 +282,7 @@ mod tests {
     fn skips_params_without_gradients() {
         let used = Var::parameter(NdArray::ones(&[2]));
         let unused = Var::parameter(NdArray::ones(&[2]));
-        let mut opt = Sgd::new(vec![used.clone(), unused.clone()], 0.5, 0.0);
+        let mut opt = AdamW::new(vec![used.clone(), unused.clone()], 0.5, 0.5);
         opt.zero_grad();
         used.scale(2.0).sum_all().backward();
         opt.step();
@@ -428,18 +343,6 @@ mod tests {
             reference.to_array().as_slice(),
             "tied weight must receive exactly one update (and one decay) per step"
         );
-    }
-
-    #[test]
-    fn tied_weights_dedupe_in_sgd_too() {
-        let tied = TiedModule { w: Var::parameter(NdArray::full(&[2], 1.0)) };
-        let mut opt = Sgd::for_module(&tied, 0.5, 0.0);
-        assert_eq!(opt.parameters().len(), 1);
-        opt.zero_grad();
-        tied.w.scale(2.0).sum_all().backward();
-        opt.step();
-        // grad = 2 per element; one step of lr 0.5 → 1 - 1.0 = 0.0 (not -1.0).
-        assert_eq!(tied.w.to_array().as_slice(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -184,12 +184,6 @@ impl Var {
         f(&mut self.0.value.borrow_mut());
     }
 
-    /// Returns a new leaf that shares this node's current value but is detached from the
-    /// graph (no gradient will flow through it).
-    pub fn detach(&self) -> Var {
-        Var::leaf(self.to_array(), false)
-    }
-
     /// Runs reverse-mode differentiation from this node.
     ///
     /// The node must hold a single element (a scalar loss). Gradients are *accumulated*
@@ -338,17 +332,6 @@ mod tests {
         let y = no_grad(|| x.scale(2.0).sum_all());
         assert!(!y.requires_grad());
         assert!(is_grad_enabled());
-    }
-
-    #[test]
-    fn detach_blocks_gradient() {
-        let x = Var::parameter(NdArray::from_slice(&[3.0]));
-        let y = x.detach().scale(2.0).sum_all();
-        // Graph is disconnected from x; backward on a no-grad output is a no-op.
-        if y.requires_grad() {
-            y.backward();
-        }
-        assert!(x.grad().is_none());
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl NdArray {
         self.zip_with(other, f32::max)
     }
 
-    /// Elementwise minimum with broadcasting.
-    pub fn minimum(&self, other: &NdArray) -> Result<NdArray> {
-        self.zip_with(other, f32::min)
-    }
-
     /// Adds `other` into `self` in place (copy-on-write). Shapes must match exactly;
     /// `other` may be any view.
     pub fn add_assign(&mut self, other: &NdArray) -> Result<()> {
@@ -396,7 +391,6 @@ mod tests {
         let b = NdArray::from_slice(&[4.0, 2.0]);
         assert_eq!(a.div(&b).unwrap().as_slice(), &[0.5, 4.0]);
         assert_eq!(a.maximum(&b).unwrap().as_slice(), &[4.0, 8.0]);
-        assert_eq!(a.minimum(&b).unwrap().as_slice(), &[2.0, 2.0]);
     }
 
     #[test]

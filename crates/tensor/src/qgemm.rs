@@ -152,11 +152,6 @@ impl QuantMatrix {
         &self.scales
     }
 
-    /// Heap bytes held by the packed panels + scales (for memory accounting).
-    pub fn packed_bytes(&self) -> usize {
-        2 * self.panels.len() + 4 * self.scales.len()
-    }
-
     /// The dense row-major f32 matrix this quantized matrix represents (`q · scale`),
     /// for fallback bindings and oracles.
     pub fn dequantize(&self) -> Vec<f32> {

@@ -87,11 +87,6 @@ impl NdArray {
         self.reduce_axis(axis, keepdim, f32::NEG_INFINITY, f32::max)
     }
 
-    /// Minimum along `axis`.
-    pub fn min_axis(&self, axis: usize, keepdim: bool) -> Result<NdArray> {
-        self.reduce_axis(axis, keepdim, f32::INFINITY, f32::min)
-    }
-
     /// Numerically stable softmax over the last dimension. Stride-aware: runs directly on
     /// views (e.g. head-split or sliced score tensors).
     pub fn softmax_last(&self) -> Result<NdArray> {
@@ -192,15 +187,6 @@ impl NdArray {
         }
         out
     }
-
-    /// Mean and (population) variance over the last dimension, returned with `keepdim`.
-    pub fn mean_var_last(&self) -> Result<(NdArray, NdArray)> {
-        let axis = self.ndim().saturating_sub(1);
-        let mean = self.mean_axis(axis, true)?;
-        let centered = self.sub(&mean)?;
-        let var = centered.mul(&centered)?.mean_axis(axis, true)?;
-        Ok((mean, var))
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +211,6 @@ mod tests {
         assert_eq!(a.sum_axis(1, true).unwrap().shape(), &[2, 1]);
         assert_eq!(a.mean_axis(1, false).unwrap().as_slice(), &[1.0, 4.0]);
         assert_eq!(a.max_axis(0, false).unwrap().as_slice(), &[3.0, 4.0, 5.0]);
-        assert_eq!(a.min_axis(1, false).unwrap().as_slice(), &[0.0, 3.0]);
         assert!(a.sum_axis(2, false).is_err());
     }
 
@@ -292,13 +277,5 @@ mod tests {
         // And through a transposed view.
         let t = a.transpose_last2().unwrap(); // (3, 2)
         assert_eq!(t.argmax_last(), t.materialize().argmax_last());
-    }
-
-    #[test]
-    fn mean_var_last_matches_manual() {
-        let a = NdArray::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let (m, v) = a.mean_var_last().unwrap();
-        assert_eq!(m.as_slice(), &[1.5, 3.5]);
-        assert_eq!(v.as_slice(), &[0.25, 0.25]);
     }
 }

@@ -27,12 +27,6 @@ impl NdArray {
         Ok(NdArray::view(base.storage, shape.to_vec(), contiguous_strides(shape), base.offset))
     }
 
-    /// Consumes `self` and returns it with a new shape. Alias of [`NdArray::reshape`]
-    /// (which no longer copies contiguous buffers), kept for API compatibility.
-    pub fn into_reshaped(self, shape: &[usize]) -> Result<NdArray> {
-        self.reshape(shape)
-    }
-
     /// Swaps the last two dimensions (batched matrix transpose). Zero-copy.
     pub fn transpose_last2(&self) -> Result<NdArray> {
         let nd = self.ndim();
@@ -267,8 +261,6 @@ mod tests {
         assert_eq!(b.shape(), &[2, 3]);
         assert_eq!(b.get(&[1, 0]).unwrap(), 3.0);
         assert!(a.reshape(&[4, 2]).is_err());
-        let c = b.into_reshaped(&[3, 2]).unwrap();
-        assert_eq!(c.shape(), &[3, 2]);
     }
 
     #[test]

@@ -19,8 +19,7 @@ use rita::core::model::RitaConfig;
 use rita::core::tasks::Classifier;
 use rita::infer::chaos::{self, ChaosConfig, Injection};
 use rita::infer::{
-    BreakerPolicy, BrownoutPolicy, InferSession, ModelRegistry, PublishError, ServeError, Server,
-    ServerConfig,
+    BreakerPolicy, InferSession, ModelRegistry, PublishError, ServeError, Server, ServerConfig,
 };
 use rita::tensor::{NdArray, SeedableRng64};
 
@@ -356,62 +355,5 @@ fn hard_deadlines_cancel_rather_than_serve_stale() {
     let snap = server.metrics().snapshot();
     assert_eq!(snap.faults.deadline_expired, 2);
     assert_eq!(chaos::stats().slow_batches, 1);
-    server.shutdown();
-}
-
-/// Sustained queue pressure raises the brownout level (shrinking the latency budget
-/// ahead of shedding); draining the queue decays it back to zero, and every answer
-/// served while browned out is still bit-exact.
-#[test]
-fn brownout_raises_under_pressure_and_decays_after_drain() {
-    let _guard = chaos::inject(ChaosConfig {
-        // Stall the first two batches so the queue backs up behind them.
-        slow_batch: Injection::times(2),
-        slow_batch_delay: Duration::from_millis(80),
-        ..Default::default()
-    });
-    let ckpt = checkpoint(7);
-    let requests = mixed_requests(29, &[32, 32, 32, 32, 32, 32]);
-    let expected = expected_logits(&ckpt, &requests);
-
-    let registry = Arc::new(ModelRegistry::new());
-    registry.publish(&ckpt).unwrap();
-    let mut config = fast_config(1);
-    config.max_queue_depth = 8;
-    config.brownout = BrownoutPolicy {
-        high_fraction: 0.5,
-        low_fraction: 0.125,
-        hold: Duration::ZERO,
-        max_level: 2,
-        budget_factor: 0.5,
-    };
-    let server = Server::start(registry, config);
-
-    // Fill the queue while the first batch stalls: depth crosses the high watermark
-    // (4 of 8) during submission, which raises the level synchronously.
-    let tickets: Vec<_> =
-        requests.iter().map(|r| server.submit("brown", r.clone()).unwrap()).collect();
-    assert!(
-        server.brownout_level() >= 1,
-        "queue pressure never raised the brownout level (depth {})",
-        server.queue_depth()
-    );
-
-    for (i, t) in tickets.into_iter().enumerate() {
-        let got = t.wait().unwrap();
-        assert_eq!(got.logits.as_slice(), expected[i].as_slice(), "browned-out request {i}");
-    }
-
-    // Queue drained: a trickle of singles notes the low watermark on every dequeue
-    // and decays the level back to zero.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.brownout_level() > 0 {
-        let got = server.classify("brown", requests[0].clone()).unwrap();
-        assert_eq!(got.logits.as_slice(), expected[0].as_slice());
-        assert!(Instant::now() < deadline, "brownout level never decayed");
-    }
-    let f = server.metrics().snapshot().faults;
-    assert!(f.brownout_raises >= 1);
-    assert_eq!(f.brownout_level, 0);
     server.shutdown();
 }

@@ -166,7 +166,6 @@ fn batches_fill_to_the_exact_latency_bound() {
         workers: 1,
         max_batch: 8,
         slo: Duration::from_secs(2),
-        compute_fraction: 0.5,
         linger: Duration::from_secs(10),
         bytes_per_sec: Some(30_000.0),
         ..Default::default()
@@ -184,6 +183,43 @@ fn batches_fill_to_the_exact_latency_bound() {
         .collect();
     for t in tickets {
         t.wait().unwrap();
+    }
+    let snap = server.metrics().snapshot();
+    assert_eq!((snap.batches, snap.batch_size.max), (1, 7), "{snap:?}");
+    server.shutdown();
+}
+
+#[test]
+fn pressured_batches_still_fill_to_the_exact_latency_bound() {
+    // The same 7-request bound, reached with the queue held near its limit: six of a
+    // bound of eight wait 150 ms before the seventh arrives. Queue depth does not
+    // move the latency budget, so the seven are still served as one batch of 7, each
+    // answer bit-equal to the single-call session.
+    let config = ServerConfig {
+        workers: 1,
+        max_batch: 8,
+        slo: Duration::from_secs(2),
+        linger: Duration::from_secs(10),
+        max_queue_depth: 8,
+        bytes_per_sec: Some(30_000.0),
+        ..Default::default()
+    };
+    let ckpt = checkpoint(3);
+    let session = InferSession::from_checkpoint(&ckpt).unwrap();
+    let requests = mixed_requests(13, &[24; 7]);
+    let expected = session.classify_logits(&requests).unwrap();
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish(&ckpt).unwrap();
+
+    let server = Server::start(registry, config);
+    let mut tickets: Vec<_> =
+        requests[..6].iter().map(|r| server.submit("pressed", r.clone()).unwrap()).collect();
+    std::thread::sleep(Duration::from_millis(150));
+    assert_eq!(server.queue_depth(), 6, "a batch closed under the bound");
+    tickets.push(server.submit("pressed", requests[6].clone()).unwrap());
+    for (i, t) in tickets.into_iter().enumerate() {
+        let got = t.wait().unwrap();
+        assert_eq!(got.logits.as_slice(), expected[i].as_slice(), "request {i}");
     }
     let snap = server.metrics().snapshot();
     assert_eq!((snap.batches, snap.batch_size.max), (1, 7), "{snap:?}");

@@ -255,7 +255,7 @@ fn gradients_accumulate_correctly_through_aliased_views() {
 
 #[test]
 fn optimizer_step_does_not_corrupt_view_graph() {
-    use rita::nn::optim::{Optimizer, Sgd};
+    use rita::nn::optim::{AdamW, Optimizer};
     // A parameter whose forward pass produced views of its storage: stepping the
     // optimiser mutates the parameter (CoW) without disturbing the view values read
     // during backward.
@@ -263,7 +263,7 @@ fn optimizer_step_does_not_corrupt_view_graph() {
     let before = w.to_array();
     let loss = w.transpose_last2().matmul(&w).sum_all();
     loss.backward();
-    let mut opt = Sgd::new(vec![w.clone()], 0.1, 0.0);
+    let mut opt = AdamW::new(vec![w.clone()], 0.1, 0.0);
     opt.step();
     let after = w.to_array();
     assert_ne!(before, after, "step must update the parameter");
