@@ -18,7 +18,7 @@ use rita_core::graph::build_graph;
 use rita_core::model::embedding::sinusoidal_table;
 use rita_core::model::RitaConfig;
 use rita_core::scheduler::MemoryModel;
-use rita_nn::graph::{AttnOp, Binding, Graph, Op};
+use rita_nn::graph::{AttnOp, Binding, Graph, Op, PlanError, ValueId};
 use rita_tensor::{NdArray, QuantMatrix, MAX_QUANT_K};
 
 use crate::plan::{note_plan_cache, CachedPlan, InferError};
@@ -309,12 +309,22 @@ impl InferModel {
         crate::lock_mx(&self.plans).len()
     }
 
-    fn run(&self, x: &NdArray, target: rita_nn::graph::ValueId) -> Result<NdArray, InferError> {
+    /// Runs the compiled plan for `x`'s `(batch, length)` bucket up to (and including)
+    /// the node producing `target`, a value of [`InferModel::graph`], and returns that
+    /// value. The encoder and the heads are this run to their outputs; tests and
+    /// diagnostics use it to look inside a forward.
+    pub fn try_run_to(&self, x: &NdArray, target: ValueId) -> Result<NdArray, InferError> {
         let shape = x.shape();
         if shape.len() != 3 {
-            return Err(InferError::Plan(rita_nn::graph::PlanError::Shape {
+            return Err(InferError::Plan(PlanError::Shape {
                 node: "input".into(),
                 detail: format!("expected (batch, channels, length), got {shape:?}"),
+            }));
+        }
+        if target.0 >= self.graph.values.len() {
+            return Err(InferError::Plan(PlanError::UnknownInput {
+                node: "target".into(),
+                value: format!("#{}", target.0),
             }));
         }
         let cached = self.plan_for(shape[0], shape[2])?;
@@ -325,7 +335,7 @@ impl InferModel {
     /// `(batch, windows + 1, d_model)` — position 0 is the `[CLS]` token — by running
     /// a prefix of the compiled plan up to the encoder output.
     pub fn try_encode(&self, x: &NdArray) -> Result<NdArray, InferError> {
-        self.run(x, self.graph.encoder_output)
+        self.try_run_to(x, self.graph.encoder_output)
     }
 
     /// Class logits `(batch, classes)` for a raw batch.
@@ -333,7 +343,7 @@ impl InferModel {
         if self.num_classes.is_none() {
             return Err(InferError::MissingHead { requested: "logits" });
         }
-        self.run(x, self.graph.output)
+        self.try_run_to(x, self.graph.output)
     }
 
     /// Reconstructs a full series from (masked) observations, `(batch, channels,
@@ -342,7 +352,7 @@ impl InferModel {
         if !self.has_decoder() {
             return Err(InferError::MissingHead { requested: "reconstruct" });
         }
-        self.run(observed, self.graph.output)
+        self.try_run_to(observed, self.graph.output)
     }
 
     /// Panicking convenience for [`InferModel::try_encode`] — benches and calibration

@@ -169,9 +169,19 @@ pub(crate) fn execute(
     slots[graph.input.0] = Some(x.clone());
     for (pos, &ni) in plan.order.iter().enumerate() {
         let node = &graph.nodes[ni];
+        // An input the plan lets this node write over leaves its slot: the kernel then
+        // holds the only handle on its storage and writes the output into it.
+        let moved = node.op.overwrites_input().filter(|_| plan.in_place[pos]);
         let mut ins = Vec::with_capacity(node.inputs.len());
         let mut qins = Vec::with_capacity(node.inputs.len());
-        for v in &node.inputs {
+        for (k, v) in node.inputs.iter().enumerate() {
+            if moved == Some(k) {
+                qins.push(None);
+                ins.push(slots[v.0].take().ok_or_else(|| {
+                    node_err(node, format!("unbound value '{}'", graph.values[v.0].name))
+                })?);
+                continue;
+            }
             if let Some(wq) = &quant[v.0] {
                 // Quantized weight: the packed panels ride in `qins`; the `ins` slot
                 // gets an empty placeholder no kernel may touch (a consumer that does
@@ -186,8 +196,9 @@ pub(crate) fn execute(
             })?;
             ins.push(arr.clone());
         }
-        let out = exec_node(node, &ins, &qins, plan.input_shape[2])?;
-        drop(ins); // release our handles so last-use recycling can reclaim storage
+        // `exec_node` consumes `ins`, releasing our handles so last-use recycling can
+        // reclaim storage.
+        let out = exec_node(node, ins, &qins, plan.input_shape[2])?;
         slots[node.output.0] = Some(out);
         let mut seen = HashSet::new();
         for v in &node.inputs {
@@ -214,7 +225,7 @@ pub(crate) fn execute(
 /// the executor loop's job.
 fn exec_node(
     node: &Node,
-    ins: &[NdArray],
+    mut ins: Vec<NdArray>,
     qins: &[Option<Arc<QuantMatrix>>],
     input_len: usize,
 ) -> Result<NdArray, InferError> {
@@ -255,7 +266,9 @@ fn exec_node(
         Op::LayerNorm { eps } => {
             Ok(ins[0].layer_norm(&ins[1], &ins[2], *eps).map_err(|e| node_err(node, e))?.out)
         }
-        Op::Gelu => Ok(ins[0].gelu()),
+        // Written over the operand when the executor moved a dying input in; otherwise
+        // the slot still holds a handle and copy-on-write makes the output buffer.
+        Op::Gelu => Ok(ins.swap_remove(0).gelu_in_place()),
         Op::Add => ins[0].add(&ins[1]).map_err(|e| node_err(node, e)),
         Op::SplitHeads { heads } => {
             // `split_heads`: (b, n, d) → (b, h, n, d/h), a pure view chain.
@@ -277,7 +290,7 @@ fn exec_node(
                 .reshape(&[b, n, h * dh])
                 .map_err(|e| node_err(node, e))
         }
-        Op::Attention(attn) => exec_attention(node, attn, ins),
+        Op::Attention(attn) => exec_attention(node, attn, &ins),
         Op::ClsPool => {
             let shape = ins[0].shape().to_vec();
             ins[0]
@@ -402,5 +415,69 @@ fn exec_attention(node: &Node, attn: &AttnOp, ins: &[NdArray]) -> Result<NdArray
             reclaim(v_proj);
             Ok(out)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rita_tensor::{pool_reset, pool_stats, rng_from_seed};
+
+    /// `Plan::arena` is exactly what the executor's activations take when no node
+    /// allocates scratch of its own (in the full model, kernel-internal temporaries
+    /// share the pool): the first run, which reserves the arena, allocates nothing
+    /// fresh, and the same plan run again from an empty pool allocates exactly the
+    /// arena's bytes. The FFN's GELU writes over `ff1`, so the chain needs one
+    /// `d_ff`-wide slot, not two.
+    #[test]
+    fn plan_arena_is_what_the_first_run_allocates() {
+        let (d, d_ff) = (8usize, 16usize);
+        let mut g = Graph::new();
+        let x = g.add_input("input");
+        let (gamma, beta) = (g.param("ln.gamma"), g.param("ln.beta"));
+        let (w1, b1) = (g.param("ff1.weight"), g.param("ff1.bias"));
+        let (w2, b2) = (g.param("ff2.weight"), g.param("ff2.bias"));
+        let ln = g.push("ln", Op::LayerNorm { eps: 1e-5 }, vec![x, gamma, beta]);
+        let ff1 = g.push("ff1", Op::Linear, vec![ln, w1, b1]);
+        let act = g.push("gelu", Op::Gelu, vec![ff1]);
+        let ff2 = g.push("ff2", Op::Linear, vec![act, w2, b2]);
+        let out = g.push("residual", Op::Add, vec![ff2, ln]);
+        g.output = out;
+        g.encoder_output = out;
+
+        let mut rng = rng_from_seed(3);
+        let params = [
+            ("ln.gamma", vec![d]),
+            ("ln.beta", vec![d]),
+            ("ff1.weight", vec![d, d_ff]),
+            ("ff1.bias", vec![d_ff]),
+            ("ff2.weight", vec![d_ff, d]),
+            ("ff2.bias", vec![d]),
+        ];
+        let mut bound: Vec<Option<NdArray>> = vec![None; g.values.len()];
+        for (i, info) in g.values.iter().enumerate() {
+            if let Some((_, shape)) = params.iter().find(|(p, _)| *p == info.name) {
+                bound[i] = Some(NdArray::randn(shape, 0.5, &mut rng));
+            }
+        }
+        let lookup = |p: &str| params.iter().find(|(q, _)| *q == p).map(|(_, s)| s.clone());
+        let input = NdArray::randn(&[2, 5, d], 1.0, &mut rng);
+        let plan = g.compile(input.shape(), &lookup).unwrap();
+        assert_eq!(plan.in_place, vec![false, false, true, false, false]);
+        let row = 4 * 2 * 5;
+        assert_eq!(plan.arena, vec![row * d, row * d_ff, row * d]);
+
+        let cached = CachedPlan::new(plan, true);
+        let quant = vec![None; g.values.len()];
+        let run = || execute(&g, &cached, &bound, &quant, &input, out).unwrap();
+        pool_reset();
+        let first = run(); // the first run on this thread reserves the arena
+        assert_eq!(pool_stats().fresh_bytes, 0, "an activation missed the reserved arena");
+        pool_reset();
+        let again = run(); // already reserved: runs from an empty pool
+        let arena_bytes: usize = cached.plan.arena.iter().sum();
+        assert_eq!(pool_stats().fresh_bytes, arena_bytes as u64);
+        assert_eq!(first.as_slice(), again.as_slice());
+        pool_reset();
     }
 }

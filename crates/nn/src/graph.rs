@@ -137,6 +137,18 @@ impl Op {
         }
     }
 
+    /// Which input (if any) the output may be written over when the schedule reads
+    /// that input for the last time at this node: the elementwise ops whose output has
+    /// the input's shape and whose kernel has an in-place form. The lifetime pass then
+    /// gives the output the input's arena slot ([`Plan::in_place`]), the executor runs
+    /// the in-place kernel, and the verifier's arena replay reads the same predicate.
+    pub fn overwrites_input(&self) -> Option<usize> {
+        match self {
+            Op::Gelu => Some(0),
+            _ => None,
+        }
+    }
+
     /// Infers the output shape from input shapes, or explains why they are
     /// inconsistent. `input_shape` is the plan's graph input (needed by
     /// [`Op::Fold1d`], whose output length is not derivable from its input alone).
@@ -441,6 +453,11 @@ pub struct Plan {
     /// For each value, the schedule position of its final read, if any. A
     /// node-produced value may be recycled the moment its last read completes.
     pub last_use: Vec<Option<usize>>,
+    /// Per schedule position: whether that node writes its output over the input
+    /// [`Op::overwrites_input`] names, because the schedule reads that input for the
+    /// last time there and nothing else shares its storage. Such a node takes no
+    /// arena slot of its own.
+    pub in_place: Vec<bool>,
     /// Slot capacities **in bytes** of the planned activation arena — feed to
     /// `rita_tensor::pool_reserve` so every major activation is a pool hit from the
     /// first request. Byte-denominated so mixed-precision executors (f32 activations
@@ -655,15 +672,29 @@ impl Graph {
         let mut slots: Vec<usize> = Vec::new();
         let mut live: Vec<usize> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
+        let mut in_place = Vec::with_capacity(order.len());
         for (pos, &ni) in order.iter().enumerate() {
             let node = &self.nodes[ni];
             let out = node.output.0;
+            // The slot of an input that dies here, owned by that input alone and as
+            // large as the output: the output may be written over it.
+            let overwritten = node.op.overwrites_input().and_then(|k| {
+                let v = node.inputs[k].0;
+                let s = slot_of[v].filter(|&s| root[v] == v && live[s] == 1)?;
+                let dies = last_use[v] == Some(pos)
+                    && node.inputs.iter().filter(|w| w.0 == v).count() == 1;
+                (dies && shapes[v] == shapes[out]).then_some(s)
+            });
+            in_place.push(overwritten.is_some());
             if let Some(k) = node.op.aliases_input() {
                 let base = root[node.inputs[k].0];
                 root[out] = base;
                 if let Some(s) = slot_of[base] {
                     live[s] += 1;
                 }
+            } else if let Some(s) = overwritten {
+                slot_of[out] = Some(s);
+                live[s] += 1;
             } else {
                 // Activations are f32 today; the arena is denominated in bytes so the
                 // capacities stay meaningful once narrower dtypes flow through.
@@ -701,7 +732,14 @@ impl Graph {
             }
         }
 
-        Ok(Plan { order, shapes, last_use, arena: slots, input_shape: input_shape.to_vec() })
+        Ok(Plan {
+            order,
+            shapes,
+            last_use,
+            in_place,
+            arena: slots,
+            input_shape: input_shape.to_vec(),
+        })
     }
 }
 
@@ -756,9 +794,35 @@ mod tests {
         // y1 is read by l2 (pos 1) and the residual (pos 2).
         let y1 = g.nodes[0].output;
         assert_eq!(plan.last_use[y1.0], Some(2));
-        // Four materialising nodes, but lifetimes overlap at most three deep.
+        // Four materialising nodes, but lifetimes overlap at most three deep, and the
+        // GELU writes over the residual sum, which dies there.
         assert_eq!(plan.arena.len(), 3);
         assert!(plan.arena.iter().all(|&c| c == 4 * (2 * 5 * 8)), "slots are in bytes");
+        assert_eq!(plan.in_place, vec![false, false, false, true]);
+    }
+
+    #[test]
+    fn gelu_writes_over_its_input_only_where_the_input_dies() {
+        // input → ff1 → gelu → ff2, the FFN chain: ff1 dies at the GELU, so the
+        // GELU's output takes ff1's slot and the chain needs two slots, not three.
+        let mut g = Graph::new();
+        let x = g.add_input("input");
+        let (w1, b1) = (g.param("l1.weight"), g.param("l1.bias"));
+        let (w2, b2) = (g.param("l2.weight"), g.param("l2.bias"));
+        let ff1 = g.push("l1", Op::Linear, vec![x, w1, b1]);
+        let act = g.push("act", Op::Gelu, vec![ff1]);
+        let ff2 = g.push("l2", Op::Linear, vec![act, w2, b2]);
+        g.output = ff2;
+        g.encoder_output = ff2;
+        let plan = g.compile(&[2, 5, 8], &toy_lookup).unwrap();
+        assert_eq!(plan.in_place, vec![false, true, false]);
+        assert_eq!(plan.arena.len(), 2);
+        // Read again after the GELU, ff1 must keep its storage.
+        let sum = g.push("residual", Op::Add, vec![ff2, ff1]);
+        g.output = sum;
+        let plan = g.compile(&[2, 5, 8], &toy_lookup).unwrap();
+        assert_eq!(plan.in_place, vec![false; 4]);
+        assert_eq!(plan.arena.len(), 3);
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub(crate) fn simd_accelerated() -> bool {
 /// the CPU supports (via [`simd_accelerated`], detected once). The body is an
 /// `#[inline(always)]` function, so each clone inlines it and re-vectorises it under its
 /// own feature set; this is how the hot loops issue 8-wide FMAs without changing the
-/// portable build flags.
+/// portable build flags. Test builds also emit `$name::portable(..)`, the baseline build
+/// on any CPU.
 macro_rules! simd_dispatch {
     (fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
         #[allow(clippy::too_many_arguments)]
@@ -87,6 +88,13 @@ macro_rules! simd_dispatch {
                     // features at run time via `is_x86_feature_detected!`.
                     return unsafe { accelerated($($arg),*) };
                 }
+                body($($arg),*)
+            }
+
+            /// The baseline build alone, for tests that pin [`run`] to it bit for bit.
+            #[cfg(test)]
+            #[allow(dead_code, clippy::too_many_arguments)]
+            pub(super) fn portable($($arg: $ty),*) {
                 body($($arg),*)
             }
         }

@@ -7,19 +7,22 @@
 //! autograd layer, the `no_grad` graph oracle and the tape-free plan executor all call
 //! these same functions — so the three forwards agree bit for bit by construction.
 //!
-//! Every forward reproduces, bit for bit, the chain of broadcasting primitives it
-//! replaced (row sums in sequence from 0, `·(1/d)`, a division by `√(var + eps)`, the
-//! same `tanh`), so a checkpoint answers with the same bits before and after the
-//! fusion; only the gradients' rounding differs from the chains'.
+//! LayerNorm, the bias add and dropout reproduce, bit for bit, the chain of broadcasting
+//! primitives they replaced (row sums in sequence from 0, `·(1/d)`, a division by
+//! `√(var + eps)`). GELU does not: its `tanh` is [`tanh_rational`], one branch-free
+//! rational function, where the chain called libm's `tanhf` (within 4.2e-7 of it on
+//! [−30, 30], GELU within 1e-6; DESIGN.md, "Numerics policy"). Every GELU form —
+//! [`NdArray::gelu`], [`NdArray::gelu_with_tanh`] and the executor's
+//! [`NdArray::gelu_in_place`] — runs the one `gelu_rows` kernel, so they cannot drift
+//! apart, and the training backward reads the `tanh` the forward saved.
 //!
 //! The kernels are serial, and a serial kernel cannot make a result depend on the worker
-//! count. For the arithmetic ones that costs nothing: at the shapes the stack runs
-//! (10⁵–10⁶ floats) a pass is tens to hundreds of microseconds, below a thread hand-off.
-//! GELU is the exception: libm's `tanh` makes its forward 7–9 ms at `(2001, 128)`, so the
-//! training node keeps the forward's `tanh` ([`NdArray::gelu_with_tanh`]) and its
-//! backward reads it instead of paying for it again. The backward reductions use
-//! a fixed eight-lane accumulation order written out in the source, so the AVX2 and
-//! baseline builds selected by [`simd_dispatch!`] produce identical bits.
+//! count. At the shapes the stack runs (10⁵–10⁶ floats) a pass is tens to hundreds of
+//! microseconds, below a thread hand-off; a GELU pass at `(2001, 128)` is ≈ 0.3 ms. No
+//! kernel calls `mul_add` and the backward reductions use a fixed eight-lane
+//! accumulation order written out in the source, so the AVX2 and baseline builds
+//! selected by [`simd_dispatch!`] produce identical bits (pinned per kernel by the
+//! tests below).
 //!
 //! Inputs may be arbitrary views; a non-contiguous input is compacted once on entry.
 
@@ -31,12 +34,46 @@ use crate::{NdArray, Result, TensorError};
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 const GELU_A: f32 = 0.044_715;
 
+/// `tanh x` as one odd rational function, `x·P(x²)/Q(x²)` with degree-6 and degree-3
+/// polynomials in `x²` (the minimax fit Eigen ships as its fast float `tanh`), on the
+/// input clamped to ±7.905311, where the fraction rounds to exactly 1. Every operation
+/// is a multiply, add, divide, compare or select, so it vectorises with no branch and
+/// gives the same bits in every build (no `mul_add`). Within 4.2e-7 of libm's `tanhf`,
+/// absolute and relative; odd bit for bit; `|t| ≤ 1`, exactly ±1 from the clamp on
+/// (±∞ included); NaN stays NaN; below 4e-4 in magnitude it returns `x` itself, which
+/// keeps ±0 and the subnormals.
+#[inline(always)]
+fn tanh_rational(x: f32) -> f32 {
+    const CLAMP: f32 = 7.905_311;
+    const P: [f32; 7] = [
+        4.893_524_6e-3,
+        6.372_619_3e-4,
+        1.485_722_4e-5,
+        5.122_297e-8,
+        -8.604_671_5e-11,
+        2.000_187_9e-13,
+        -2.760_768_5e-16,
+    ];
+    const Q: [f32; 4] = [4.893_525_2e-3, 2.268_434_6e-3, 1.185_347_1e-4, 1.198_258_4e-6];
+    // `clamp` keeps NaN, where `min`/`max` would replace it.
+    let c = x.clamp(-CLAMP, CLAMP);
+    let c2 = c * c;
+    let p = c
+        * (P[0] + c2 * (P[1] + c2 * (P[2] + c2 * (P[3] + c2 * (P[4] + c2 * (P[5] + c2 * P[6]))))));
+    let q = Q[0] + c2 * (Q[1] + c2 * (Q[2] + c2 * Q[3]));
+    if x.abs() < 4e-4 {
+        x
+    } else {
+        p / q
+    }
+}
+
 /// `tanh u` with `u = √(2/π)·(x + 0.044715·x³)`: the one transcendental of GELU. Every
 /// GELU kernel takes it from here, so the forward, the saved `tanh` and the backward
 /// that reads it cannot drift apart by a bit.
 #[inline(always)]
 fn gelu_tanh(v: f32) -> f32 {
-    (GELU_C * (v + GELU_A * v * v * v)).tanh()
+    tanh_rational(GELU_C * (v + GELU_A * v * v * v))
 }
 
 /// GELU's value at `v` given `t = gelu_tanh(v)`.
@@ -63,6 +100,23 @@ fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
         sum += term(xa, xb);
     }
     sum
+}
+
+// GELU over `y` in place (`y` holds the input on entry), also writing each element's
+// `tanh` to `t` unless `t` is empty: the one kernel behind every GELU form.
+simd_dispatch! {
+    fn gelu_rows(y: &mut [f32], t: &mut [f32]) {
+        if t.is_empty() {
+            for o in y.iter_mut() {
+                *o = gelu_value(*o, gelu_tanh(*o));
+            }
+        } else {
+            for (o, tv) in y.iter_mut().zip(t.iter_mut()) {
+                *tv = gelu_tanh(*o);
+                *o = gelu_value(*o, *tv);
+            }
+        }
+    }
 }
 
 simd_dispatch! {
@@ -254,24 +308,29 @@ impl NdArray {
         NdArray::from_buffer(out, &[d])
     }
 
-    /// Tanh-approximation GELU, `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
+    /// Tanh-approximation GELU, `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`, into a
+    /// new array.
     pub fn gelu(&self) -> NdArray {
-        self.map(|v| gelu_value(v, gelu_tanh(v)))
+        self.clone().gelu_in_place()
+    }
+
+    /// [`NdArray::gelu`] written over this array's own buffer, with the same bits. It
+    /// allocates nothing when the array is contiguous and holds the only handle on its
+    /// storage (a dead activation in the plan executor); otherwise copy-on-write makes
+    /// the one copy [`NdArray::gelu`] would have made.
+    pub fn gelu_in_place(mut self) -> NdArray {
+        gelu_rows::run(self.as_mut_slice(), &mut []);
+        self
     }
 
     /// [`NdArray::gelu`] in one pass that also returns the `tanh` it computed per
     /// element — the operand [`NdArray::gelu_backward`] reads instead of recomputing it.
     /// The output is bit-equal to [`NdArray::gelu`]'s; both arrays come from the pool.
     pub fn gelu_with_tanh(&self) -> (NdArray, NdArray) {
-        let x = self.materialize();
-        let mut y = crate::pool::alloc_for_extend(self.len());
-        let mut t = crate::pool::alloc_for_extend(self.len());
-        for &v in x.as_slice() {
-            let tv = gelu_tanh(v);
-            t.push(tv);
-            y.push(gelu_value(v, tv));
-        }
-        (NdArray::from_buffer(y, &self.shape), NdArray::from_buffer(t, &self.shape))
+        let mut y = self.clone();
+        let mut t = crate::pool::alloc_zeroed(self.len());
+        gelu_rows::run(y.as_mut_slice(), &mut t);
+        (y, NdArray::from_buffer(t, &self.shape))
     }
 
     /// Gradient of [`NdArray::gelu`] at input `self`, times the output gradient `g`, in
@@ -398,15 +457,176 @@ mod tests {
     }
 
     /// The backward as it was before the forward's `tanh` was kept: `tanh` recomputed
-    /// per element, written out without the shared helpers. The slow twin of
-    /// [`NdArray::gelu_backward`].
+    /// per element through the shipped helper, the rest written out without the other
+    /// shared helpers. The slow twin of [`NdArray::gelu_backward`].
     fn gelu_backward_recomputing(x: &NdArray, g: &NdArray) -> NdArray {
         x.zip_with(g, |v, gv| {
-            let t = (GELU_C * (v + GELU_A * v * v * v)).tanh();
+            let t = gelu_tanh(v);
             let sech2 = 1.0 - t * t;
             gv * (0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * v * v))
         })
         .unwrap()
+    }
+
+    /// GELU on libm's `tanhf`: the forward every GELU computed before
+    /// [`tanh_rational`], kept as the twin its error is stated against.
+    fn gelu_libm(v: f32) -> f32 {
+        0.5 * v * (1.0 + (GELU_C * (v + GELU_A * v * v * v)).tanh())
+    }
+
+    /// The 1e-4 grid over [−30, 30], both saturations and the whole curved middle.
+    fn fine_grid() -> impl Iterator<Item = f32> {
+        (0..=600_000).map(|i| -30.0 + i as f32 * 1e-4)
+    }
+
+    #[test]
+    fn tanh_rational_tracks_libm_on_a_fine_grid() {
+        let (mut abs, mut rel, mut gelu_abs) = (0.0f64, 0.0f64, 0.0f64);
+        for x in fine_grid() {
+            let (got, want) = (tanh_rational(x) as f64, x.tanh() as f64);
+            abs = abs.max((got - want).abs());
+            if want != 0.0 {
+                rel = rel.max((got - want).abs() / want.abs());
+            }
+            let gelu = gelu_value(x, gelu_tanh(x)) as f64;
+            gelu_abs = gelu_abs.max((gelu - gelu_libm(x) as f64).abs());
+        }
+        assert!(abs <= 4.2e-7, "max |tanh − tanhf| {abs:e}");
+        assert!(rel <= 4.2e-7, "max relative error {rel:e}");
+        assert!(gelu_abs <= 1e-6, "max |gelu − gelu on tanhf| {gelu_abs:e}");
+    }
+
+    #[test]
+    fn tanh_rational_special_values() {
+        let same = |x: f32, want: f32| {
+            let got = tanh_rational(x);
+            assert_eq!(got.to_bits(), want.to_bits(), "tanh({x:e}) = {got:e}, want {want:e}");
+        };
+        same(0.0, 0.0);
+        same(-0.0, -0.0);
+        for bits in [1u32, 0x0040_0000, 0x007f_ffff] {
+            let s = f32::from_bits(bits);
+            same(s, s);
+            same(-s, -s);
+        }
+        same(f32::MIN_POSITIVE, f32::MIN_POSITIVE);
+        for x in [f32::INFINITY, f32::MAX, 1e30, 20.0, 7.905_311] {
+            same(x, 1.0);
+            same(-x, -1.0);
+        }
+        assert!(tanh_rational(f32::NAN).is_nan() && tanh_rational(-f32::NAN).is_nan());
+        assert!(gelu_tanh(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn tanh_rational_is_odd_and_bounded() {
+        let mut rng = rng_from_seed(8);
+        let random_bits = (0..200_000).map(|_| f32::from_bits(rng.gen::<u32>()));
+        for x in fine_grid().chain(random_bits).filter(|x| !x.is_nan()) {
+            let (t, u) = (tanh_rational(x), tanh_rational(-x));
+            assert_eq!(u.to_bits(), (-t).to_bits(), "tanh(−{x:e}) is not −tanh({x:e})");
+            assert!(t.abs() <= 1.0, "|tanh({x:e})| = {t:e} > 1");
+        }
+    }
+
+    /// Inputs for the kernel-build comparisons: random rows plus, in the last row, the
+    /// values the GELU kernel treats specially.
+    fn kernel_inputs(rows: usize, d: usize, seed: u64) -> Vec<f32> {
+        let mut x = NdArray::randn(&[rows, d], 3.0, &mut rng_from_seed(seed)).into_vec();
+        let special = [0.0, -0.0, f32::from_bits(1), 1e-4, 6.0, -9.0, 40.0, f32::MAX];
+        let n = x.len();
+        for (o, v) in x[n.saturating_sub(special.len())..].iter_mut().zip(special) {
+            *o = v;
+        }
+        x
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn gelu_rows_dispatch_matches_the_portable_build() {
+        for (rows, d) in [(1usize, 1usize), (7, 5), (33, 64), (2001, 128)] {
+            let x = kernel_inputs(rows, d, d as u64);
+            for with_tanh in [false, true] {
+                let n = if with_tanh { x.len() } else { 0 };
+                let (mut ya, mut ta) = (x.clone(), vec![0.0; n]);
+                let (mut yb, mut tb) = (x.clone(), vec![0.0; n]);
+                gelu_rows::run(&mut ya, &mut ta);
+                gelu_rows::portable(&mut yb, &mut tb);
+                assert!(same_bits(&ya, &yb) && same_bits(&ta, &tb), "{rows}x{d} tanh {with_tanh}");
+            }
+        }
+    }
+
+    #[test]
+    fn layer_norm_rows_dispatch_matches_the_portable_build() {
+        for (rows, d) in [(1usize, 1usize), (7, 5), (33, 64), (301, 257)] {
+            let x = kernel_inputs(rows, d, 100 + d as u64);
+            let gamma = kernel_inputs(1, d, 200 + d as u64);
+            let beta = kernel_inputs(1, d, 300 + d as u64);
+            let outputs =
+                |kernel: fn(&[f32], &[f32], &[f32], f32, &mut [f32], &mut [f32], &mut [f32])| {
+                    let (mut y, mut mean, mut rstd) =
+                        (vec![0.0; x.len()], vec![0.0; rows], vec![0.0; rows]);
+                    kernel(&x, &gamma, &beta, 1e-5, &mut y, &mut mean, &mut rstd);
+                    [y, mean, rstd]
+                };
+            let (a, b) = (outputs(layer_norm_rows::run), outputs(layer_norm_rows::portable));
+            assert!(a.iter().zip(&b).all(|(a, b)| same_bits(a, b)), "{rows}x{d}");
+        }
+    }
+
+    #[test]
+    fn layer_norm_backward_rows_dispatch_matches_the_portable_build() {
+        type Kernel =
+            fn(&[f32], &[f32], &[f32], &[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
+        for (rows, d) in [(1usize, 1usize), (7, 5), (33, 64), (301, 257)] {
+            let x = NdArray::from_vec(kernel_inputs(rows, d, 400 + d as u64), &[rows, d]).unwrap();
+            let (gamma, beta) =
+                (NdArray::randn(&[d], 1.0, &mut rng_from_seed(5)), NdArray::zeros(&[d]));
+            let n = x.layer_norm(&gamma, &beta, 1e-5).unwrap();
+            let g = kernel_inputs(rows, d, 500 + d as u64);
+            let outputs = |kernel: Kernel| {
+                let (mut dx, mut dgamma, mut dbeta) =
+                    (vec![0.0; rows * d], vec![0.0; d], vec![0.0; d]);
+                kernel(
+                    x.as_slice(),
+                    gamma.as_slice(),
+                    &n.mean,
+                    &n.rstd,
+                    &g,
+                    &mut dx,
+                    &mut dgamma,
+                    &mut dbeta,
+                );
+                [dx, dgamma, dbeta]
+            };
+            let (a, b) = (
+                outputs(layer_norm_backward_rows::run),
+                outputs(layer_norm_backward_rows::portable),
+            );
+            assert!(a.iter().zip(&b).all(|(a, b)| same_bits(a, b)), "{rows}x{d}");
+        }
+    }
+
+    #[test]
+    fn gelu_in_place_reuses_a_unique_buffer_and_gives_gelu_bits() {
+        let x = NdArray::randn(&[64, 33], 2.0, &mut rng_from_seed(9));
+        let want = x.gelu();
+        let owned = NdArray::from_vec(x.materialize().into_vec(), x.shape()).unwrap();
+        let before = crate::pool::pool_stats();
+        let got = owned.gelu_in_place();
+        let after = crate::pool::pool_stats();
+        assert_eq!((after.fresh, after.reused), (before.fresh, before.reused), "allocated");
+        assert_eq!(bits(&got), bits(&want));
+        // A shared buffer is copied first, and the other handle keeps the input.
+        let (alias, input) = (x.clone(), bits(&x));
+        assert_eq!(bits(&x.gelu_in_place()), bits(&want));
+        assert_eq!(bits(&alias), input);
+        let (y, _) = alias.gelu_with_tanh();
+        assert_eq!(bits(&y), bits(&want));
     }
 
     fn bits(a: &NdArray) -> Vec<u32> {

@@ -369,6 +369,11 @@ pub fn verify_shapes(
 ///    uses) still needs;
 /// 3. prove the planned arena covers the true allocation peak: the replay's required
 ///    byte capacities must be dominated slot-for-slot by `plan.arena` (bytes).
+///
+/// A node the plan marks in place ([`Plan::in_place`]) joins the slot of the input
+/// [`rita_nn::graph::Op::overwrites_input`] names instead of taking one, as the
+/// executor does. The mark is sound only when that input is a node output owning its
+/// slot alone and nothing reads the slot's storage after the node.
 pub fn verify_lifetimes(
     graph: &Graph,
     plan: &Plan,
@@ -426,6 +431,39 @@ pub fn verify_lifetimes(
     for (pos, &ni) in plan.order.iter().enumerate() {
         let node = &graph.nodes[ni];
         let out = node.output.0;
+        let mut overwritten = None;
+        if plan.in_place[pos] {
+            let unsafe_in_place = |detail: String| {
+                Diagnostic::error(
+                    Analysis::Lifetime,
+                    &node.id,
+                    VerifyError::UnsafeInPlace { position: pos, detail },
+                )
+            };
+            match node.op.overwrites_input().map(|k| node.inputs[k].0) {
+                None => diags.push(unsafe_in_place("the op has no in-place form".into())),
+                Some(v) => match slot_of[v] {
+                    Some(s) if slots[s].live == 1 => {
+                        // The output is written over this storage here: every read of
+                        // what it holds must already have happened.
+                        for &w in &slots[s].occupants {
+                            if let Some(d) = derived_last[w].filter(|&d| d > pos) {
+                                diags.push(Diagnostic::error(
+                                    Analysis::Lifetime,
+                                    graph.values[w].name.clone(),
+                                    VerifyError::ReadAfterFree { position: d, freed_at: pos },
+                                ));
+                            }
+                        }
+                        overwritten = Some(s);
+                    }
+                    _ => diags.push(unsafe_in_place(format!(
+                        "input '{}' is bound, a view, or shares its storage",
+                        graph.values[v].name
+                    ))),
+                },
+            }
+        }
         if let Some(k) = node.op.aliases_input() {
             let base = root[node.inputs[k].0];
             root[out] = base;
@@ -433,6 +471,10 @@ pub fn verify_lifetimes(
                 slots[s].live += 1;
                 slots[s].occupants.push(out);
             }
+        } else if let Some(s) = overwritten {
+            slots[s].live += 1;
+            slots[s].occupants.push(out);
+            slot_of[out] = Some(s);
         } else {
             let Some(need) = sized(out) else { continue };
             let mut best: Option<usize> = None;

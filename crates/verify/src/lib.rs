@@ -67,16 +67,21 @@ pub fn verify_plan(
     if !checks::is_permutation(&plan.order, graph.nodes.len()) {
         return report;
     }
-    if plan.shapes.len() != graph.values.len() || plan.last_use.len() != graph.values.len() {
+    if plan.shapes.len() != graph.values.len()
+        || plan.last_use.len() != graph.values.len()
+        || plan.in_place.len() != plan.order.len()
+    {
         report.push(Diagnostic::error(
             Analysis::Shape,
             "",
             VerifyError::Underivable {
                 detail: format!(
-                    "plan tables sized {}/{} for {} values",
+                    "plan tables sized {}/{} for {} values, {} in-place marks for {} nodes",
                     plan.shapes.len(),
                     plan.last_use.len(),
-                    graph.values.len()
+                    graph.values.len(),
+                    plan.in_place.len(),
+                    plan.order.len()
                 ),
             },
         ));

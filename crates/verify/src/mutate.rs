@@ -42,6 +42,10 @@ pub enum Corruption {
     ShrinkArena,
     /// Move a value's planned free point before its final read — read-after-free.
     TruncateLifetime,
+    /// Mark a node in place that reads a node output still read after it — the
+    /// executor would write over (or, for an op with no in-place form, hand a kernel)
+    /// storage a later node reads.
+    MarkInPlace,
     /// Swap the weight operands of two `Linear` nodes — a served graph that is no
     /// longer the one `build_graph` emits, though every shape may still agree.
     SwapWeights,
@@ -73,12 +77,13 @@ pub fn flip_byte(buf: &mut [u8], site: usize) -> bool {
 }
 
 /// Every corruption class, for sweeping.
-pub const ALL: [Corruption; 9] = [
+pub const ALL: [Corruption; 10] = [
     Corruption::SwapSchedule,
     Corruption::DropNode,
     Corruption::PerturbShape,
     Corruption::ShrinkArena,
     Corruption::TruncateLifetime,
+    Corruption::MarkInPlace,
     Corruption::SwapWeights,
     Corruption::RetargetParam,
     Corruption::PerturbScale,
@@ -91,7 +96,9 @@ impl Corruption {
         match self {
             Corruption::SwapSchedule | Corruption::DropNode => Analysis::Schedule,
             Corruption::PerturbShape => Analysis::Shape,
-            Corruption::ShrinkArena | Corruption::TruncateLifetime => Analysis::Lifetime,
+            Corruption::ShrinkArena | Corruption::TruncateLifetime | Corruption::MarkInPlace => {
+                Analysis::Lifetime
+            }
             Corruption::SwapWeights => Analysis::Emission,
             Corruption::RetargetParam => Analysis::Binding,
             Corruption::PerturbScale | Corruption::DtypeMismatch => Analysis::Dtype,
@@ -168,6 +175,22 @@ impl Corruption {
                 let v = candidates[site % candidates.len()];
                 let p = plan.last_use[v].expect("candidate has a last use");
                 plan.last_use[v] = Some(p - 1);
+                true
+            }
+            Corruption::MarkInPlace => {
+                let candidates: Vec<usize> = (0..plan.order.len().min(plan.in_place.len()))
+                    .filter(|&pos| {
+                        !plan.in_place[pos]
+                            && graph.nodes[plan.order[pos]].inputs.iter().any(|v| {
+                                graph.values[v.0].binding.is_none()
+                                    && matches!(plan.last_use.get(v.0), Some(Some(p)) if *p > pos)
+                            })
+                    })
+                    .collect();
+                if candidates.is_empty() {
+                    return false;
+                }
+                plan.in_place[candidates[site % candidates.len()]] = true;
                 true
             }
             Corruption::SwapWeights

@@ -154,6 +154,14 @@ pub enum VerifyError {
         /// Schedule position the plan releases the storage at.
         freed_at: usize,
     },
+    /// A node is planned to write its output over an input it may not overwrite: its
+    /// op has no in-place form, or the input is bound, a view, or shares its storage.
+    UnsafeInPlace {
+        /// Schedule position of the node.
+        position: usize,
+        /// Which condition fails.
+        detail: String,
+    },
     /// The planned arena cannot cover the true allocation peak.
     ArenaShortfall {
         /// A required buffer capacity (f32 elements) with no covering planned slot.
@@ -257,6 +265,9 @@ impl std::fmt::Display for VerifyError {
                 f,
                 "storage released at position {freed_at} but still needed at position {position}"
             ),
+            VerifyError::UnsafeInPlace { position, detail } => {
+                write!(f, "planned in place at position {position}, but {detail}")
+            }
             VerifyError::ArenaShortfall { required, planned_slots } => write!(
                 f,
                 "no planned arena slot (of {planned_slots}) covers a required capacity of \

@@ -7,8 +7,9 @@
 //! it. These tests pin that the two interpreters agree at 0 ulp across every attention
 //! variant, task head, and shape bucket, that the plan cache counts hits and misses,
 //! that a checkpoint missing any parameter (a bias included) is refused by every loader
-//! and by the verifier, and that a malformed checkpoint fails the *request* (typed
-//! `InferError`) — never the worker thread serving it.
+//! and by the verifier, that a malformed checkpoint fails the *request* (typed
+//! `InferError`) — never the worker thread serving it — and that the FFN's GELU writes
+//! over its dying input with the arena, the executor and the verifier agreeing on it.
 
 use std::time::Duration;
 
@@ -20,12 +21,12 @@ use rita::core::model::embedding::sinusoidal_table;
 use rita::core::model::RitaConfig;
 use rita::core::tasks::{Classifier, Imputer};
 use rita::infer::{
-    plan_cache_stats, InferError, InferModel, InferSession, ModelRegistry, PublishError,
-    RequestError, ServeError, Server, ServerConfig,
+    plan_cache_stats, pool_stats, InferError, InferModel, InferSession, ModelRegistry,
+    PublishError, RequestError, ServeError, Server, ServerConfig,
 };
-use rita::nn::graph::{Graph, PlanError};
+use rita::nn::graph::{Graph, Op, Plan, PlanError};
 use rita::tensor::{NdArray, SeedableRng64};
-use rita::verify::{verify_checkpoint, Analysis, VerifyError};
+use rita::verify::{verify_checkpoint, verify_plan, Analysis, Corruption, VerifyError};
 
 fn rng(seed: u64) -> SeedableRng64 {
     SeedableRng64::seed_from_u64(seed)
@@ -304,4 +305,87 @@ fn server_metrics_surface_pool_and_plan_cache_stats() {
         assert!(json.contains(key), "metrics JSON lacks {key}: {json}");
     }
     server.shutdown();
+}
+
+fn bits(a: &NdArray) -> Vec<u32> {
+    a.materialize().as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A tiny classifier, its servable model, and the plan the model compiles for `x`.
+fn model_and_plan(seed: u64, x_shape: &[usize]) -> (InferModel, Plan) {
+    let mut r = rng(seed);
+    let clf = Classifier::new(RitaConfig::tiny(3, 60, AttentionKind::Vanilla), 4, &mut r);
+    let ckpt = Checkpoint::of_classifier(&clf, None);
+    let model = InferModel::from_checkpoint(&ckpt).unwrap();
+    let table = [ckpt.config.max_windows() + 1, ckpt.config.d_model];
+    let plan = model
+        .graph()
+        .compile(x_shape, &|name| {
+            if name == POSITIONAL {
+                return Some(table.to_vec());
+            }
+            ckpt.tensors.iter().find(|(p, _)| p == name).map(|(_, t)| t.shape().to_vec())
+        })
+        .unwrap();
+    (model, plan)
+}
+
+/// The FFN's `ff1 → gelu → ff2`: ff1 dies at the GELU, so the plan marks exactly the
+/// GELU nodes in place, and the executor's GELU node allocates nothing — the pool's
+/// counters move as much through the GELU as through its input — while its output
+/// keeps the bits of the allocating GELU.
+#[test]
+fn the_planned_gelu_writes_over_its_dying_input() {
+    let x = NdArray::randn(&[2, 3, 60], 1.0, &mut rng(307));
+    let (model, plan) = model_and_plan(307, x.shape());
+    let graph = model.graph();
+    for (pos, &ni) in plan.order.iter().enumerate() {
+        assert_eq!(plan.in_place[pos], graph.nodes[ni].op == Op::Gelu, "{}", graph.nodes[ni].id);
+    }
+    let _ = model.logits(&x); // reserves the arena and warms the pool
+    let gelu = graph.nodes.iter().find(|n| n.op == Op::Gelu).expect("an FFN GELU");
+    let allocations_through = |target| {
+        let before = pool_stats();
+        let y = model.try_run_to(&x, target).unwrap();
+        let after = pool_stats();
+        (y, (after.fresh + after.reused) - (before.fresh + before.reused))
+    };
+    let (ff1, through_input) = allocations_through(gelu.inputs[0]);
+    let (act, through_gelu) = allocations_through(gelu.output);
+    assert_eq!(through_gelu, through_input, "the GELU node allocated");
+    assert_eq!(bits(&act), bits(&ff1.gelu()));
+}
+
+/// The verifier's `MarkInPlace` mutation on a graph whose GELU input is read again
+/// after the GELU (a residual): the executor would overwrite storage the `Add` still
+/// reads, and the arena replay rejects the plan with a read-after-free on that input.
+#[test]
+fn a_gelu_marked_in_place_over_a_live_input_is_rejected() {
+    let mut g = Graph::new();
+    let x = g.add_input("input");
+    let (w, b) = (g.param("l.weight"), g.param("l.bias"));
+    let l = g.push("l", Op::Linear, vec![x, w, b]);
+    let act = g.push("act", Op::Gelu, vec![l]);
+    let sum = g.push("residual", Op::Add, vec![act, l]);
+    g.output = sum;
+    g.encoder_output = sum;
+    let lookup = |p: &str| match p {
+        "l.weight" => Some(vec![8, 8]),
+        "l.bias" => Some(vec![8]),
+        _ => None,
+    };
+    let clean = g.compile(&[2, 5, 8], &lookup).unwrap();
+    assert_eq!(clean.in_place, vec![false; 3]);
+    assert!(verify_plan(&g, &clean, &lookup).is_clean());
+
+    let mut plan = clean.clone();
+    assert!(Corruption::MarkInPlace.apply_to_plan(&g, &mut plan, 0));
+    assert_eq!(plan.in_place, vec![false, true, false], "the GELU is the only site");
+    let report = verify_plan(&g, &plan, &lookup);
+    assert!(
+        report.diagnostics.iter().any(|d| d.analysis == Analysis::Lifetime
+            && d.node == "l"
+            && d.error == VerifyError::ReadAfterFree { position: 2, freed_at: 1 }),
+        "expected a read-after-free on `l`, got:\n{report}"
+    );
 }

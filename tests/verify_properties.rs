@@ -5,8 +5,8 @@
 //!    task heads) verifies with zero error diagnostics, end-to-end from the
 //!    checkpoint, and its compiled plans verify clean per shape bucket.
 //! 2. **Rejection completeness** — every [`Corruption`] class the mutator can inject
-//!    (nine: swapped/dropped schedule entries, perturbed AOT shape, shrunk arena,
-//!    truncated lifetime, swapped `Linear` weights, retargeted param path, perturbed
+//!    (ten: swapped/dropped schedule entries, perturbed AOT shape, shrunk arena,
+//!    truncated lifetime, an unsafe in-place mark, swapped `Linear` weights, retargeted param path, perturbed
 //!    dequantization scale, record dtype mismatch) is rejected with an error
 //!    diagnostic from the *matching* analysis, across several injection sites.
 //!
