@@ -681,9 +681,7 @@ impl Graph {
             let overwritten = node.op.overwrites_input().and_then(|k| {
                 let v = node.inputs[k].0;
                 let s = slot_of[v].filter(|&s| root[v] == v && live[s] == 1)?;
-                let dies = last_use[v] == Some(pos)
-                    && node.inputs.iter().filter(|w| w.0 == v).count() == 1;
-                (dies && shapes[v] == shapes[out]).then_some(s)
+                (last_use[v] == Some(pos) && shapes[v] == shapes[out]).then_some(s)
             });
             in_place.push(overwritten.is_some());
             if let Some(k) = node.op.aliases_input() {

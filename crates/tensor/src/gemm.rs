@@ -55,8 +55,7 @@ pub(crate) fn simd_accelerated() -> bool {
 /// the CPU supports (via [`simd_accelerated`], detected once). The body is an
 /// `#[inline(always)]` function, so each clone inlines it and re-vectorises it under its
 /// own feature set; this is how the hot loops issue 8-wide FMAs without changing the
-/// portable build flags. Test builds also emit `$name::portable(..)`, the baseline build
-/// on any CPU.
+/// portable build flags.
 macro_rules! simd_dispatch {
     (fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
         #[allow(clippy::too_many_arguments)]
@@ -64,9 +63,11 @@ macro_rules! simd_dispatch {
             #[allow(unused_imports)]
             use super::*;
 
+            /// The kernel itself. Called directly from the parent module (as the tests
+            /// do) it is the baseline build, which they pin [`run`] to bit for bit.
             #[inline(always)]
             #[allow(clippy::too_many_arguments)]
-            fn body($($arg: $ty),*) $body
+            pub(super) fn body($($arg: $ty),*) $body
 
             // `unsafe` only because of `target_feature`: calling this on a CPU
             // without avx2+fma would execute illegal instructions. The body itself
@@ -88,13 +89,6 @@ macro_rules! simd_dispatch {
                     // features at run time via `is_x86_feature_detected!`.
                     return unsafe { accelerated($($arg),*) };
                 }
-                body($($arg),*)
-            }
-
-            /// The baseline build alone, for tests that pin [`run`] to it bit for bit.
-            #[cfg(test)]
-            #[allow(dead_code, clippy::too_many_arguments)]
-            pub(super) fn portable($($arg: $ty),*) {
                 body($($arg),*)
             }
         }

@@ -9,16 +9,16 @@
 //!
 //! LayerNorm, the bias add and dropout reproduce, bit for bit, the chain of broadcasting
 //! primitives they replaced (row sums in sequence from 0, `·(1/d)`, a division by
-//! `√(var + eps)`). GELU does not: its `tanh` is [`tanh_rational`], one branch-free
+//! `√(var + eps)`). GELU does not: its `tanh` is `tanh_rational`, one branch-free
 //! rational function, where the chain called libm's `tanhf` (within 4.2e-7 of it on
-//! [−30, 30], GELU within 1e-6; DESIGN.md, "Numerics policy"). Every GELU form —
+//! [−30, 30], GELU within 1e-6; DESIGN.md, "Changing forward bits"). Every GELU form —
 //! [`NdArray::gelu`], [`NdArray::gelu_with_tanh`] and the executor's
 //! [`NdArray::gelu_in_place`] — runs the one `gelu_rows` kernel, so they cannot drift
 //! apart, and the training backward reads the `tanh` the forward saved.
 //!
 //! The kernels are serial, and a serial kernel cannot make a result depend on the worker
 //! count. At the shapes the stack runs (10⁵–10⁶ floats) a pass is tens to hundreds of
-//! microseconds, below a thread hand-off; a GELU pass at `(2001, 128)` is ≈ 0.3 ms. No
+//! microseconds, below a thread hand-off; a GELU pass at `(2001, 128)` is 0.4–0.6 ms. No
 //! kernel calls `mul_add` and the backward reductions use a fixed eight-lane
 //! accumulation order written out in the source, so the AVX2 and baseline builds
 //! selected by [`simd_dispatch!`] produce identical bits (pinned per kernel by the
@@ -47,14 +47,14 @@ fn tanh_rational(x: f32) -> f32 {
     const CLAMP: f32 = 7.905_311;
     const P: [f32; 7] = [
         4.893_524_6e-3,
-        6.372_619_3e-4,
+        6.372_619_5e-4,
         1.485_722_4e-5,
         5.122_297e-8,
-        -8.604_671_5e-11,
-        2.000_187_9e-13,
-        -2.760_768_5e-16,
+        -8.604_672e-11,
+        2.000_188e-13,
+        -2.760_768_6e-16,
     ];
-    const Q: [f32; 4] = [4.893_525_2e-3, 2.268_434_6e-3, 1.185_347_1e-4, 1.198_258_4e-6];
+    const Q: [f32; 4] = [4.893_525e-3, 2.268_434_5e-3, 1.185_347_1e-4, 1.198_258_4e-6];
     // `clamp` keeps NaN, where `min`/`max` would replace it.
     let c = x.clamp(-CLAMP, CLAMP);
     let c2 = c * c;
@@ -529,8 +529,8 @@ mod tests {
         }
     }
 
-    /// Inputs for the kernel-build comparisons: random rows plus, in the last row, the
-    /// values the GELU kernel treats specially.
+    /// Inputs for the kernel-build comparisons: random values, the last eight replaced
+    /// by values the GELU kernel treats specially.
     fn kernel_inputs(rows: usize, d: usize, seed: u64) -> Vec<f32> {
         let mut x = NdArray::randn(&[rows, d], 3.0, &mut rng_from_seed(seed)).into_vec();
         let special = [0.0, -0.0, f32::from_bits(1), 1e-4, 6.0, -9.0, 40.0, f32::MAX];
@@ -554,7 +554,7 @@ mod tests {
                 let (mut ya, mut ta) = (x.clone(), vec![0.0; n]);
                 let (mut yb, mut tb) = (x.clone(), vec![0.0; n]);
                 gelu_rows::run(&mut ya, &mut ta);
-                gelu_rows::portable(&mut yb, &mut tb);
+                gelu_rows::body(&mut yb, &mut tb);
                 assert!(same_bits(&ya, &yb) && same_bits(&ta, &tb), "{rows}x{d} tanh {with_tanh}");
             }
         }
@@ -562,18 +562,18 @@ mod tests {
 
     #[test]
     fn layer_norm_rows_dispatch_matches_the_portable_build() {
+        type Kernel = fn(&[f32], &[f32], &[f32], f32, &mut [f32], &mut [f32], &mut [f32]);
         for (rows, d) in [(1usize, 1usize), (7, 5), (33, 64), (301, 257)] {
             let x = kernel_inputs(rows, d, 100 + d as u64);
             let gamma = kernel_inputs(1, d, 200 + d as u64);
             let beta = kernel_inputs(1, d, 300 + d as u64);
-            let outputs =
-                |kernel: fn(&[f32], &[f32], &[f32], f32, &mut [f32], &mut [f32], &mut [f32])| {
-                    let (mut y, mut mean, mut rstd) =
-                        (vec![0.0; x.len()], vec![0.0; rows], vec![0.0; rows]);
-                    kernel(&x, &gamma, &beta, 1e-5, &mut y, &mut mean, &mut rstd);
-                    [y, mean, rstd]
-                };
-            let (a, b) = (outputs(layer_norm_rows::run), outputs(layer_norm_rows::portable));
+            let outputs = |kernel: Kernel| {
+                let (mut y, mut mean, mut rstd) =
+                    (vec![0.0; x.len()], vec![0.0; rows], vec![0.0; rows]);
+                kernel(&x, &gamma, &beta, 1e-5, &mut y, &mut mean, &mut rstd);
+                [y, mean, rstd]
+            };
+            let (a, b) = (outputs(layer_norm_rows::run), outputs(layer_norm_rows::body));
             assert!(a.iter().zip(&b).all(|(a, b)| same_bits(a, b)), "{rows}x{d}");
         }
     }
@@ -603,10 +603,8 @@ mod tests {
                 );
                 [dx, dgamma, dbeta]
             };
-            let (a, b) = (
-                outputs(layer_norm_backward_rows::run),
-                outputs(layer_norm_backward_rows::portable),
-            );
+            let (a, b) =
+                (outputs(layer_norm_backward_rows::run), outputs(layer_norm_backward_rows::body));
             assert!(a.iter().zip(&b).all(|(a, b)| same_bits(a, b)), "{rows}x{d}");
         }
     }
