@@ -35,7 +35,7 @@ const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 const GELU_A: f32 = 0.044_715;
 
 /// `tanh x` as one odd rational function, `x·P(x²)/Q(x²)` with degree-6 and degree-3
-/// polynomials in `x²` (the minimax fit Eigen ships as its fast float `tanh`), on the
+/// polynomials in `x²` (the coefficients of Eigen's fast float `tanh`), on the
 /// input clamped to ±7.905311, where the fraction rounds to exactly 1. Every operation
 /// is a multiply, add, divide, compare or select, so it vectorises with no branch and
 /// gives the same bits in every build (no `mul_add`). Within 4.2e-7 of libm's `tanhf`,
