@@ -8,8 +8,10 @@ pub use kmeans::{kmeans_matmul, kmeans_pairwise, Grouping};
 use rita_tensor::NdArray;
 
 /// Minimum total distance-matrix work (`Σ blocks · n · N · d`) before the k-means
-/// fan-out pays for thread start-up; below this every block runs serially (the same
-/// role as the batched matmul's `PARALLEL_THRESHOLD`).
+/// fan-out pays for handing blocks to other threads; below this every block runs
+/// serially (the same role as the batched matmul's `PARALLEL_THRESHOLD`). The value
+/// dates from when every fan-out spawned fresh threads and has not been re-measured
+/// against the worker pool.
 const GROUPING_PARALLEL_THRESHOLD: usize = 64 * 64 * 16;
 
 /// Runs the k-means grouping for every `(batch, head)` block of a `(b, h, n, d)` key

@@ -201,7 +201,7 @@ pub(crate) fn fused_attention_threaded(
         // fan whole (batch, head) matrices out across workers; each worker packs its
         // own K/V panels and runs its blocks serially.
         let per = bh.div_ceil(threads);
-        std::thread::scope(|scope| {
+        crate::parallel::scope(|scope| {
             let mut out_rest: &mut [f32] = &mut out;
             let mut lse_rest: &mut [f32] = &mut lse;
             let mut start = 0usize;
@@ -251,7 +251,7 @@ pub(crate) fn fused_attention_threaded(
             let packs_ref = &packs;
             let out_b = &mut out[bhi * n * dv..(bhi + 1) * n * dv];
             let lse_b = &mut lse[bhi * n..(bhi + 1) * n];
-            std::thread::scope(|scope| {
+            crate::parallel::scope(|scope| {
                 let mut out_rest: &mut [f32] = out_b;
                 let mut lse_rest: &mut [f32] = lse_b;
                 let mut row0 = 0usize;
@@ -593,7 +593,7 @@ pub(crate) fn fused_attention_backward_threaded(
     let threads = threads.min(bh);
     if threads > 1 {
         let per = bh.div_ceil(threads);
-        std::thread::scope(|scope| {
+        crate::parallel::scope(|scope| {
             let mut dq_rest: &mut [f32] = &mut dq;
             let mut dk_rest: &mut [f32] = &mut dk;
             let mut dv_rest: &mut [f32] = &mut dval;

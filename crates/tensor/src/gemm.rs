@@ -191,7 +191,7 @@ pub(crate) fn micro_kernel(
 
 thread_local! {
     /// Per-thread packing scratch, reused across GEMM calls so steady-state products
-    /// allocate nothing. (Worker threads spawned by a fan-out get their own copies.)
+    /// allocate nothing. (Each pool worker keeps its own copy across fan-outs.)
     static SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 

@@ -1,13 +1,27 @@
-//! The shared worker fan-out used by every threaded kernel in the workspace: a scoped
-//! chunked split over a mutable output slice, a global worker budget, and a per-thread
-//! cap so nested fan-outs (a grouping worker issuing matmuls) stay serial instead of
-//! oversubscribing the machine.
+//! The shared worker fan-out used by every threaded kernel in the workspace: one
+//! process-wide pool of parked worker threads, the [`scope`] primitive that hands them
+//! borrowed chunks, a chunked split over a mutable output slice built on it, a global
+//! worker budget, and a per-thread cap so nested fan-outs (a grouping worker issuing
+//! matmuls) stay serial instead of oversubscribing the machine.
+//!
+//! The pool starts on the first chunk any fan-out spawns, so a process that never fans
+//! out (a serving worker at kernel cap 1) starts no thread, and holds one worker fewer
+//! than the machine budget: the caller is the last worker of its own fan-out. While it
+//! waits, a caller runs its own scope's not-yet-started chunks, never another
+//! caller's, so a fan-out nested inside a chunk always makes progress, whatever the
+//! workers are doing, and which thread runs a chunk never changes what it computes.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::sync::OnceLock;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::ThreadId;
 
-/// Upper bound on worker threads for any single fan-out (thread start-up dominates
-/// beyond this on one kernel invocation).
+/// Upper bound on the threads of any single fan-out, which also bounds the pool at
+/// `MAX_THREADS − 1` workers on large machines.
 const MAX_THREADS: usize = 16;
 
 thread_local! {
@@ -48,14 +62,161 @@ pub fn with_worker_threads<T>(cap: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Fans `data` out across scoped worker threads in contiguous chunks.
+/// A spawned chunk with its borrow lifetime erased (see [`Scope::spawn`]).
+type Chunk = Box<dyn FnOnce() + Send + 'static>;
+
+/// Locks `m`. No lock in this module is held while a chunk runs, so none can be
+/// poisoned; recovering the guard anyway keeps [`scope`]'s wait free of panics, which
+/// the safety argument of [`Scope::spawn`] needs.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// One [`scope`] call's shared state. The caller and the pool workers hold it through
+/// an `Arc`, so a worker's stale reference outlives the call harmlessly.
+#[derive(Default)]
+struct ScopeState {
+    /// Spawned chunks no thread has started yet, in spawn order.
+    queued: Mutex<VecDeque<Chunk>>,
+    /// Spawned chunks that have not finished, queued or running.
+    pending: AtomicUsize,
+    /// Signalled, under `queued`'s lock, when `pending` falls to zero.
+    finished: Condvar,
+    /// The payload of the first chunk that panicked.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl ScopeState {
+    /// Runs one not-yet-started chunk of this scope, if one is left, and reports
+    /// whether it did. The chunk runs at the budget a fresh thread has, whichever
+    /// thread takes it, and a panic is caught and kept for the caller.
+    fn run_one(&self) -> bool {
+        let chunk = lock(&self.queued).pop_front();
+        let Some(chunk) = chunk else { return false };
+        let outcome =
+            panic::catch_unwind(AssertUnwindSafe(|| with_worker_threads(usize::MAX, chunk)));
+        if let Err(payload) = outcome {
+            lock(&self.panic).get_or_insert(payload);
+        }
+        // Release: publishes the chunk's writes to the caller's `Acquire` load in `wait`.
+        if self.pending.fetch_sub(1, Ordering::Release) == 1 {
+            let _queued = lock(&self.queued);
+            self.finished.notify_one();
+        }
+        true
+    }
+
+    /// Runs this scope's remaining chunks on the calling thread, then sleeps until the
+    /// ones pool workers took have finished. Never panics.
+    fn wait(&self) {
+        while self.run_one() {}
+        let mut queued = lock(&self.queued);
+        while self.pending.load(Ordering::Acquire) != 0 {
+            queued = self.finished.wait(queued).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+}
+
+/// Scopes with a chunk for the pool to take, one entry per spawned chunk. An entry
+/// whose chunk its caller already ran is skipped.
+static TICKETS: Mutex<VecDeque<Arc<ScopeState>>> = Mutex::new(VecDeque::new());
+/// Signalled once per pushed ticket.
+static TICKET_READY: Condvar = Condvar::new();
+
+/// The pool's worker threads, started on first use: one fewer than the machine budget
+/// (none on a one-CPU machine, where every chunk runs on its caller).
+fn pool_workers() -> &'static [ThreadId] {
+    static WORKERS: OnceLock<Vec<ThreadId>> = OnceLock::new();
+    WORKERS.get_or_init(|| {
+        // The handles are dropped: workers run for the life of the process, and a
+        // panicking chunk is caught in `run_one`, so a worker never ends.
+        (1..machine_parallelism().min(MAX_THREADS))
+            .filter_map(|i| {
+                let worker = std::thread::Builder::new().name(format!("rita-kernel-{i}"));
+                worker.spawn(work).ok().map(|handle| handle.thread().id())
+            })
+            .collect()
+    })
+}
+
+/// A pool worker's loop: take a ticket, run one chunk of its scope, repeat.
+fn work() {
+    loop {
+        let scope = {
+            let mut tickets = lock(&TICKETS);
+            loop {
+                if let Some(scope) = tickets.pop_front() {
+                    break scope;
+                }
+                tickets = TICKET_READY.wait(tickets).unwrap_or_else(|p| p.into_inner());
+            }
+        };
+        scope.run_one();
+    }
+}
+
+/// A fan-out in progress; see [`scope`].
+pub(crate) struct Scope<'env> {
+    state: Arc<ScopeState>,
+    /// Invariant in `'env`, and neither `Send` nor `Sync`, so a chunk cannot carry the
+    /// scope to another thread and spawn into it.
+    _env: PhantomData<*mut &'env ()>,
+}
+
+impl<'env> Scope<'env> {
+    /// Queues `f` to run on a pool worker, or on the caller of [`scope`] if it gets
+    /// there first. `f` may borrow anything that outlives the `scope` call.
+    pub(crate) fn spawn(&self, f: impl FnOnce() + Send + 'env) {
+        let chunk: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
+        // SAFETY: only the lifetime changes; the two types have one layout. The chunk
+        // borrows data that lives for `'env`, which outlives the `scope` call that
+        // created `self`. That call cannot return, not even by unwinding, before
+        // `pending` is zero (`scope` catches a panic of its closure, and `wait` cannot
+        // panic), and `pending` counts this chunk from here until it has run and been
+        // dropped: every queued chunk is taken by a worker or by `wait` itself, and the
+        // decrement follows the call that consumes it. So no use of the borrow can
+        // happen after `'env` ends.
+        let chunk = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Chunk>(chunk) };
+        // Relaxed: the increment publishes nothing, and the queue's lock orders it
+        // before any thread can take this chunk and decrement.
+        self.state.pending.fetch_add(1, Ordering::Relaxed);
+        lock(&self.state.queued).push_back(chunk);
+        if !pool_workers().is_empty() {
+            lock(&TICKETS).push_back(Arc::clone(&self.state));
+            TICKET_READY.notify_one();
+        }
+    }
+}
+
+/// Runs `f` with a [`Scope`] whose spawned chunks may borrow from the caller's stack,
+/// the shape of `std::thread::scope`, and returns once every chunk has finished.
 ///
-/// `data` is treated as logical items of `unit` elements each; every worker receives up
-/// to `per` consecutive items — `f(start_item, chunk)` where `chunk` covers items
-/// `[start_item, start_item + chunk.len() / unit)`. Blocks until all workers finish
-/// (`std::thread::scope`), so `f` may borrow from the caller's stack. With `per` at or
-/// above the item count, `f` runs once on the calling thread's stack frame — callers
-/// decide the chunking, this helper only owns the splitting and spawning.
+/// The chunks run on the process-wide pool of parked workers and on the calling
+/// thread, which takes this scope's own not-yet-started chunks while it waits. Each
+/// chunk runs at the budget a fresh thread would have (no [`with_worker_threads`] cap),
+/// so a nested fan-out inside it behaves the same whichever thread runs it. Chunks may
+/// not start before `f` returns, so `f` must not wait for one. If `f` or
+/// a chunk panics, `scope` still waits for every chunk and then re-raises the payload
+/// (`f`'s first, else the first chunk's); pool workers survive the panic.
+pub(crate) fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
+    let scope = Scope { state: Arc::default(), _env: PhantomData };
+    let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
+    scope.state.wait();
+    let chunk_panic = lock(&scope.state.panic).take();
+    match (result, chunk_panic) {
+        (Ok(value), None) => value,
+        (Err(payload), _) | (Ok(_), Some(payload)) => panic::resume_unwind(payload),
+    }
+}
+
+/// Fans `data` out across the worker pool in contiguous chunks.
+///
+/// `data` is treated as logical items of `unit` elements each; every chunk covers up to
+/// `per` consecutive items — `f(start_item, chunk)` where `chunk` covers items
+/// `[start_item, start_item + chunk.len() / unit)`. Blocks until every chunk has run
+/// ([`scope`]), so `f` may borrow from the caller's stack. With `per` at or above the
+/// item count, `f` runs once on the calling thread and the pool is not touched —
+/// callers decide the chunking, this helper only owns the splitting and the hand-off.
 pub fn scoped_chunks_mut<T: Send>(
     data: &mut [T],
     unit: usize,
@@ -70,20 +231,13 @@ pub fn scoped_chunks_mut<T: Send>(
         "scoped_chunks_mut: {} elements do not divide into items of {unit}",
         data.len()
     );
-    let items = data.len() / unit;
-    if items <= per {
+    if data.len() / unit <= per {
         f(0, data);
         return;
     }
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let mut start = 0usize;
-        while start < items {
-            let count = per.min(items - start);
-            let (chunk, tail) = rest.split_at_mut(count * unit);
-            rest = tail;
-            scope.spawn(move || f(start, chunk));
-            start += count;
+    scope(|s| {
+        for (i, chunk) in data.chunks_mut(per * unit).enumerate() {
+            s.spawn(move || f(i * per, chunk));
         }
     });
 }
@@ -91,6 +245,110 @@ pub fn scoped_chunks_mut<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::Duration;
+
+    /// One chunk of a pair that must run at the same time: signals the other chunk,
+    /// then waits for its signal and returns the id of the thread it ran on. A pair run
+    /// one after the other panics here after a minute instead of hanging.
+    fn meet(signal: Sender<()>, wait: Receiver<()>) -> ThreadId {
+        let _ = signal.send(());
+        wait.recv_timeout(Duration::from_secs(60)).expect("the two chunks never ran at once");
+        std::thread::current().id()
+    }
+
+    /// One fan-out of two chunks that meet, then run `after`; returns their thread ids.
+    fn concurrent_pair(after: fn()) -> [ThreadId; 2] {
+        let (to_a, from_b) = channel();
+        let (to_b, from_a) = channel();
+        let mut ids = [std::thread::current().id(); 2];
+        let [a, b] = &mut ids;
+        scope(|s| {
+            s.spawn(move || {
+                *a = meet(to_b, from_b);
+                after();
+            });
+            s.spawn(move || {
+                *b = meet(to_a, from_a);
+                after();
+            });
+        });
+        ids
+    }
+
+    #[test]
+    fn fan_outs_run_on_the_pool_workers_and_the_caller_only() {
+        // A fresh thread per chunk would show up here as an id outside the pool. With
+        // one CPU there is no pool and every chunk runs on its caller.
+        let pool: HashSet<ThreadId> = pool_workers().iter().copied().collect();
+        if pool.is_empty() {
+            return;
+        }
+        let caller = std::thread::current().id();
+        let mut seen = HashSet::new();
+        for _ in 0..100 {
+            seen.extend(concurrent_pair(|| {}));
+        }
+        assert!(
+            seen.iter().all(|id| *id == caller || pool.contains(id)),
+            "a chunk ran outside the pool: {seen:?} against {pool:?} and caller {caller:?}"
+        );
+        assert!(seen.iter().any(|id| pool.contains(id)), "no pool worker took a chunk");
+    }
+
+    #[test]
+    fn a_chunk_panic_reaches_the_caller_and_the_pool_survives_it() {
+        // Both chunks of the pair panic, so whichever ran on a pool worker did too.
+        let caught = panic::catch_unwind(|| {
+            concurrent_pair(|| panic!("chunk failed"));
+        });
+        let payload = caught.expect_err("the chunk panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk failed"));
+        // The next fan-outs run every chunk, and the worker is still there to meet.
+        scoped_chunks_cover_every_item_exactly_once();
+        if !pool_workers().is_empty() {
+            concurrent_pair(|| {});
+        }
+    }
+
+    #[test]
+    fn a_fan_out_nested_in_a_chunk_completes() {
+        // More chunks than the pool has workers, at both levels: the outer chunks the
+        // workers hold wait on inner chunks that only their own callers can run.
+        let per_level = pool_workers().len() + 3;
+        let mut sums = vec![0usize; per_level];
+        scoped_chunks_mut(&mut sums, 1, 1, |outer, sum| {
+            let mut inner = vec![0usize; per_level];
+            scoped_chunks_mut(&mut inner, 1, 1, |i, x| x[0] = outer * per_level + i);
+            sum[0] = inner.iter().sum();
+        });
+        let n = per_level;
+        let expect: Vec<usize> = (0..n).map(|o| o * n * n + n * (n - 1) / 2).collect();
+        assert_eq!(sums, expect);
+    }
+
+    #[test]
+    fn concurrent_callers_get_exact_results() {
+        // 8 callers × 500 fan-outs of 8 chunks each share the pool at once; every
+        // fan-out must see exactly its own chunks run, each exactly once.
+        std::thread::scope(|callers| {
+            for caller in 0..8usize {
+                callers.spawn(move || {
+                    for round in 0..500usize {
+                        let mut data = vec![0usize; 64];
+                        scoped_chunks_mut(&mut data, 1, 8, |start, chunk| {
+                            for (i, x) in chunk.iter_mut().enumerate() {
+                                *x += caller * round + start + i;
+                            }
+                        });
+                        let sum: usize = data.iter().sum();
+                        assert_eq!(sum, 64 * caller * round + 64 * 63 / 2, "caller {caller}");
+                    }
+                });
+            }
+        });
+    }
 
     #[test]
     fn scoped_chunks_cover_every_item_exactly_once() {

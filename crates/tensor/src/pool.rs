@@ -5,8 +5,8 @@
 //! accumulators, compactions of strided views, `zeros` / `full`, concatenations) comes
 //! from [`alloc_zeroed`] or [`alloc_for_extend`], which first consult this thread's free
 //! list. What they return is a [`Storage`]: the `Vec` plus the id of the pool that issued
-//! it. Scratch that kernels allocate on their scoped worker threads (packing panels,
-//! score tiles) and small per-row statistics stay plain `Vec`s.
+//! it. Scratch that kernel chunks allocate wherever the fan-out runs them (packing
+//! panels, score tiles) and small per-row statistics stay plain `Vec`s.
 //!
 //! **Ownership.** A buffer belongs to the pool of the thread that issued it. An
 //! [`NdArray`] and all its views share one `Storage` behind an `Arc`; when the last
@@ -29,8 +29,9 @@
 //! stats) is in bytes, and alongside the `f32` list there is an `i16` list for the int8
 //! packing scratch of the quantized GEMM. Each element type keeps its own list (a
 //! `Vec<f32>` allocation cannot be retyped in safe Rust), but both share one stats block
-//! and the one retention rule. Kernels that fan work out to scoped threads allocate
-//! their outputs on the calling thread before spawning.
+//! and the one retention rule. Kernels that fan work out to the worker pool allocate
+//! their outputs on the calling thread before the fan-out, so outputs return to the
+//! caller's pool whichever thread wrote them.
 
 use std::cell::RefCell;
 use std::mem::size_of;
