@@ -148,7 +148,8 @@ fn work() {
                 if let Some(scope) = tickets.pop_front() {
                     break scope;
                 }
-                tickets = TICKET_READY.wait(tickets).unwrap_or_else(|p| p.into_inner());
+                tickets =
+                    TICKET_READY.wait(tickets).unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
         scope.run_one();
@@ -194,10 +195,11 @@ impl<'env> Scope<'env> {
 /// The chunks run on the process-wide pool of parked workers and on the calling
 /// thread, which takes this scope's own not-yet-started chunks while it waits. Each
 /// chunk runs at the budget a fresh thread would have (no [`with_worker_threads`] cap),
-/// so a nested fan-out inside it behaves the same whichever thread runs it. Chunks may
-/// not start before `f` returns, so `f` must not wait for one. If `f` or
-/// a chunk panics, `scope` still waits for every chunk and then re-raises the payload
-/// (`f`'s first, else the first chunk's); pool workers survive the panic.
+/// so a nested fan-out inside it behaves the same whichever thread runs it. With every
+/// worker busy a chunk starts only once `f` has returned, so `f` must not wait for
+/// one. If `f` or a chunk panics, `scope` still waits for every chunk and then
+/// re-raises the payload (`f`'s first, else the first chunk's); pool workers survive
+/// the panic.
 pub(crate) fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
     let scope = Scope { state: Arc::default(), _env: PhantomData };
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
@@ -213,10 +215,10 @@ pub(crate) fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
 ///
 /// `data` is treated as logical items of `unit` elements each; every chunk covers up to
 /// `per` consecutive items — `f(start_item, chunk)` where `chunk` covers items
-/// `[start_item, start_item + chunk.len() / unit)`. Blocks until every chunk has run
-/// ([`scope`]), so `f` may borrow from the caller's stack. With `per` at or above the
-/// item count, `f` runs once on the calling thread and the pool is not touched —
-/// callers decide the chunking, this helper only owns the splitting and the hand-off.
+/// `[start_item, start_item + chunk.len() / unit)`. Blocks until every chunk has run,
+/// so `f` may borrow from the caller's stack. With `per` at or above the item count,
+/// `f` runs once on the calling thread and the pool is not touched — callers decide
+/// the chunking, this helper only owns the splitting and the hand-off.
 pub fn scoped_chunks_mut<T: Send>(
     data: &mut [T],
     unit: usize,
@@ -262,19 +264,13 @@ mod tests {
     fn concurrent_pair(after: fn()) -> [ThreadId; 2] {
         let (to_a, from_b) = channel();
         let (to_b, from_a) = channel();
-        let mut ids = [std::thread::current().id(); 2];
-        let [a, b] = &mut ids;
-        scope(|s| {
-            s.spawn(move || {
-                *a = meet(to_b, from_b);
-                after();
-            });
-            s.spawn(move || {
-                *b = meet(to_a, from_a);
-                after();
-            });
+        let mut ends = [(Some(to_b), Some(from_b), None), (Some(to_a), Some(from_a), None)];
+        scoped_chunks_mut(&mut ends, 1, 1, |_, end| {
+            let (signal, wait, ran_on) = &mut end[0];
+            *ran_on = Some(meet(signal.take().expect("unused"), wait.take().expect("unused")));
+            after();
         });
-        ids
+        ends.map(|(_, _, ran_on)| ran_on.expect("every chunk ran"))
     }
 
     #[test]

@@ -2,19 +2,21 @@
 //! served batch of each precision agree to the last bit at one worker thread and at the
 //! machine's worker budget.
 //!
-//! The shapes are chosen so that every kernel fan-out reaches its threaded path at a
-//! budget of 2: the batched matmul's batch split and row split, the fused attention's
-//! per-matrix split (forward and backward), the k-means block fan-out and the int8
-//! GEMM's row split. Every fan-out keeps a chunk's arithmetic, and its reduction order,
-//! independent of which thread runs it and of how many chunks there are, so the
-//! agreement is by construction; this suite pins it.
+//! The shapes are chosen so that the fan-outs of a training step and of a served batch
+//! take their threaded paths at a budget of 2: the batched matmul's batch split, the
+//! fused attention's per-matrix split (forward and backward), the k-means block fan-out
+//! and the int8 GEMM's row split. (The f32 matmul's row split, taken for a single
+//! product, and the fused forward's query-block split, taken when batch × heads is
+//! below the budget, are pinned by `rita-tensor`'s `capped_matmul_matches_uncapped`
+//! and `threaded_paths_match_serial`.) Every
+//! fan-out keeps a chunk's arithmetic, and its reduction order, independent of which
+//! thread runs it and of how many chunks there are, so the agreement is by
+//! construction; this suite pins it.
 //!
 //! What a two-CPU box cannot cover: the budget is `available_parallelism` capped at 16,
 //! and no public call raises it above the machine, so there this suite compares a 1-way
-//! split with a 2-way split only. Splits into 3 to 16 chunks, and the fused forward's
-//! query-block split (taken only when batch × heads is below the budget), run only on
-//! a machine with more CPUs. With one CPU both sides are serial and the suite checks
-//! nothing.
+//! split with a 2-way split only; splits into 3 to 16 chunks run only on a machine with
+//! more CPUs. With one CPU both sides are serial and the suite checks nothing.
 
 mod common;
 
@@ -34,7 +36,8 @@ fn rng(seed: u64) -> SeedableRng64 {
 }
 
 /// The tiny test model at series length 400: 80 windows, 16 groups and a batch of 4
-/// put every matmul, fused-attention and grouping call above its parallel threshold.
+/// put the model's matmuls, fused attention and grouping above their parallel
+/// thresholds.
 fn config() -> RitaConfig {
     RitaConfig {
         dropout: 0.1,
