@@ -5,11 +5,11 @@
 //! matmuls) stay serial instead of oversubscribing the machine.
 //!
 //! The pool starts on the first chunk any fan-out spawns, so a process that never fans
-//! out (a serving worker at kernel cap 1) starts no thread, and holds one worker fewer
-//! than the machine budget: the caller is the last worker of its own fan-out. While it
-//! waits, a caller runs its own scope's not-yet-started chunks, never another
-//! caller's, so a fan-out nested inside a chunk always makes progress, whatever the
-//! workers are doing, and which thread runs a chunk never changes what it computes.
+//! out starts no thread (a serving worker at kernel cap 1 never does). It holds one
+//! worker fewer than the machine budget: the caller is the last worker of its own
+//! fan-out. While it waits, a caller runs its own scope's not-yet-started chunks, never
+//! another caller's, so a fan-out nested inside a chunk always makes progress, whatever
+//! the workers are doing, and which thread runs a chunk never changes what it computes.
 
 use std::any::Any;
 use std::cell::Cell;
