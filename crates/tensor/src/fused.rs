@@ -7,7 +7,7 @@
 //! [`Q_BLOCK`] query rows, carrying the **online softmax** running maximum `mᵢ`, running
 //! denominator `lᵢ`, and output accumulator per query row, so the working set is a few
 //! KiB regardless of sequence length. Both tile products run on the packed
-//! [`crate::gemm`] micro-kernel.
+//! [`crate::gemm`] micro-kernel, and so do the backward's five.
 //!
 //! **Weighted (group) softmax.** Group attention (§4.2 of the RITA paper) normalises by
 //! `Σⱼ countⱼ · exp(sᵢⱼ)` — each group's exponential weighted by its member count — while
@@ -20,7 +20,11 @@
 //! `lseᵢ = mᵢ + ln lᵢ` alongside the output. The backward recomputes each score tile from
 //! `Q`/`K` (probabilities are `exp(sᵢⱼ − lseᵢ)`) instead of storing the `n × m`
 //! probability matrix, exactly like the forward never stored it; only the `O(n)`
-//! residuals and the output survive between the passes.
+//! residuals and the output survive between the passes. Per tile it forms
+//! `S = (αQ)·Kᵀ`, `dV += Pᵀ·g`, `dP = g·Vᵀ`, `dQ += (α·ds)·K` and `dK += (α·dsᵀ)·Q`
+//! from packed panels: `Kᵀ`, `K` and `Vᵀ` packed once per (batch, head) matrix straight
+//! from the strided views, the query and gradient blocks once per query block, and
+//! `Pᵀ`, `α·ds` and `α·dsᵀ` once per tile.
 //!
 //! **Masked rows.** A query row whose scores are all `−∞` has `lᵢ = 0`; the kernel emits
 //! a zero output row and `lse = −∞` (the unfused softmax would produce NaN), and the
@@ -29,6 +33,9 @@
 //! **Underflow.** A key more than ≈ 87 below its row's `lse` (or masked to `−∞`) has
 //! probability exactly `0.0` — not a subnormal, not a tiny floor — and contributes
 //! nothing to the output or to any gradient; `fast_exp` says why that matters for speed.
+//! The backward cuts higher: a probability it restores below `2⁻⁶⁴` (`P_CUTOFF`) is
+//! exactly `0.0` too, so that its products with gradients are normal floats. The
+//! forward keeps every bit: its outputs and `lse` are what serving answers with.
 
 use crate::gemm::{micro_kernel, pack_lhs, pack_rhs, simd_dispatch, MR, NR};
 use crate::parallel::worker_budget;
@@ -530,9 +537,12 @@ simd_dispatch! {
 ///
 /// Recomputes each `Q_BLOCK × K_BLOCK` score tile from `q`/`k` and restores the
 /// probabilities as `exp(s − lse)` — the `n × m` probability matrix is never stored,
-/// mirroring the forward. `out`/`lse` are the forward's results; `gout` is the gradient
-/// flowing into the output. Returns dense `(dq, dk, dv)` with the operands' logical
-/// shapes.
+/// mirroring the forward. A restored probability below `2⁻⁶⁴` counts as exactly `0.0`:
+/// the terms it drops are below `2⁻⁶⁴·|g|`, and no product of a kept one is subnormal.
+/// `out`/`lse` are the forward's results; `gout` is the gradient flowing into the
+/// output. Returns dense `(dq, dk, dv)` with the operands' logical shapes. Each
+/// gradient is a function of its own (batch, head) matrix alone, whatever the thread
+/// count.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_attention_backward(
     q: &NdArray,
@@ -607,10 +617,10 @@ pub(crate) fn fused_attention_backward_threaded(
                 let (dvc, r3) = dv_rest.split_at_mut(count * m * dv);
                 dv_rest = r3;
                 scope.spawn(move || {
-                    let mut scratch = BwdScratch::new(&dims);
+                    let mut packs = BwdPacks::new(&dims);
                     for i in 0..count {
                         let bhi = start + i;
-                        backward_bh::run(
+                        backward_matrix::run(
                             &dims,
                             h,
                             bhi,
@@ -625,7 +635,7 @@ pub(crate) fn fused_attention_backward_threaded(
                             &mut dqc[i * n * d..(i + 1) * n * d],
                             &mut dkc[i * m * d..(i + 1) * m * d],
                             &mut dvc[i * m * dv..(i + 1) * m * dv],
-                            &mut scratch,
+                            &mut packs,
                         );
                     }
                 });
@@ -633,9 +643,9 @@ pub(crate) fn fused_attention_backward_threaded(
             }
         });
     } else {
-        let mut scratch = BwdScratch::new(&dims);
+        let mut packs = BwdPacks::new(&dims);
         for bhi in 0..bh {
-            backward_bh::run(
+            backward_matrix::run(
                 &dims,
                 h,
                 bhi,
@@ -650,7 +660,7 @@ pub(crate) fn fused_attention_backward_threaded(
                 &mut dq[bhi * n * d..(bhi + 1) * n * d],
                 &mut dk[bhi * m * d..(bhi + 1) * m * d],
                 &mut dval[bhi * m * dv..(bhi + 1) * m * dv],
-                &mut scratch,
+                &mut packs,
             );
         }
     }
@@ -662,40 +672,319 @@ pub(crate) fn fused_attention_backward_threaded(
     ))
 }
 
-/// Per-worker scratch for the backward pass: contiguous (scaled) operand copies for one
-/// (batch, head) matrix plus the two recomputation tiles.
-struct BwdScratch {
-    /// `scale · Q`, `n × d` row-major — provides the single score scale factor in the
-    /// recomputation and the `scale` factor of `dK = Σ ds · (scale·q)`.
-    qs: Vec<f32>,
-    /// Raw `Kᵀ`, `d × m` row-major (score recomputation streams its rows).
+/// A probability the backward restores below this (`2⁻⁶⁴`) counts as exact `0.0`: every
+/// product of a kept probability with a factor ≥ `2⁻⁶²` is then a normal float, and a
+/// dropped term, below `2⁻⁶⁴·|g|`, is 2⁻⁴⁰ of one ulp of its row's leading term.
+const P_CUTOFF: f32 = f32::from_bits((127 - 64) << 23);
+
+/// Per-worker packed operands and tiles for the backward pass. `kt`, `k` and `vt` are
+/// packed once per (batch, head) matrix straight from the strided views, the query and
+/// gradient blocks once per `Q_BLOCK` query rows, and `lhs` once per tile product.
+struct BwdPacks {
+    /// `Kᵀ`, `K` and `Vᵀ` in `NR`-column panels: the rhs of `S = (αQ)·Kᵀ`,
+    /// `dQ += (α·ds)·K` and `dP = g·Vᵀ`.
     kt: Vec<f32>,
-    /// `scale · K`, `m × d` row-major (`dQ = Σ ds · (scale·k)`).
-    ks: Vec<f32>,
-    /// Raw `Vᵀ`, `d_v × m` row-major (`dP = g · Vᵀ` streams its rows).
+    k: Vec<f32>,
     vt: Vec<f32>,
-    /// `Dᵢ = gᵢ · outᵢ`, one per query row.
+    /// `Dᵢ = gᵢ · outᵢ`, one per query row of the matrix.
     dvec: Vec<f32>,
-    /// Score/probability tile and dP tile, `Q_BLOCK × K_BLOCK` row-major.
+    /// The query block as lhs (`αQ`, `MR`-row panels) and as rhs (`Q`, `NR`-column
+    /// panels, for `dK += (α·dsᵀ)·Q`).
+    ql: Vec<f32>,
+    qr: Vec<f32>,
+    /// The gradient block as lhs (`dP = g·Vᵀ`) and as rhs (`dV += Pᵀ·g`).
+    gl: Vec<f32>,
+    gr: Vec<f32>,
+    /// Probability (then `ds`) tile and `dP` tile, `Q_BLOCK × K_BLOCK` row-major.
     s: Vec<f32>,
     dp: Vec<f32>,
+    /// `Pᵀ`, `α·ds` or `α·dsᵀ` of the current tile, packed as lhs.
+    lhs: Vec<f32>,
 }
 
-impl BwdScratch {
+impl BwdPacks {
     fn new(dims: &Dims) -> Self {
-        BwdScratch {
-            qs: vec![0.0; dims.n * dims.d],
-            kt: vec![0.0; dims.d * dims.m],
-            ks: vec![0.0; dims.m * dims.d],
-            vt: vec![0.0; dims.dv * dims.m],
-            dvec: vec![0.0; dims.n],
+        let Dims { n, m, d, dv, .. } = *dims;
+        let cols = |c: usize| c.div_ceil(NR) * NR;
+        BwdPacks {
+            kt: vec![0.0; cols(m) * d],
+            k: vec![0.0; cols(d) * m],
+            vt: vec![0.0; cols(m) * dv],
+            dvec: vec![0.0; n],
+            ql: vec![0.0; Q_BLOCK * d],
+            qr: vec![0.0; cols(d) * Q_BLOCK],
+            gl: vec![0.0; Q_BLOCK * dv],
+            gr: vec![0.0; cols(dv) * Q_BLOCK],
             s: vec![0.0; Q_BLOCK * K_BLOCK],
             dp: vec![0.0; Q_BLOCK * K_BLOCK],
+            lhs: vec![0.0; Q_BLOCK * K_BLOCK],
+        }
+    }
+}
+
+/// `out[..rows, ..cols] += a · b` over a reduction of length `kc`, one [`micro_kernel`]
+/// call per `MR × NR` tile: `a` holds `rows` in packed `MR`-row panels of `kc` steps,
+/// `b` holds `cols` in packed `NR`-column panels starting `bstride` floats apart (`NR ·
+/// kc` for a block packed to `kc`, `NR · m` for a window of a per-matrix pack over all
+/// `m` keys). `out` is row-major with row pitch `pitch`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn panel_product(
+    a: &[f32],
+    b: &[f32],
+    bstride: usize,
+    out: &mut [f32],
+    pitch: usize,
+    kc: usize,
+    rows: usize,
+    cols: usize,
+) {
+    for pj in 0..cols.div_ceil(NR) {
+        let nr = NR.min(cols - pj * NR);
+        for pi in 0..rows.div_ceil(MR) {
+            let mr = MR.min(rows - pi * MR);
+            micro_kernel(
+                &a[pi * MR * kc..],
+                &b[pj * bstride..],
+                &mut out[pi * MR * pitch + pj * NR..],
+                pitch,
+                kc,
+                mr,
+                nr,
+            );
         }
     }
 }
 
 simd_dispatch! {
+    fn backward_matrix(
+        dims: &Dims,
+        heads: usize,
+        bhi: usize,
+        qop: Op<'_>,
+        kop: Op<'_>,
+        vop: Op<'_>,
+        wdata: Option<&[f32]>,
+        scale: f32,
+        odata: &[f32],
+        gdata: &[f32],
+        ldata: &[f32],
+        dq: &mut [f32],
+        dk: &mut [f32],
+        dval: &mut [f32],
+        packs: &mut BwdPacks
+    ) {
+        let Dims { n, m, d, dv, .. } = *dims;
+        let BwdPacks { kt, k, vt, dvec, ql, qr, gl, gr, s, dp, lhs } = packs;
+        let qoff = qop.offset(bhi, heads);
+        let kmat = &kop.data[kop.offset(bhi, heads)..];
+        pack_rhs(kmat, kop.sc, kop.sr, d, m, kt);
+        pack_rhs(kmat, kop.sr, kop.sc, m, d, k);
+        pack_rhs(&vop.data[vop.offset(bhi, heads)..], vop.sc, vop.sr, dv, m, vt);
+        let o_bh = &odata[bhi * n * dv..(bhi + 1) * n * dv];
+        let g_bh = &gdata[bhi * n * dv..(bhi + 1) * n * dv];
+        let lse_bh = &ldata[bhi * n..(bhi + 1) * n];
+        let w_bh = wdata.map(|w| &w[bhi * m..(bhi + 1) * m]);
+        for i in 0..n {
+            let orow = &o_bh[i * dv..(i + 1) * dv];
+            let grow = &g_bh[i * dv..(i + 1) * dv];
+            dvec[i] = orow.iter().zip(grow).map(|(&a, &b)| a * b).sum();
+        }
+
+        let mut i0 = 0;
+        while i0 < n {
+            let bq = Q_BLOCK.min(n - i0);
+            let qblock = &qop.data[qoff + i0 * qop.sr..];
+            let gblock = &g_bh[i0 * dv..];
+            pack_lhs(qblock, qop.sr, qop.sc, bq, d, scale, ql);
+            pack_rhs(qblock, qop.sr, qop.sc, bq, d, qr);
+            pack_lhs(gblock, dv, 1, bq, dv, 1.0, gl);
+            pack_rhs(gblock, dv, 1, bq, dv, gr);
+            let mut p0 = 0;
+            while p0 < m {
+                let bk = K_BLOCK.min(m - p0);
+
+                // --- S = (αQ)·Kᵀ restored to p = exp(s − lse), below P_CUTOFF exactly 0 ---
+                s[..bq * K_BLOCK].fill(0.0);
+                panel_product(ql, &kt[p0 * d..], NR * d, s, K_BLOCK, d, bq, bk);
+                for i in 0..bq {
+                    let lse_i = lse_bh[i0 + i];
+                    let srow = &mut s[i * K_BLOCK..i * K_BLOCK + bk];
+                    if lse_i.is_finite() {
+                        for x in srow.iter_mut() {
+                            let p = fast_exp(*x - lse_i);
+                            *x = if p < P_CUTOFF { 0.0 } else { p };
+                        }
+                    } else {
+                        // Fully masked row: zero probabilities, zero gradient.
+                        srow.fill(0.0);
+                    }
+                }
+
+                // --- dV += Pᵀ·g ---
+                pack_lhs(s, 1, K_BLOCK, bk, bq, 1.0, lhs);
+                panel_product(lhs, gr, NR * bq, &mut dval[p0 * dv..], dv, bq, bk, dv);
+
+                // --- dP = g·Vᵀ, then ds = p ∘ (dP − w ⊗ D) in place, into s ---
+                dp[..bq * K_BLOCK].fill(0.0);
+                panel_product(gl, &vt[p0 * dv..], NR * dv, dp, K_BLOCK, dv, bq, bk);
+                for i in 0..bq {
+                    let di = dvec[i0 + i];
+                    let srow = &mut s[i * K_BLOCK..i * K_BLOCK + bk];
+                    let dprow = &dp[i * K_BLOCK..i * K_BLOCK + bk];
+                    if let Some(w) = w_bh {
+                        let wtile = &w[p0..p0 + bk];
+                        for ((x, &dpij), &wj) in srow.iter_mut().zip(dprow).zip(wtile) {
+                            *x *= dpij - wj * di;
+                        }
+                    } else {
+                        for (x, &dpij) in srow.iter_mut().zip(dprow) {
+                            *x *= dpij - di;
+                        }
+                    }
+                }
+
+                // --- dQ += (α·ds)·K, dK += (α·dsᵀ)·Q ---
+                pack_lhs(s, K_BLOCK, 1, bq, bk, scale, lhs);
+                panel_product(lhs, &k[p0 * NR..], NR * m, &mut dq[i0 * d..], d, bk, bq, d);
+                pack_lhs(s, 1, K_BLOCK, bk, bq, scale, lhs);
+                panel_product(lhs, qr, NR * bq, &mut dk[p0 * d..], d, bq, bk, d);
+
+                p0 += bk;
+            }
+            i0 += bq;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::allclose;
+    use crate::SeedableRng64;
+    use rand::SeedableRng;
+
+    fn rng(seed: u64) -> SeedableRng64 {
+        SeedableRng64::seed_from_u64(seed)
+    }
+
+    /// Unfused reference for contiguous operands, accumulated in `f64` (scores rounded
+    /// through `f32` only to decide overflow to `−∞`): `[out, lse, dq, dk, dv]` under
+    /// the upstream gradient `g`, plus the number of live `(row, key)` pairs whose
+    /// probability is below `2⁻¹²⁶` and the number whose probability is a normal float
+    /// so small (`< e⁻⁶⁰`) that its product with a gradient could still be subnormal.
+    fn reference(
+        q: &NdArray,
+        k: &NdArray,
+        v: &NdArray,
+        scale: f32,
+        weights: Option<&NdArray>,
+        g: &NdArray,
+    ) -> ([Vec<f32>; 5], usize, usize) {
+        let (bh, n, d) = (q.shape()[0] * q.shape()[1], q.shape()[2], q.shape()[3]);
+        let (m, dv) = (k.shape()[2], v.shape()[3]);
+        let (qa, ka, va, ga) = (q.as_slice(), k.as_slice(), v.as_slice(), g.as_slice());
+        let mut out = vec![0.0f32; bh * n * dv];
+        let mut lse = vec![f32::NEG_INFINITY; bh * n];
+        let mut dq = vec![0.0f64; bh * n * d];
+        let mut dk = vec![0.0f64; bh * m * d];
+        let mut dval = vec![0.0f64; bh * m * dv];
+        let (mut underflowed, mut tiny) = (0, 0);
+        for b in 0..bh {
+            for i in 0..n {
+                let qrow = &qa[(b * n + i) * d..(b * n + i + 1) * d];
+                let grow = &ga[(b * n + i) * dv..(b * n + i + 1) * dv];
+                let scores: Vec<f64> = (0..m)
+                    .map(|j| {
+                        let krow = &ka[(b * m + j) * d..(b * m + j + 1) * d];
+                        let s: f64 =
+                            qrow.iter().zip(krow).map(|(&a, &b)| a as f64 * b as f64).sum();
+                        let s = scale as f64 * s;
+                        if (s as f32).is_finite() {
+                            s
+                        } else {
+                            (s as f32) as f64
+                        }
+                    })
+                    .collect();
+                let mx = scores.iter().fold(f64::NEG_INFINITY, |a, &x| a.max(x));
+                if mx == f64::NEG_INFINITY {
+                    continue;
+                }
+                let w = |j: usize| weights.map_or(1.0, |w| w.as_slice()[b * m + j] as f64);
+                let denom: f64 = (0..m).map(|j| w(j) * (scores[j] - mx).exp()).sum();
+                let row_lse = mx + denom.ln();
+                lse[b * n + i] = row_lse as f32;
+                let probs: Vec<f64> = scores.iter().map(|&s| (s - row_lse).exp()).collect();
+                for &s in scores.iter().filter(|s| s.is_finite()) {
+                    underflowed += usize::from(s - row_lse < -87.4);
+                    tiny += usize::from((-87.4..-60.0).contains(&(s - row_lse)));
+                }
+                let vrow = |j: usize| &va[(b * m + j) * dv..(b * m + j + 1) * dv];
+                let mut o = vec![0.0f64; dv];
+                for (j, &p) in probs.iter().enumerate() {
+                    for (oc, &vc) in o.iter_mut().zip(vrow(j)) {
+                        *oc += p * vc as f64;
+                    }
+                }
+                let dsum: f64 = o.iter().zip(grow).map(|(&oc, &gc)| oc * gc as f64).sum();
+                for (c, &oc) in o.iter().enumerate() {
+                    out[(b * n + i) * dv + c] = oc as f32;
+                }
+                for (j, &p) in probs.iter().enumerate() {
+                    let dp: f64 =
+                        grow.iter().zip(vrow(j)).map(|(&gc, &vc)| gc as f64 * vc as f64).sum();
+                    let ds = p * (dp - w(j) * dsum) * scale as f64;
+                    for c in 0..dv {
+                        dval[(b * m + j) * dv + c] += p * grow[c] as f64;
+                    }
+                    for c in 0..d {
+                        dq[(b * n + i) * d + c] += ds * ka[(b * m + j) * d + c] as f64;
+                        dk[(b * m + j) * d + c] += ds * qrow[c] as f64;
+                    }
+                }
+            }
+        }
+        let narrow = |x: Vec<f64>| x.into_iter().map(|x| x as f32).collect();
+        ([out, lse, narrow(dq), narrow(dk), narrow(dval)], underflowed, tiny)
+    }
+
+    /// Scratch of the packed backward's test twin [`backward_bh`]: contiguous (scaled)
+    /// operand copies for one (batch, head) matrix plus the two recomputation tiles.
+    struct BwdScratch {
+        /// `scale · Q`, `n × d` row-major — provides the single score scale factor in the
+        /// recomputation and the `scale` factor of `dK = Σ ds · (scale·q)`.
+        qs: Vec<f32>,
+        /// Raw `Kᵀ`, `d × m` row-major (score recomputation streams its rows).
+        kt: Vec<f32>,
+        /// `scale · K`, `m × d` row-major (`dQ = Σ ds · (scale·k)`).
+        ks: Vec<f32>,
+        /// Raw `Vᵀ`, `d_v × m` row-major (`dP = g · Vᵀ` streams its rows).
+        vt: Vec<f32>,
+        /// `Dᵢ = gᵢ · outᵢ`, one per query row.
+        dvec: Vec<f32>,
+        /// Score/probability tile and dP tile, `Q_BLOCK × K_BLOCK` row-major.
+        s: Vec<f32>,
+        dp: Vec<f32>,
+    }
+
+    impl BwdScratch {
+        fn new(dims: &Dims) -> Self {
+            BwdScratch {
+                qs: vec![0.0; dims.n * dims.d],
+                kt: vec![0.0; dims.d * dims.m],
+                ks: vec![0.0; dims.m * dims.d],
+                vt: vec![0.0; dims.dv * dims.m],
+                dvec: vec![0.0; dims.n],
+                s: vec![0.0; Q_BLOCK * K_BLOCK],
+                dp: vec![0.0; Q_BLOCK * K_BLOCK],
+            }
+        }
+    }
+
+    /// Test twin of [`backward_matrix`]: the same per-matrix gradients from plain
+    /// vectorised loops, with every restored probability kept.
+    #[allow(clippy::too_many_arguments)]
     fn backward_bh(
         dims: &Dims,
         heads: usize,
@@ -711,7 +1000,7 @@ simd_dispatch! {
         dq: &mut [f32],
         dk: &mut [f32],
         dval: &mut [f32],
-        scratch: &mut BwdScratch
+        scratch: &mut BwdScratch,
     ) {
         let Dims { n, m, d, dv, .. } = *dims;
         let BwdScratch { qs, kt, ks, vt, dvec, s, dp } = scratch;
@@ -842,99 +1131,6 @@ simd_dispatch! {
             }
             i0 += bq;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::allclose;
-    use crate::SeedableRng64;
-    use rand::SeedableRng;
-
-    fn rng(seed: u64) -> SeedableRng64 {
-        SeedableRng64::seed_from_u64(seed)
-    }
-
-    /// Unfused reference for contiguous operands, accumulated in `f64` (scores rounded
-    /// through `f32` only to decide overflow to `−∞`): `[out, lse, dq, dk, dv]` under
-    /// the upstream gradient `g`, plus the number of live `(row, key)` pairs whose
-    /// probability is below `2⁻¹²⁶` and the number whose probability is a normal float
-    /// so small (`< e⁻⁶⁰`) that its product with a gradient could still be subnormal.
-    fn reference(
-        q: &NdArray,
-        k: &NdArray,
-        v: &NdArray,
-        scale: f32,
-        weights: Option<&NdArray>,
-        g: &NdArray,
-    ) -> ([Vec<f32>; 5], usize, usize) {
-        let (bh, n, d) = (q.shape()[0] * q.shape()[1], q.shape()[2], q.shape()[3]);
-        let (m, dv) = (k.shape()[2], v.shape()[3]);
-        let (qa, ka, va, ga) = (q.as_slice(), k.as_slice(), v.as_slice(), g.as_slice());
-        let mut out = vec![0.0f32; bh * n * dv];
-        let mut lse = vec![f32::NEG_INFINITY; bh * n];
-        let mut dq = vec![0.0f64; bh * n * d];
-        let mut dk = vec![0.0f64; bh * m * d];
-        let mut dval = vec![0.0f64; bh * m * dv];
-        let (mut underflowed, mut tiny) = (0, 0);
-        for b in 0..bh {
-            for i in 0..n {
-                let qrow = &qa[(b * n + i) * d..(b * n + i + 1) * d];
-                let grow = &ga[(b * n + i) * dv..(b * n + i + 1) * dv];
-                let scores: Vec<f64> = (0..m)
-                    .map(|j| {
-                        let krow = &ka[(b * m + j) * d..(b * m + j + 1) * d];
-                        let s: f64 =
-                            qrow.iter().zip(krow).map(|(&a, &b)| a as f64 * b as f64).sum();
-                        let s = scale as f64 * s;
-                        if (s as f32).is_finite() {
-                            s
-                        } else {
-                            (s as f32) as f64
-                        }
-                    })
-                    .collect();
-                let mx = scores.iter().fold(f64::NEG_INFINITY, |a, &x| a.max(x));
-                if mx == f64::NEG_INFINITY {
-                    continue;
-                }
-                let w = |j: usize| weights.map_or(1.0, |w| w.as_slice()[b * m + j] as f64);
-                let denom: f64 = (0..m).map(|j| w(j) * (scores[j] - mx).exp()).sum();
-                let row_lse = mx + denom.ln();
-                lse[b * n + i] = row_lse as f32;
-                let probs: Vec<f64> = scores.iter().map(|&s| (s - row_lse).exp()).collect();
-                for &s in scores.iter().filter(|s| s.is_finite()) {
-                    underflowed += usize::from(s - row_lse < -87.4);
-                    tiny += usize::from((-87.4..-60.0).contains(&(s - row_lse)));
-                }
-                let vrow = |j: usize| &va[(b * m + j) * dv..(b * m + j + 1) * dv];
-                let mut o = vec![0.0f64; dv];
-                for (j, &p) in probs.iter().enumerate() {
-                    for (oc, &vc) in o.iter_mut().zip(vrow(j)) {
-                        *oc += p * vc as f64;
-                    }
-                }
-                let dsum: f64 = o.iter().zip(grow).map(|(&oc, &gc)| oc * gc as f64).sum();
-                for (c, &oc) in o.iter().enumerate() {
-                    out[(b * n + i) * dv + c] = oc as f32;
-                }
-                for (j, &p) in probs.iter().enumerate() {
-                    let dp: f64 =
-                        grow.iter().zip(vrow(j)).map(|(&gc, &vc)| gc as f64 * vc as f64).sum();
-                    let ds = p * (dp - w(j) * dsum) * scale as f64;
-                    for c in 0..dv {
-                        dval[(b * m + j) * dv + c] += p * grow[c] as f64;
-                    }
-                    for c in 0..d {
-                        dq[(b * n + i) * d + c] += ds * ka[(b * m + j) * d + c] as f64;
-                        dk[(b * m + j) * d + c] += ds * qrow[c] as f64;
-                    }
-                }
-            }
-        }
-        let narrow = |x: Vec<f64>| x.into_iter().map(|x| x as f32).collect();
-        ([out, lse, narrow(dq), narrow(dk), narrow(dval)], underflowed, tiny)
     }
 
     /// `fast_exp` as it was before it underflowed exactly: the same range reduction and
@@ -1284,6 +1480,250 @@ mod tests {
                 assert_eq!(sb.0.as_slice(), pb.0.as_slice(), "dq threads={threads}");
                 assert_eq!(sb.1.as_slice(), pb.1.as_slice(), "dk threads={threads}");
                 assert_eq!(sb.2.as_slice(), pb.2.as_slice(), "dv threads={threads}");
+            }
+        }
+    }
+
+    /// `(dq, dk, dv)` of contiguous operands from a per-matrix backward kernel, called
+    /// serially as `kernel(bhi, dq, dk, dv)` for every (batch, head) matrix.
+    fn per_matrix(
+        dims: &Dims,
+        mut kernel: impl FnMut(usize, &mut [f32], &mut [f32], &mut [f32]),
+    ) -> [Vec<f32>; 3] {
+        let Dims { b, h, n, m, d, dv } = *dims;
+        let mut grads =
+            [vec![0.0; b * h * n * d], vec![0.0; b * h * m * d], vec![0.0; b * h * m * dv]];
+        let [dq, dk, dval] = &mut grads;
+        for bhi in 0..b * h {
+            kernel(
+                bhi,
+                &mut dq[bhi * n * d..(bhi + 1) * n * d],
+                &mut dk[bhi * m * d..(bhi + 1) * m * d],
+                &mut dval[bhi * m * dv..(bhi + 1) * m * dv],
+            );
+        }
+        grads
+    }
+
+    /// Attention operands `(q, k, v, g, weights, scale)` of shape `(b, h, n, d)` /
+    /// `(b, h, m, d)` in one of three score regimes: `flat` (unit-variance queries and
+    /// keys), `peaked` (the same scaled by 6: scores of deviation ≈ 36, most keys of a row
+    /// more than 87 below its `lse`) and `band` (every fourth key near the top, the others
+    /// 45–87 below `lse`: probabilities in `(2⁻¹²⁶, 2⁻⁶⁴)`, which the twin keeps as normal
+    /// floats and the packed backward drops).
+    #[allow(clippy::type_complexity)]
+    fn regime(
+        inputs: &str,
+        (b, h, n, m, d): (usize, usize, usize, usize, usize),
+        seed: u64,
+    ) -> (NdArray, NdArray, NdArray, NdArray, NdArray, f32) {
+        let mut r = rng(seed);
+        let spread = if inputs == "band" { 0.3 } else { 1.0 };
+        let mut q = NdArray::randn(&[b, h, n, d], spread, &mut r);
+        let mut k = NdArray::randn(&[b, h, m, d], spread, &mut r);
+        let v = NdArray::randn(&[b, h, m, d], 1.0, &mut r);
+        let g = NdArray::randn(&[b, h, n, d], 0.05, &mut r);
+        let w =
+            NdArray::from_vec((0..b * h * m).map(|i| 1.0 + (i % 5) as f32).collect(), &[b, h, m])
+                .unwrap();
+        let mut scale = 1.0 / (d as f32).sqrt();
+        match inputs {
+            "peaked" => {
+                q = q.scale(6.0);
+                k = k.scale(6.0);
+            }
+            "band" => {
+                // Score = k[.., 0] + noise of deviation < 0.2 at scale 1; `lse` is ln of
+                // the live keys' total weight (3.5–4.7 at m ≤ 149), so the others sit
+                // 47–85 below it.
+                scale = 1.0;
+                for row in q.as_mut_slice().chunks_mut(d) {
+                    row[0] = 1.0;
+                }
+                for (idx, row) in k.as_mut_slice().chunks_mut(d).enumerate() {
+                    let j = idx % m;
+                    row[0] =
+                        if j % 4 == 0 { 0.0 } else { -44.0 - 36.0 * ((j * 7) % 13) as f32 / 12.0 };
+                }
+            }
+            _ => {}
+        }
+        (q, k, v, g, w, scale)
+    }
+
+    /// The packed backward against its twin, the loop kernel it replaced: the two differ
+    /// in summation order and in the probabilities below `P_CUTOFF` the packed kernel
+    /// drops. Largest differences measured (printed with `--nocapture`): absolute 6.0e-8
+    /// (peaked `dq`, largest entry 0.79); as a fraction of the largest entry of the
+    /// twin's tensor, flat 3.7e-7, peaked 1.0e-7, band 3.6e-7; elementwise, on entries
+    /// at least 1e-3 of that largest entry, 4.0e-5 relative.
+    #[test]
+    fn packed_backward_matches_its_twin() {
+        let shapes = [(1usize, 2usize, 2 * Q_BLOCK + 7, K_BLOCK + 21, 8usize), (2, 1, 45, 64, 32)];
+        for (si, &shape) in shapes.iter().enumerate() {
+            let (b, h, n, m, d) = shape;
+            let dims = Dims { b, h, n, m, d, dv: d };
+            for inputs in ["flat", "peaked", "band"] {
+                let (q, k, v, g, w, scale) = regime(inputs, shape, 60 + si as u64);
+                for weights in [None, Some(&w)] {
+                    let label = format!("{inputs} {shape:?} weighted={}", weights.is_some());
+                    let (_, underflowed, band) = reference(&q, &k, &v, scale, weights, &g);
+                    match inputs {
+                        "peaked" => assert!(underflowed > b * h * n * m / 3, "{label}"),
+                        // `reference` counts the part of the band more than 60 below `lse`.
+                        "band" => assert!(underflowed == 0 && band > b * h * n * m / 3, "{label}"),
+                        _ => assert_eq!(underflowed + band, 0, "{label}"),
+                    }
+                    let fwd = fused_attention_threaded(&q, &k, &v, scale, weights, 1).unwrap();
+                    let (got_q, got_k, got_v) = fused_attention_backward_threaded(
+                        &q, &k, &v, weights, scale, &fwd.out, &fwd.lse, &g, 1,
+                    )
+                    .unwrap();
+                    let wd = weights.map(|w| w.as_slice());
+                    let (out, lse) = (fwd.out.as_slice(), fwd.lse.as_slice());
+                    let mut scratch = BwdScratch::new(&dims);
+                    let twin = per_matrix(&dims, |bhi, dq, dk, dval| {
+                        let (qo, ko, vo) = (Op::new(&q), Op::new(&k), Op::new(&v));
+                        let gs = g.as_slice();
+                        backward_bh(
+                            &dims,
+                            h,
+                            bhi,
+                            qo,
+                            ko,
+                            vo,
+                            wd,
+                            scale,
+                            out,
+                            gs,
+                            lse,
+                            dq,
+                            dk,
+                            dval,
+                            &mut scratch,
+                        );
+                    });
+                    for ((name, got), want) in
+                        [("dq", &got_q), ("dk", &got_k), ("dv", &got_v)].into_iter().zip(&twin)
+                    {
+                        let top = want.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
+                        let (mut abs, mut rel) = (0.0f32, 0.0f32);
+                        for (&x, &y) in got.as_slice().iter().zip(want) {
+                            abs = abs.max((x - y).abs());
+                            if y.abs() >= 1e-3 * top {
+                                rel = rel.max(((x - y) / y).abs());
+                            }
+                        }
+                        println!("{label} {name}: max |Δ| {abs:e} = {:e} of max |twin| {top:e}; rel {rel:e}", abs / top);
+                        assert!(
+                            abs <= 1e-6 * top,
+                            "{label} {name}: |Δ| {abs:e} against max {top:e}"
+                        );
+                        assert!(rel <= 1e-4, "{label} {name}: relative Δ {rel:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pins `P_CUTOFF` at the kernel's output: a key whose every probability lies in
+    /// `[2⁻¹²⁶, 2⁻⁶⁴)` gets exactly-zero `dK` and `dV` rows (the twin's are normal floats
+    /// of order `2⁻⁶⁴·g`), a key at `2⁻⁶³` still contributes, and no gradient entry is a
+    /// subnormal.
+    #[test]
+    fn probabilities_below_two_to_the_minus_64_drop_out_of_the_backward() {
+        let (n, d) = (Q_BLOCK + 3, 2usize);
+        // Scores (scale 1, q = (1, noise)): key 0 leads at 0, so every row's `lse` is 0
+        // up to far below an f32 ulp; keys 1–3 sit at 2⁻¹²⁵, 2⁻¹⁰⁰ and 2⁻⁶⁴·⁵ of it, key 4
+        // at 2⁻⁶³, key 5 at 2⁻³⁰.
+        let log2 = [0.0f32, -125.0, -100.0, -64.5, -63.0, -30.0];
+        let m = log2.len();
+        let mut r = rng(77);
+        let mut q = NdArray::randn(&[1, 1, n, d], 1e-6, &mut r);
+        let mut k = NdArray::randn(&[1, 1, m, d], 1e-6, &mut r);
+        for row in q.as_mut_slice().chunks_mut(d) {
+            row[0] = 1.0;
+        }
+        for (row, &e) in k.as_mut_slice().chunks_mut(d).zip(&log2) {
+            row[0] = e * std::f32::consts::LN_2;
+        }
+        let v = NdArray::randn(&[1, 1, m, d], 1.0, &mut r);
+        let g = NdArray::randn(&[1, 1, n, d], 1.0, &mut r);
+        // Key 0 has weight 1, so weighting keeps `lse` at 0.
+        let w = NdArray::from_vec(vec![1.0, 4.0, 2.0, 3.0, 5.0, 2.0], &[1, 1, m]).unwrap();
+        for weights in [None, Some(&w)] {
+            let fwd = fused_attention(&q, &k, &v, 1.0, weights).unwrap();
+            assert!(fwd.lse.as_slice().iter().all(|&l| l.abs() < 2.0), "lse {:?}", fwd.lse);
+            let (dq, dk, dval) =
+                fused_attention_backward(&q, &k, &v, weights, 1.0, &fwd.out, &fwd.lse, &g).unwrap();
+            let row = |a: &NdArray, j: usize| a.as_slice()[j * d..(j + 1) * d].to_vec();
+            for j in 1..=3 {
+                assert_eq!(row(&dk, j), [0.0; 2], "dK row of key {j}");
+                assert_eq!(row(&dval, j), [0.0; 2], "dV row of key {j}");
+            }
+            for j in [4, 5] {
+                assert!(row(&dk, j).iter().all(|&x| x != 0.0), "dK row of key {j}");
+                assert!(row(&dval, j).iter().all(|&x| x != 0.0), "dV row of key {j}");
+            }
+            for (name, grad) in [("dq", &dq), ("dk", &dk), ("dv", &dval)] {
+                assert!(
+                    grad.as_slice().iter().all(|&x| x == 0.0 || x.is_normal()),
+                    "{name}: {:?}",
+                    grad.as_slice()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn backward_matrix_dispatch_matches_the_portable_build() {
+        type Kernel = fn(
+            &Dims,
+            usize,
+            usize,
+            Op<'_>,
+            Op<'_>,
+            Op<'_>,
+            Option<&[f32]>,
+            f32,
+            &[f32],
+            &[f32],
+            &[f32],
+            &mut [f32],
+            &mut [f32],
+            &mut [f32],
+            &mut BwdPacks,
+        );
+        let shapes = [
+            (1usize, 1usize, 1usize, 1usize, 1usize),
+            (2, 1, Q_BLOCK + 5, K_BLOCK + 9, 7),
+            (1, 2, 45, 64, 32),
+        ];
+        for (si, &shape) in shapes.iter().enumerate() {
+            let (b, h, n, m, d) = shape;
+            let dims = Dims { b, h, n, m, d, dv: d };
+            for inputs in ["flat", "peaked", "band"] {
+                let (q, k, v, g, w, scale) = regime(inputs, shape, 90 + si as u64);
+                let fwd = fused_attention_threaded(&q, &k, &v, scale, Some(&w), 1).unwrap();
+                let (out, lse) = (fwd.out.as_slice(), fwd.lse.as_slice());
+                let grads = |kernel: Kernel| {
+                    let mut packs = BwdPacks::new(&dims);
+                    per_matrix(&dims, |bhi, dq, dk, dval| {
+                        let (qo, ko, vo) = (Op::new(&q), Op::new(&k), Op::new(&v));
+                        let (ws, gs) = (Some(w.as_slice()), g.as_slice());
+                        kernel(
+                            &dims, h, bhi, qo, ko, vo, ws, scale, out, gs, lse, dq, dk, dval,
+                            &mut packs,
+                        );
+                    })
+                };
+                let (a, b) = (grads(backward_matrix::run), grads(backward_matrix::body));
+                for (x, y) in a.iter().zip(&b) {
+                    assert!(
+                        x.iter().zip(y).all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{inputs} {shape:?}"
+                    );
+                }
             }
         }
     }
