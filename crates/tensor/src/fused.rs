@@ -34,10 +34,11 @@
 //! probability exactly `0.0` — not a subnormal, not a tiny floor — and contributes
 //! nothing to the output or to any gradient; `fast_exp` says why that matters for speed.
 //! The backward cuts higher: a probability it restores below `2⁻⁶⁴` (`P_CUTOFF`) is
-//! exactly `0.0` too, so that its products with gradients are normal floats. The
-//! forward keeps every bit: its outputs and `lse` are what serving answers with.
+//! exactly `0.0` too, so that its products with gradients are normal floats; a key below
+//! it in every row gets `dK` and `dV` rows of exactly `0.0`. The forward keeps every
+//! bit: its outputs and `lse` are what serving answers with.
 
-use crate::gemm::{micro_kernel, pack_lhs, pack_rhs, simd_dispatch, MR, NR};
+use crate::gemm::{macro_kernel, micro_kernel, pack_lhs, pack_rhs, simd_dispatch, MR, NR};
 use crate::parallel::worker_budget;
 use crate::{NdArray, Result, TensorError};
 
@@ -537,8 +538,9 @@ simd_dispatch! {
 ///
 /// Recomputes each `Q_BLOCK × K_BLOCK` score tile from `q`/`k` and restores the
 /// probabilities as `exp(s − lse)` — the `n × m` probability matrix is never stored,
-/// mirroring the forward. A restored probability below `2⁻⁶⁴` counts as exactly `0.0`:
-/// the terms it drops are below `2⁻⁶⁴·|g|`, and no product of a kept one is subnormal.
+/// mirroring the forward. A restored probability below `2⁻⁶⁴` counts as exactly `0.0`,
+/// so no product of a kept one is subnormal; the gradients move by the absolute bounds
+/// `P_CUTOFF` gives, and a key below it in every row gets zero `dK`/`dV` rows.
 /// `out`/`lse` are the forward's results; `gout` is the gradient flowing into the
 /// output. Returns dense `(dq, dk, dv)` with the operands' logical shapes. Each
 /// gradient is a function of its own (batch, head) matrix alone, whatever the thread
@@ -673,13 +675,19 @@ pub(crate) fn fused_attention_backward_threaded(
 }
 
 /// A probability the backward restores below this (`2⁻⁶⁴`) counts as exact `0.0`: every
-/// product of a kept probability with a factor ≥ `2⁻⁶²` is then a normal float, and a
-/// dropped term, below `2⁻⁶⁴·|g|`, is 2⁻⁴⁰ of one ulp of its row's leading term.
+/// product of a kept probability with a factor ≥ `2⁻⁶²` is then a normal float. Each
+/// dropped term is below `2⁻⁶⁴` times its other factors, so a `dV` entry moves by less
+/// than `n·2⁻⁶⁴·max|g|`, a `dK` entry by less than `n·2⁻⁶⁴·α·max|dP − w·D|·max|q|` and a
+/// `dQ` entry by less than `m·2⁻⁶⁴·α·max|dP − w·D|·max|k|`. A key whose every probability
+/// lies below the cutoff gets `dK` and `dV` rows of exactly `0.0`, however small they
+/// should have been.
 const P_CUTOFF: f32 = f32::from_bits((127 - 64) << 23);
 
 /// Per-worker packed operands and tiles for the backward pass. `kt`, `k` and `vt` are
 /// packed once per (batch, head) matrix straight from the strided views, the query and
-/// gradient blocks once per `Q_BLOCK` query rows, and `lhs` once per tile product.
+/// gradient blocks once per `Q_BLOCK` query rows, and `lhs` once per tile product. `k`
+/// is packed one `K_BLOCK` key block after another, so each block's panels lie
+/// `NR · bk` floats apart, as [`macro_kernel`] reads them.
 struct BwdPacks {
     /// `Kᵀ`, `K` and `Vᵀ` in `NR`-column panels: the rhs of `S = (αQ)·Kᵀ`,
     /// `dQ += (α·ds)·K` and `dP = g·Vᵀ`.
@@ -722,40 +730,6 @@ impl BwdPacks {
     }
 }
 
-/// `out[..rows, ..cols] += a · b` over a reduction of length `kc`, one [`micro_kernel`]
-/// call per `MR × NR` tile: `a` holds `rows` in packed `MR`-row panels of `kc` steps,
-/// `b` holds `cols` in packed `NR`-column panels starting `bstride` floats apart (`NR ·
-/// kc` for a block packed to `kc`, `NR · m` for a window of a per-matrix pack over all
-/// `m` keys). `out` is row-major with row pitch `pitch`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn panel_product(
-    a: &[f32],
-    b: &[f32],
-    bstride: usize,
-    out: &mut [f32],
-    pitch: usize,
-    kc: usize,
-    rows: usize,
-    cols: usize,
-) {
-    for pj in 0..cols.div_ceil(NR) {
-        let nr = NR.min(cols - pj * NR);
-        for pi in 0..rows.div_ceil(MR) {
-            let mr = MR.min(rows - pi * MR);
-            micro_kernel(
-                &a[pi * MR * kc..],
-                &b[pj * bstride..],
-                &mut out[pi * MR * pitch + pj * NR..],
-                pitch,
-                kc,
-                mr,
-                nr,
-            );
-        }
-    }
-}
-
 simd_dispatch! {
     fn backward_matrix(
         dims: &Dims,
@@ -779,7 +753,10 @@ simd_dispatch! {
         let qoff = qop.offset(bhi, heads);
         let kmat = &kop.data[kop.offset(bhi, heads)..];
         pack_rhs(kmat, kop.sc, kop.sr, d, m, kt);
-        pack_rhs(kmat, kop.sr, kop.sc, m, d, k);
+        for p0 in (0..m).step_by(K_BLOCK) {
+            let kblock = &mut k[p0 * d.next_multiple_of(NR)..];
+            pack_rhs(&kmat[p0 * kop.sr..], kop.sr, kop.sc, K_BLOCK.min(m - p0), d, kblock);
+        }
         pack_rhs(&vop.data[vop.offset(bhi, heads)..], vop.sc, vop.sr, dv, m, vt);
         let o_bh = &odata[bhi * n * dv..(bhi + 1) * n * dv];
         let g_bh = &gdata[bhi * n * dv..(bhi + 1) * n * dv];
@@ -806,7 +783,7 @@ simd_dispatch! {
 
                 // --- S = (αQ)·Kᵀ restored to p = exp(s − lse), below P_CUTOFF exactly 0 ---
                 s[..bq * K_BLOCK].fill(0.0);
-                panel_product(ql, &kt[p0 * d..], NR * d, s, K_BLOCK, d, bq, bk);
+                macro_kernel::body(ql, &kt[p0 * d..], s, K_BLOCK, d, bq, bk);
                 for i in 0..bq {
                     let lse_i = lse_bh[i0 + i];
                     let srow = &mut s[i * K_BLOCK..i * K_BLOCK + bk];
@@ -823,11 +800,11 @@ simd_dispatch! {
 
                 // --- dV += Pᵀ·g ---
                 pack_lhs(s, 1, K_BLOCK, bk, bq, 1.0, lhs);
-                panel_product(lhs, gr, NR * bq, &mut dval[p0 * dv..], dv, bq, bk, dv);
+                macro_kernel::body(lhs, gr, &mut dval[p0 * dv..], dv, bq, bk, dv);
 
                 // --- dP = g·Vᵀ, then ds = p ∘ (dP − w ⊗ D) in place, into s ---
                 dp[..bq * K_BLOCK].fill(0.0);
-                panel_product(gl, &vt[p0 * dv..], NR * dv, dp, K_BLOCK, dv, bq, bk);
+                macro_kernel::body(gl, &vt[p0 * dv..], dp, K_BLOCK, dv, bq, bk);
                 for i in 0..bq {
                     let di = dvec[i0 + i];
                     let srow = &mut s[i * K_BLOCK..i * K_BLOCK + bk];
@@ -846,9 +823,10 @@ simd_dispatch! {
 
                 // --- dQ += (α·ds)·K, dK += (α·dsᵀ)·Q ---
                 pack_lhs(s, K_BLOCK, 1, bq, bk, scale, lhs);
-                panel_product(lhs, &k[p0 * NR..], NR * m, &mut dq[i0 * d..], d, bk, bq, d);
+                let kblock = &k[p0 * d.next_multiple_of(NR)..];
+                macro_kernel::body(lhs, kblock, &mut dq[i0 * d..], d, bk, bq, d);
                 pack_lhs(s, 1, K_BLOCK, bk, bq, scale, lhs);
-                panel_product(lhs, qr, NR * bq, &mut dk[p0 * d..], d, bq, bk, d);
+                macro_kernel::body(lhs, qr, &mut dk[p0 * d..], d, bq, bk, d);
 
                 p0 += bk;
             }
@@ -1672,6 +1650,33 @@ mod tests {
                     grad.as_slice()
                 );
             }
+        }
+    }
+
+    /// A head width of 0 makes every score 0 and every row uniform. Across more than one
+    /// key block the backward returns empty `dq`/`dk` and the reference `dv`.
+    #[test]
+    fn zero_head_width_spans_key_blocks() {
+        let (n, m, dv) = (Q_BLOCK + 3, K_BLOCK + 1, 5);
+        let mut r = rng(5);
+        let q = NdArray::zeros(&[1, 2, n, 0]);
+        let k = NdArray::zeros(&[1, 2, m, 0]);
+        let v = NdArray::randn(&[1, 2, m, dv], 1.0, &mut r);
+        let g = NdArray::randn(&[1, 2, n, dv], 1.0, &mut r);
+        let w = NdArray::from_vec((0..2 * m).map(|j| 1.0 + (j % 3) as f32).collect(), &[1, 2, m])
+            .unwrap();
+        for weights in [None, Some(&w)] {
+            let fwd = fused_attention(&q, &k, &v, 1.0, weights).unwrap();
+            let (dq, dk, dval) =
+                fused_attention_backward(&q, &k, &v, weights, 1.0, &fwd.out, &fwd.lse, &g).unwrap();
+            assert_eq!(dq.shape(), [1, 2, n, 0]);
+            assert_eq!(dk.shape(), [1, 2, m, 0]);
+            let ([.., want_v], _, _) = reference(&q, &k, &v, 1.0, weights, &g);
+            assert!(
+                allclose(dval.as_slice(), &want_v, 1e-6, 1e-5),
+                "weighted={}",
+                weights.is_some()
+            );
         }
     }
 

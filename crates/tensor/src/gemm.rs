@@ -55,19 +55,24 @@ pub(crate) fn simd_accelerated() -> bool {
 /// the CPU supports (via [`simd_accelerated`], detected once). The body is an
 /// `#[inline(always)]` function, so each clone inlines it and re-vectorises it under its
 /// own feature set; this is how the hot loops issue 8-wide FMAs without changing the
-/// portable build flags.
+/// portable build flags. `body` is visible to the parent module, or as far as a
+/// visibility written before `fn` says (so another kernel can inline it).
 macro_rules! simd_dispatch {
-    (fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+    (fn $($rest:tt)*) => {
+        $crate::gemm::simd_dispatch! { pub(super) fn $($rest)* }
+    };
+    ($vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
         #[allow(clippy::too_many_arguments)]
         pub(crate) mod $name {
             #[allow(unused_imports)]
             use super::*;
 
-            /// The kernel itself. Called directly from the parent module (as the tests
-            /// do) it is the baseline build, which they pin [`run`] to bit for bit.
+            /// The kernel itself. Called directly (as the tests do) it is the baseline
+            /// build, which they pin [`run`] to bit for bit; inlined into another
+            /// dispatched kernel it takes on that kernel's build.
             #[inline(always)]
             #[allow(clippy::too_many_arguments)]
-            pub(super) fn body($($arg: $ty),*) $body
+            $vis fn body($($arg: $ty),*) $body
 
             // `unsafe` only because of `target_feature`: calling this on a CPU
             // without avx2+fma would execute illegal instructions. The body itself
@@ -244,7 +249,7 @@ pub(crate) fn gemm_strided(
 }
 
 simd_dispatch! {
-    fn macro_kernel(
+    pub(crate) fn macro_kernel(
         apack: &[f32],
         bpack: &[f32],
         out: &mut [f32],
