@@ -47,22 +47,6 @@ impl LinformerAttention {
     }
 }
 
-/// Linformer attention over head-split tensors with the full `(proj_dim, max_windows)`
-/// projections: the one body behind [`LinformerAttention::forward`] and the graph
-/// interpreter's `Attention` node.
-pub(crate) fn linformer_attention(q: &Var, k: &Var, v: &Var, e_proj: &Var, f_proj: &Var) -> Var {
-    let n = k.shape()[2];
-    let dk = *q.shape().last().expect("head dim") as f32;
-    // Use the first n columns of the projections for shorter sequences.
-    let e = e_proj.slice_axis(1, 0, n);
-    let f = f_proj.slice_axis(1, 0, n);
-    let k_proj = e.matmul(k); // (B,H,proj,dh) via broadcast of the 2-D projection
-    let v_proj = f.matmul(v);
-    // 1/√d folded into the score product — no scaled (b, h, n, proj) temporary.
-    let scores = q.matmul_nt_scaled(&k_proj, 1.0 / dk.sqrt());
-    scores.softmax_last().matmul(&v_proj)
-}
-
 impl Attention for LinformerAttention {
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var {
         let n = k.shape()[2];
@@ -71,7 +55,15 @@ impl Attention for LinformerAttention {
             "sequence of {n} windows exceeds the Linformer projection size {}",
             self.max_windows
         );
-        linformer_attention(q, k, v, &self.e_proj, &self.f_proj)
+        let dk = *q.shape().last().expect("head dim") as f32;
+        // Use the first n columns of the projections for shorter sequences.
+        let e = self.e_proj.slice_axis(1, 0, n);
+        let f = self.f_proj.slice_axis(1, 0, n);
+        let k_proj = e.matmul(k); // (B,H,proj,dh) via broadcast of the 2-D projection
+        let v_proj = f.matmul(v);
+        // 1/√d folded into the score product — no scaled (b, h, n, proj) temporary.
+        let scores = q.matmul_nt_scaled(&k_proj, 1.0 / dk.sqrt());
+        scores.softmax_last().matmul(&v_proj)
     }
 
     fn visit_params(&self, v: &mut ParamVisitor<'_>) {

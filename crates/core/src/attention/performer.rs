@@ -24,45 +24,34 @@ impl PerformerAttention {
         let omega = NdArray::randn(&[head_dim, features], 1.0, rng);
         Self { omega, features }
     }
-
-    /// Number of random features.
-    pub fn num_features(&self) -> usize {
-        self.features
-    }
-}
-
-/// FAVOR+ attention over head-split tensors with the `(head_dim, features)` random
-/// feature matrix `omega`: the one body behind [`PerformerAttention::forward`] and the
-/// graph interpreter's `Attention` node.
-pub(crate) fn performer_attention(q: &Var, k: &Var, v: &Var, omega: &Var, features: usize) -> Var {
-    // Positive random-feature map with a detached global stabiliser.
-    let feature_map = |x: &Var| {
-        let logits = x.matmul(omega);
-        let sq_norm = x.square().sum_axis(3).scale(0.5);
-        let raw = logits.sub(&sq_norm);
-        // Global (scalar) stabiliser keeps exp() finite; a per-tensor constant shift
-        // rescales every feature vector identically, so the normalised attention output
-        // is unchanged.
-        let stab = raw.to_array().max_all();
-        raw.add_scalar(-stab).exp().scale(1.0 / (features as f32).sqrt())
-    };
-    let dk = *q.shape().last().expect("head dim") as f32;
-    // Fold the 1/√d_k scaling into the inputs so φ(q)ᵀφ(k) approximates exp(qᵀk/√d_k).
-    let scale = dk.powf(-0.25);
-    let phi_q = feature_map(&q.scale(scale));
-    let phi_k = feature_map(&k.scale(scale));
-    // (B,H,m,dh) — the O(n·m·d) contraction that replaces the O(n²·d) score matrix.
-    let kv = phi_k.transpose_last2().matmul(v);
-    let numerator = phi_q.matmul(&kv);
-    // Denominator: φ(q)ᵀ Σ_j φ(k_j).
-    let phi_k_sum = phi_k.sum_axis(2); // (B,H,1,m)
-    let denominator = phi_q.matmul_nt(&phi_k_sum).add_scalar(1e-6); // (B,H,n,1)
-    numerator.div(&denominator)
 }
 
 impl Attention for PerformerAttention {
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var {
-        performer_attention(q, k, v, &Var::constant(self.omega.clone()), self.features)
+        let omega = Var::constant(self.omega.clone());
+        // Positive random-feature map with a detached global stabiliser.
+        let feature_map = |x: &Var| {
+            let logits = x.matmul(&omega);
+            let sq_norm = x.square().sum_axis(3).scale(0.5);
+            let raw = logits.sub(&sq_norm);
+            // Global (scalar) stabiliser keeps exp() finite; a per-tensor constant shift
+            // rescales every feature vector identically, so the normalised attention
+            // output is unchanged.
+            let stab = raw.to_array().max_all();
+            raw.add_scalar(-stab).exp().scale(1.0 / (self.features as f32).sqrt())
+        };
+        let dk = *q.shape().last().expect("head dim") as f32;
+        // Fold the 1/√d_k scaling into the inputs so φ(q)ᵀφ(k) approximates exp(qᵀk/√d_k).
+        let scale = dk.powf(-0.25);
+        let phi_q = feature_map(&q.scale(scale));
+        let phi_k = feature_map(&k.scale(scale));
+        // (B,H,m,dh) — the O(n·m·d) contraction that replaces the O(n²·d) score matrix.
+        let kv = phi_k.transpose_last2().matmul(v);
+        let numerator = phi_q.matmul(&kv);
+        // Denominator: φ(q)ᵀ Σ_j φ(k_j).
+        let phi_k_sum = phi_k.sum_axis(2); // (B,H,1,m)
+        let denominator = phi_q.matmul_nt(&phi_k_sum).add_scalar(1e-6); // (B,H,n,1)
+        numerator.div(&denominator)
     }
 
     fn name(&self) -> &'static str {
@@ -102,7 +91,7 @@ mod tests {
         let o = attn.forward(&q, &k, &v);
         assert_eq!(o.shape(), vec![2, 2, 10, 4]);
         assert!(!o.to_array().has_non_finite());
-        assert_eq!(attn.num_features(), 32);
+        assert_eq!(attn.features, 32);
     }
 
     #[test]

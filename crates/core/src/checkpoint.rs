@@ -133,14 +133,6 @@ impl TensorRecord {
         }
     }
 
-    /// Payload size in bytes as serialized (codes + scales for int8).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            TensorRecord::F32(t) => 4 * t.len(),
-            TensorRecord::Int8 { data, scales, .. } => data.len() + 4 * scales.len(),
-        }
-    }
-
     /// Widens/dequantizes to a dense f32 array. Exact for `F32` (shares storage), the
     /// per-channel dequantization for `Int8`.
     pub fn to_f32(&self) -> NdArray {
@@ -251,6 +243,12 @@ pub enum CheckpointError {
     },
     /// The checkpoint carries no optimizer section.
     NoOptimizerState,
+    /// The checkpoint's attention kind trains and restores but has no serving graph:
+    /// the comparison baselines (Performer, Linformer) are not served.
+    AttentionNotServed {
+        /// The kind's name, as [`crate::attention::AttentionKind::name`] gives it.
+        kind: &'static str,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -291,6 +289,11 @@ impl fmt::Display for CheckpointError {
             CheckpointError::NoOptimizerState => {
                 write!(f, "checkpoint carries no optimizer state (saved without an optimizer)")
             }
+            CheckpointError::AttentionNotServed { kind } => write!(
+                f,
+                "{kind} attention is not served (only Vanilla and Group are); restore the \
+                 checkpoint with the training modules instead"
+            ),
         }
     }
 }
@@ -399,20 +402,6 @@ impl Checkpoint {
         self.restore_module(&mut imp)?;
         imp.model.restore_scheduler_state(&self.scheduler);
         Ok(imp)
-    }
-
-    /// Rebuilds a bare backbone from this checkpoint.
-    pub fn restore_backbone(&self, rng: &mut impl Rng) -> Result<RitaModel, CheckpointError> {
-        if self.task != TaskKind::Backbone {
-            return Err(CheckpointError::TaskMismatch {
-                found: self.task_name(),
-                requested: "backbone",
-            });
-        }
-        let mut model = RitaModel::new(self.config, rng);
-        self.restore_module(&mut model)?;
-        model.restore_scheduler_state(&self.scheduler);
-        Ok(model)
     }
 
     /// Reattaches the stored AdamW state to a freshly restored module, so training
@@ -1083,6 +1072,16 @@ mod tests {
         Classifier::new(RitaConfig::tiny(3, 40, kind), 4, &mut rng(seed))
     }
 
+    impl TensorRecord {
+        /// Payload size in bytes as serialized (codes + scales for int8).
+        fn payload_bytes(&self) -> usize {
+            match self {
+                TensorRecord::F32(t) => 4 * t.len(),
+                TensorRecord::Int8 { data, scales, .. } => data.len() + 4 * scales.len(),
+            }
+        }
+    }
+
     #[test]
     fn bytes_roundtrip_preserves_everything() {
         let clf = classifier(AttentionKind::default_group(), 0);
@@ -1180,6 +1179,38 @@ mod tests {
             match Checkpoint::from_bytes(&corrupt) {
                 Err(CheckpointError::Corrupted(why)) => assert!(why.contains(rule), "{why}"),
                 other => panic!("expected Corrupted naming '{rule}', got {other:?}"),
+            }
+        }
+    }
+
+    /// The rules the attention constructors assert are `check` rules too, so a
+    /// CRC-valid checkpoint that breaks one is refused by the reader instead of
+    /// panicking in `restore_classifier`.
+    #[test]
+    fn attention_rules_the_constructors_assert_are_corrupted_naming_the_rule() {
+        let group = |epsilon, initial_groups| AttentionKind::Group {
+            epsilon,
+            initial_groups,
+            adaptive: true,
+        };
+        let mut ckpt = Checkpoint::of_classifier(&classifier(AttentionKind::Vanilla, 7), None);
+        for (attention, rule) in [
+            (group(0.5, 4), "group epsilon must be finite and > 1"),
+            (group(1.0, 4), "group epsilon must be finite and > 1"),
+            (group(f32::NAN, 4), "group epsilon must be finite and > 1"),
+            (group(f32::INFINITY, 4), "group epsilon must be finite and > 1"),
+            (group(2.0, 0), "group initial_groups must be at least 1"),
+            (AttentionKind::Performer { features: 0 }, "performer features must be at least 1"),
+            (AttentionKind::Linformer { proj_dim: 0 }, "linformer proj_dim must be at least 1"),
+        ] {
+            ckpt.config.attention = attention;
+            // `to_bytes` writes a fresh CRC, so only the config rule can refuse the file.
+            match Checkpoint::from_bytes(&ckpt.to_bytes()) {
+                Err(CheckpointError::Corrupted(why)) => assert!(why.contains(rule), "{why}"),
+                other => panic!(
+                    "{attention:?}: expected Corrupted naming '{rule}', got {:?}",
+                    other.map(|c| c.config)
+                ),
             }
         }
     }

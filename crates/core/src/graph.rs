@@ -19,10 +19,8 @@ use rita_nn::{no_grad, Var};
 use rita_tensor::NdArray;
 
 use crate::attention::group::{effective_groups, group_attention};
-use crate::attention::linformer::linformer_attention;
-use crate::attention::performer::performer_attention;
 use crate::attention::{Attention, AttentionKind, GroupAttentionConfig, VanillaAttention};
-use crate::checkpoint::TaskKind;
+use crate::checkpoint::{CheckpointError, TaskKind};
 use crate::model::RitaConfig;
 
 /// The value name under which interpreters look up the sinusoidal positional table
@@ -53,8 +51,17 @@ fn emit_layer_norm(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
 /// count, exactly as checkpoint loading always has. Node IDs follow the parameter-path
 /// grammar (`model.encoder.layers.3.norm1`, …), with the `model.` prefix dropped for a
 /// bare backbone — matching how checkpoints name their tensors per task.
-pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>]) -> Graph {
-    config.validate();
+///
+/// This is where it is decided which checkpoints can be served: a config that
+/// [`RitaConfig::check`] rejects is [`CheckpointError::Corrupted`] naming the rule, and
+/// the comparison baselines (Performer, Linformer), which train and checkpoint but have
+/// no serving graph, are [`CheckpointError::AttentionNotServed`].
+pub fn build_graph(
+    config: &RitaConfig,
+    task: TaskKind,
+    scheduler: &[Option<f32>],
+) -> Result<Graph, CheckpointError> {
+    config.check().map_err(CheckpointError::Corrupted)?;
     let bb = match task {
         TaskKind::Backbone => "",
         _ => "model.",
@@ -85,7 +92,6 @@ pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>
         let qh = g.push(&format!("{p}.q_proj.split_heads"), split, vec![q]);
         let kh = g.push(&format!("{p}.k_proj.split_heads"), split, vec![k]);
         let vh = g.push(&format!("{p}.v_proj.split_heads"), split, vec![v]);
-        let mut attn_inputs = vec![qh, kh, vh];
         let attn_op = match config.attention {
             AttentionKind::Vanilla => AttnOp::Vanilla,
             AttentionKind::Group { initial_groups, .. } => AttnOp::Group {
@@ -93,17 +99,11 @@ pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>
                 min_groups: group_defaults.min_groups,
                 kmeans_iters: group_defaults.kmeans_iters,
             },
-            AttentionKind::Performer { features } => {
-                attn_inputs.push(g.param(&format!("{p}.attention.omega")));
-                AttnOp::Performer { features }
-            }
-            AttentionKind::Linformer { .. } => {
-                attn_inputs.push(g.param(&format!("{p}.attention.e_proj")));
-                attn_inputs.push(g.param(&format!("{p}.attention.f_proj")));
-                AttnOp::Linformer { max_windows: config.max_windows() + 1 }
+            kind @ (AttentionKind::Performer { .. } | AttentionKind::Linformer { .. }) => {
+                return Err(CheckpointError::AttentionNotServed { kind: kind.name() });
             }
         };
-        let attended = g.push(&format!("{p}.attention"), Op::Attention(attn_op), attn_inputs);
+        let attended = g.push(&format!("{p}.attention"), Op::Attention(attn_op), vec![qh, kh, vh]);
         let merged = g.push(&format!("{p}.attention.merge_heads"), Op::MergeHeads, vec![attended]);
         let projected = emit_linear(&mut g, &format!("{p}.out_proj"), merged);
         let sum1 = g.push(&format!("{p}.residual1"), Op::Add, vec![h, projected]);
@@ -135,7 +135,7 @@ pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>
         }
     };
     debug_assert!(g.validate().is_ok(), "emitted graph is malformed: {:?}", g.validate());
-    g
+    Ok(g)
 }
 
 /// Executes `graph` on `x` with `no_grad` [`Var`] operations — the exactness oracle.
@@ -225,8 +225,6 @@ fn exec_var_attention(attn: &AttnOp, ins: &[Var]) -> Var {
             let groups = effective_groups(*n_groups, *min_groups, q.shape()[2]);
             group_attention(q, k, v, groups, *kmeans_iters).0
         }
-        AttnOp::Performer { features } => performer_attention(q, k, v, &ins[3], *features),
-        AttnOp::Linformer { .. } => linformer_attention(q, k, v, &ins[3], &ins[4]),
     }
 }
 
@@ -243,9 +241,18 @@ mod tests {
         vec![
             AttentionKind::Vanilla,
             AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: false },
-            AttentionKind::Performer { features: 8 },
-            AttentionKind::Linformer { proj_dim: 6 },
         ]
+    }
+
+    /// `build_graph` decides what serves, so a config `RitaConfig::check` rejects is a
+    /// typed error naming the rule, not the panic `validate` would raise.
+    #[test]
+    fn an_inconsistent_config_is_corrupted_naming_the_rule() {
+        let config = RitaConfig { n_layers: 0, ..RitaConfig::default() };
+        assert!(matches!(
+            build_graph(&config, TaskKind::Classifier { num_classes: 4 }, &[]),
+            Err(CheckpointError::Corrupted(rule)) if rule.contains("encoder layer")
+        ));
     }
 
     #[test]
@@ -255,7 +262,7 @@ mod tests {
             let config = RitaConfig::tiny(3, 60, kind);
             let clf = Classifier::new(config, 4, &mut rng);
             let ckpt = Checkpoint::of_classifier(&clf, None);
-            let graph = build_graph(&config, ckpt.task, &ckpt.scheduler);
+            let graph = build_graph(&config, ckpt.task, &ckpt.scheduler).unwrap();
             let mut graph_paths = graph.param_paths();
             let mut ckpt_paths: Vec<String> = ckpt.tensors.iter().map(|(p, _)| p.clone()).collect();
             graph_paths.sort();
@@ -273,7 +280,7 @@ mod tests {
             let config = RitaConfig::tiny(3, 60, kind);
             let mut clf = Classifier::new(config, 4, &mut rng);
             let ckpt = Checkpoint::of_classifier(&clf, None);
-            let graph = build_graph(&config, ckpt.task, &ckpt.scheduler);
+            let graph = build_graph(&config, ckpt.task, &ckpt.scheduler).unwrap();
             let x = NdArray::randn(&[2, 3, 47], 1.0, &mut rng);
 
             let reference = no_grad(|| clf.logits(&x, false, &mut rng));

@@ -35,11 +35,6 @@ impl Grouping {
         self.counts.len()
     }
 
-    /// Number of grouped vectors.
-    pub fn num_items(&self) -> usize {
-        self.assignments.len()
-    }
-
     /// Largest member-to-centre distance over all clusters (the `d` of Lemma 1).
     pub fn max_radius(&self) -> f32 {
         self.radii.iter().copied().fold(0.0, f32::max)
@@ -282,7 +277,7 @@ mod tests {
         let x = two_blobs(20, 1);
         let g = kmeans_matmul(&x, 2, 8);
         assert_eq!(g.num_groups(), 2);
-        assert_eq!(g.num_items(), 40);
+        assert_eq!(g.assignments.len(), 40);
         // All of blob 1 lands in one cluster, all of blob 2 in the other.
         let first = g.assignments[0];
         assert!(g.assignments[..20].iter().all(|&a| a == first));

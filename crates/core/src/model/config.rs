@@ -133,7 +133,22 @@ impl RitaConfig {
         if !(0.0..1.0).contains(&self.dropout) {
             return Err("dropout must be in [0, 1)".into());
         }
-        Ok(())
+        // The rules the attention constructors assert, so a restore cannot panic on them.
+        match self.attention {
+            AttentionKind::Group { epsilon, .. } if !(epsilon.is_finite() && epsilon > 1.0) => {
+                Err("group epsilon must be finite and > 1".into())
+            }
+            AttentionKind::Group { initial_groups: 0, .. } => {
+                Err("group initial_groups must be at least 1".into())
+            }
+            AttentionKind::Performer { features: 0 } => {
+                Err("performer features must be at least 1".into())
+            }
+            AttentionKind::Linformer { proj_dim: 0 } => {
+                Err("linformer proj_dim must be at least 1".into())
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Validates internal consistency, panicking with a descriptive message otherwise

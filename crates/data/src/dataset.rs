@@ -118,12 +118,6 @@ impl TimeseriesDataset {
         }
     }
 
-    /// The longest sample length actually present (equals [`TimeseriesDataset::length`]
-    /// for generated datasets; 0 when empty).
-    pub fn max_length(&self) -> usize {
-        self.samples.iter().map(|s| s.shape()[1]).max().unwrap_or(0)
-    }
-
     /// Shuffles samples (and labels) in place.
     pub fn shuffle(&mut self, rng: &mut impl Rng) {
         let mut order: Vec<usize> = (0..self.samples.len()).collect();
@@ -325,11 +319,11 @@ mod tests {
             TimeseriesDataset::generate_variable(DatasetKind::Hhar, 24, 0, 40, 80, 3, &mut rng(7));
         assert!(ds.is_variable_length());
         assert_eq!(ds.length(), 80);
-        assert_eq!(ds.max_length(), 80);
         let buckets = ds.spec.bucket_lengths();
         assert_eq!(buckets, vec![40, 60, 80]);
         let lengths = ds.lengths();
         assert_eq!(lengths.len(), 24);
+        assert_eq!(lengths.iter().max(), Some(&80));
         for (i, &l) in lengths.iter().enumerate() {
             assert!(buckets.contains(&l));
             assert_eq!(ds.sample_length(i), l);

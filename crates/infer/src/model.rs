@@ -101,7 +101,9 @@ pub struct InferModel {
 
 impl InferModel {
     /// Loads a checkpoint into servable form: emits the forward graph for the
-    /// checkpoint's config/task and binds every parameter value to its tensor.
+    /// checkpoint's config/task and binds every parameter value to its tensor. A
+    /// config `build_graph` cannot serve (one `RitaConfig::check` rejects, or a
+    /// baseline attention kind) is refused with its typed error.
     /// Validates that every tensor the graph needs is present (a missing one, bias
     /// included, is [`CheckpointError::MissingTensor`]) and none are left over; tensor
     /// *shapes* are checked when the first plan for a shape bucket compiles, and a
@@ -119,11 +121,9 @@ impl InferModel {
         precision: Precision,
     ) -> Result<Self, CheckpointError> {
         let config = ckpt.config;
-        config.check().map_err(CheckpointError::Corrupted)?;
+        let graph = build_graph(&config, ckpt.task, &ckpt.scheduler)?;
         let by_path: HashMap<&str, &TensorRecord> =
             ckpt.tensors.iter().map(|(p, t)| (p.as_str(), t)).collect();
-
-        let graph = build_graph(&config, ckpt.task, &ckpt.scheduler);
 
         // A value may bind quantized only if *every* consumption is the weight
         // operand of a quantized-capable op — then no kernel ever needs the f32 form.

@@ -352,69 +352,6 @@ fn exec_attention(node: &Node, attn: &AttnOp, ins: &[NdArray]) -> Result<NdArray
             reclaim(aggregated);
             Ok(out)
         }
-        AttnOp::Performer { features } => {
-            // Mirrors `PerformerAttention::forward` and its feature map.
-            let omega = &ins[3];
-            let scale = dh.powf(-0.25);
-            let feature_map = |x: &NdArray| -> Result<NdArray, InferError> {
-                let scaled = x.scale(scale);
-                let logits = scaled.matmul(omega).map_err(|e| node_err(node, e))?;
-                let sq = scaled.map(|v| v * v);
-                reclaim(scaled);
-                let sq_sum = sq.sum_axis(3, true).map_err(|e| node_err(node, e))?;
-                reclaim(sq);
-                let sq_norm = sq_sum.scale(0.5);
-                reclaim(sq_sum);
-                let raw = logits.sub(&sq_norm).map_err(|e| node_err(node, e))?;
-                reclaim(logits);
-                reclaim(sq_norm);
-                let stab = raw.max_all();
-                let shifted = raw.add_scalar(-stab);
-                reclaim(raw);
-                let expd = shifted.exp();
-                reclaim(shifted);
-                let out = expd.scale(1.0 / (*features as f32).sqrt());
-                reclaim(expd);
-                Ok(out)
-            };
-            let phi_q = feature_map(q)?;
-            let phi_k = feature_map(k)?;
-            let kv = phi_k
-                .transpose_last2()
-                .map_err(|e| node_err(node, e))?
-                .matmul(v)
-                .map_err(|e| node_err(node, e))?;
-            let numerator = phi_q.matmul(&kv).map_err(|e| node_err(node, e))?;
-            reclaim(kv);
-            let phi_k_sum = phi_k.sum_axis(2, true).map_err(|e| node_err(node, e))?;
-            reclaim(phi_k);
-            let dot = phi_q.matmul_nt(&phi_k_sum).map_err(|e| node_err(node, e))?;
-            reclaim(phi_q);
-            reclaim(phi_k_sum);
-            let denominator = dot.add_scalar(1e-6);
-            reclaim(dot);
-            let out = numerator.div(&denominator).map_err(|e| node_err(node, e))?;
-            reclaim(numerator);
-            reclaim(denominator);
-            Ok(out)
-        }
-        AttnOp::Linformer { .. } => {
-            let n = k.shape()[2];
-            let (e_proj, f_proj) = (&ins[3], &ins[4]);
-            let e = e_proj.slice_axis(1, 0, n).map_err(|e| node_err(node, e))?;
-            let f = f_proj.slice_axis(1, 0, n).map_err(|e| node_err(node, e))?;
-            let k_proj = e.matmul(k).map_err(|e| node_err(node, e))?;
-            let v_proj = f.matmul(v).map_err(|e| node_err(node, e))?;
-            let scores =
-                q.matmul_nt_scaled(&k_proj, 1.0 / dh.sqrt()).map_err(|e| node_err(node, e))?;
-            reclaim(k_proj);
-            let probs = scores.softmax_last().map_err(|e| node_err(node, e))?;
-            reclaim(scores);
-            let out = probs.matmul(&v_proj).map_err(|e| node_err(node, e))?;
-            reclaim(probs);
-            reclaim(v_proj);
-            Ok(out)
-        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! of buffer capacities the whole pass needs.
 //!
 //! The IR is deliberately tiny: single-output nodes, a fixed op vocabulary covering the
-//! RITA forward (window embedding, encoder layers with four attention variants, task
+//! RITA forward (window embedding, encoder layers with vanilla or group attention, task
 //! heads), and values that are either the run input, a named (always required)
 //! parameter, a deterministic table, or a node output. Interpreters live downstream: `rita-core` walks a plan with
 //! `no_grad` [`crate::Var`] ops (the exactness oracle), `rita-infer` walks the same
@@ -63,16 +63,6 @@ pub enum AttnOp {
         /// K-means refinement iterations per forward.
         kmeans_iters: usize,
     },
-    /// FAVOR+ random-feature attention; expects an `omega` parameter input.
-    Performer {
-        /// Number of random features (second dim of `omega`).
-        features: usize,
-    },
-    /// Low-rank projected attention; expects `e_proj`/`f_proj` parameter inputs.
-    Linformer {
-        /// Columns of the projection matrices — the largest window count supported.
-        max_windows: usize,
-    },
 }
 
 /// The op vocabulary: one op per call the training modules make, so each node runs
@@ -108,7 +98,7 @@ pub enum Op {
     },
     /// `inputs: [x]` — `(b, h, n, dh) → (b, n, h·dh)`; materialises.
     MergeHeads,
-    /// `inputs: [q, k, v, ...mechanism params]` — one attention mechanism.
+    /// `inputs: [q, k, v]` — one attention mechanism.
     Attention(AttnOp),
     /// `inputs: [h]` — extract the `[CLS]` row: `(b, n, d) → (b, d)`.
     ClsPool,
@@ -227,7 +217,7 @@ impl Op {
                 }
                 Ok(vec![x[0], x[2], x[1] * x[3]])
             }
-            Op::Attention(attn) => attention_shape(attn, inputs),
+            Op::Attention(_) => attention_shape(inputs),
             Op::ClsPool => {
                 let [h] = expect_inputs::<1>(inputs)?;
                 if h.len() != 3 {
@@ -332,43 +322,13 @@ fn matmul_shape(a: &[usize], b: &[usize]) -> Result<Vec<usize>, String> {
     Ok(out)
 }
 
-fn attention_shape(attn: &AttnOp, inputs: &[&[usize]]) -> Result<Vec<usize>, String> {
-    if inputs.len() < 3 {
-        return Err(format!("attention expects q, k, v; got {} inputs", inputs.len()));
-    }
-    let (q, k, v) = (inputs[0], inputs[1], inputs[2]);
+fn attention_shape(inputs: &[&[usize]]) -> Result<Vec<usize>, String> {
+    let [q, k, v] = expect_inputs::<3>(inputs)?;
     if q.len() != 4 {
         return Err(format!("attention inputs must be rank 4, got q {q:?}"));
     }
     if k != q || v != q {
         return Err(format!("q {q:?}, k {k:?}, v {v:?} must agree"));
-    }
-    let (n, dh) = (q[2], q[3]);
-    match attn {
-        AttnOp::Vanilla | AttnOp::Group { .. } => {
-            if inputs.len() != 3 {
-                return Err(format!("mechanism takes no parameters, got {}", inputs.len() - 3));
-            }
-        }
-        AttnOp::Performer { features } => {
-            let [omega] = expect_inputs::<1>(&inputs[3..])?;
-            if omega != [dh, *features] {
-                return Err(format!(
-                    "omega shape {omega:?} does not match (head_dim {dh}, features {features})"
-                ));
-            }
-        }
-        AttnOp::Linformer { max_windows } => {
-            let [e, f] = expect_inputs::<2>(&inputs[3..])?;
-            if e.len() != 2 || e[1] != *max_windows || f != e {
-                return Err(format!(
-                    "projections e {e:?} / f {f:?} do not match max_windows {max_windows}"
-                ));
-            }
-            if n > *max_windows {
-                return Err(format!("{n} windows exceed the projection's {max_windows}"));
-            }
-        }
     }
     Ok(q.to_vec())
 }

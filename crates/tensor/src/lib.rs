@@ -63,9 +63,6 @@ pub use rowops::LayerNormed;
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;
 
-/// Absolute tolerance used by the `allclose` helpers in tests across the workspace.
-pub const DEFAULT_ATOL: f32 = 1e-5;
-
 /// Returns `true` when two slices are elementwise close within `atol + rtol * |b|`.
 pub fn allclose(a: &[f32], b: &[f32], atol: f32, rtol: f32) -> bool {
     a.len() == b.len()

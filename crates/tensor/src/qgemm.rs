@@ -151,24 +151,6 @@ impl QuantMatrix {
     pub fn scales(&self) -> &[f32] {
         &self.scales
     }
-
-    /// The dense row-major f32 matrix this quantized matrix represents (`q · scale`),
-    /// for fallback bindings and oracles.
-    pub fn dequantize(&self) -> Vec<f32> {
-        let mut w = vec![0.0f32; self.k * self.n];
-        for panel in 0..self.n.div_ceil(NR) {
-            let cols = NR.min(self.n - panel * NR);
-            let src = &self.panels[panel * NR * self.kk..];
-            for p in 0..self.k {
-                for j in 0..cols {
-                    let col = panel * NR + j;
-                    let q = src[(p / 2) * 2 * NR + 2 * j + (p % 2)];
-                    w[p * self.n + col] = q as f32 * self.scales[col];
-                }
-            }
-        }
-        w
-    }
 }
 
 /// Packs an `m × k` f32 lhs block into `MR`-row panels of interleaved k-pairs,
@@ -416,6 +398,26 @@ pub fn qgemm(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl QuantMatrix {
+        /// The dense row-major f32 matrix the packed panels represent (`q · scale`): the
+        /// oracle the packing tests compare against.
+        pub(crate) fn dequantize(&self) -> Vec<f32> {
+            let mut w = vec![0.0f32; self.k * self.n];
+            for panel in 0..self.n.div_ceil(NR) {
+                let cols = NR.min(self.n - panel * NR);
+                let src = &self.panels[panel * NR * self.kk..];
+                for p in 0..self.k {
+                    for j in 0..cols {
+                        let col = panel * NR + j;
+                        let q = src[(p / 2) * 2 * NR + 2 * j + (p % 2)];
+                        w[p * self.n + col] = q as f32 * self.scales[col];
+                    }
+                }
+            }
+            w
+        }
+    }
 
     fn gemm_f64(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, alpha: f32) -> Vec<f64> {
         let mut out = vec![0.0f64; m * n];

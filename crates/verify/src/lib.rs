@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use rita_core::checkpoint::Checkpoint;
+use rita_core::checkpoint::{Checkpoint, CheckpointError};
 use rita_core::graph::{build_graph, POSITIONAL};
 use rita_nn::graph::{Graph, Plan, PlanError};
 
@@ -114,24 +114,42 @@ fn plan_error_diagnostic(e: PlanError) -> Diagnostic {
 }
 
 /// Audits a checkpoint against an already-built serving graph (the one
-/// `rita_infer::InferModel::from_checkpoint` serves): configuration consistency, SSA
-/// structure, binding coverage, record dtype soundness (quantization scales and
-/// payload/shape agreement), node-for-node agreement with a fresh `build_graph`
-/// emission, and full plan verification at two probe input shapes
+/// `rita_infer::InferModel::from_checkpoint` serves): that the configuration is one
+/// `build_graph` serves, SSA structure, binding coverage, record dtype soundness
+/// (quantization scales and payload/shape agreement), node-for-node agreement with a
+/// fresh `build_graph` emission, and full plan verification at two probe input shapes
 /// (`(1, channels, max_len)` and `(2, channels, window)`).
 pub fn verify_with_graph(ckpt: &Checkpoint, served: &Graph) -> Report {
+    audit(ckpt, Some(served))
+}
+
+/// Audits a checkpoint end-to-end: builds the serving graph exactly the way the
+/// inference tier does (`build_graph`, served as emitted), then runs the full
+/// [`verify_with_graph`] battery. This is what `examples/verify.rs` and the
+/// publish path call.
+pub fn verify_checkpoint(ckpt: &Checkpoint) -> Report {
+    audit(ckpt, None)
+}
+
+/// The [`verify_with_graph`] battery; `served: None` audits the fresh emission itself.
+fn audit(ckpt: &Checkpoint, served: Option<&Graph>) -> Report {
     let mut report = Report::new();
     let config = &ckpt.config;
-    if let Err(detail) = config.check() {
-        report.push(Diagnostic::error(
-            Analysis::Config,
-            "config",
-            VerifyError::BadConfig { detail },
-        ));
-        // build_graph is only defined for consistent configs; nothing below is
-        // meaningful without one.
-        return report;
-    }
+    let emitted = match build_graph(config, ckpt.task, &ckpt.scheduler) {
+        Ok(graph) => graph,
+        Err(e) => {
+            // An inconsistent config or an attention kind that is not served: nothing
+            // below is meaningful without a graph to compare against.
+            let detail = match e {
+                CheckpointError::Corrupted(rule) => rule,
+                e => e.to_string(),
+            };
+            let bad = VerifyError::BadConfig { detail };
+            report.push(Diagnostic::error(Analysis::Config, "config", bad));
+            return report;
+        }
+    };
+    let served = served.unwrap_or(&emitted);
     let structure = verify_structure(served);
     let unindexable = !structure.is_empty();
     report.extend(structure);
@@ -143,10 +161,7 @@ pub fn verify_with_graph(ckpt: &Checkpoint, served: &Graph) -> Report {
         ckpt.tensors.iter().map(|(p, t)| (p.clone(), t.shape().to_vec())).collect();
     report.extend(verify_bindings(served, &tensor_shapes));
     report.extend(verify_records(ckpt));
-    report.extend(emission::verify_emission(
-        &build_graph(config, ckpt.task, &ckpt.scheduler),
-        served,
-    ));
+    report.extend(emission::verify_emission(&emitted, served));
 
     let positional_shape = vec![config.max_windows() + 1, config.d_model];
     let lookup = |name: &str| -> Option<Vec<usize>> {
@@ -163,23 +178,6 @@ pub fn verify_with_graph(ckpt: &Checkpoint, served: &Graph) -> Report {
         }
     }
     report
-}
-
-/// Audits a checkpoint end-to-end: builds the serving graph exactly the way the
-/// inference tier does (`build_graph`, served as emitted), then runs the full
-/// [`verify_with_graph`] battery. This is what `examples/verify.rs` and the
-/// publish path call.
-pub fn verify_checkpoint(ckpt: &Checkpoint) -> Report {
-    if let Err(detail) = ckpt.config.check() {
-        let mut report = Report::new();
-        report.push(Diagnostic::error(
-            Analysis::Config,
-            "config",
-            VerifyError::BadConfig { detail },
-        ));
-        return report;
-    }
-    verify_with_graph(ckpt, &build_graph(&ckpt.config, ckpt.task, &ckpt.scheduler))
 }
 
 #[cfg(test)]

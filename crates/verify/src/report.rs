@@ -62,7 +62,8 @@ impl Analysis {
 /// independent derivation produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyError {
-    /// The checkpoint's configuration is internally inconsistent.
+    /// The checkpoint's configuration is internally inconsistent, or names an
+    /// attention kind that is not served.
     BadConfig {
         /// Which constraint failed.
         detail: String,

@@ -7,9 +7,10 @@
 //!
 //! With no arguments it runs a self-test, as CI does: train a tiny classifier, save
 //! and reload its checkpoint, and demand a clean report — then, as negative controls,
-//! corrupt one copy of the checkpoint (wrong-shape head weight) and remove one `.bias`
-//! from another, and demand the analyzer rejects both. Any direction failing exits
-//! non-zero.
+//! corrupt one copy of the checkpoint (wrong-shape head weight), remove one `.bias`
+//! from another, and train a Linformer classifier, and demand the analyzer rejects all
+//! three (the Linformer baseline trains and checkpoints but is not served). Any
+//! direction failing exits non-zero.
 //!
 //! Run with: `cargo run --release --example verify [CHECKPOINT...]`
 //! (set `RITA_QUICK=1` for a seconds-scale smoke run)
@@ -23,7 +24,7 @@ use rita::core::model::RitaConfig;
 use rita::core::tasks::{Classifier, TrainConfig};
 use rita::data::{DatasetKind, TimeseriesDataset};
 use rita::tensor::{NdArray, SeedableRng64};
-use rita::verify::verify_checkpoint;
+use rita::verify::{verify_checkpoint, VerifyError};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,29 +60,47 @@ fn audit_files(paths: &[String]) -> ExitCode {
     }
 }
 
-/// Train → save → reload → verify clean, then corrupt or drop a bias → verify rejected.
-fn self_test() -> ExitCode {
-    let quick = std::env::var_os("RITA_QUICK").is_some();
-    let (n_train, epochs) = if quick { (12, 1) } else { (60, 3) };
-    let mut rng = SeedableRng64::seed_from_u64(0);
-
-    let data = TimeseriesDataset::generate_reduced(DatasetKind::Hhar, n_train, 0, 80, &mut rng);
+/// Trains a small classifier with `attention` and returns its checkpoint.
+fn train(
+    attention: AttentionKind,
+    data: &TimeseriesDataset,
+    epochs: usize,
+    rng: &mut SeedableRng64,
+) -> Checkpoint {
     let config = RitaConfig {
         channels: 3,
         max_len: 80,
         d_model: 32,
         n_layers: 2,
         ff_hidden: 64,
-        attention: AttentionKind::Group { epsilon: 2.0, initial_groups: 6, adaptive: true },
+        attention,
         ..Default::default()
     };
-    let mut classifier = Classifier::new(config, 5, &mut rng);
+    let mut classifier = Classifier::new(config, 5, rng);
     let train_cfg = TrainConfig { epochs, batch_size: 8, lr: 1e-3, ..Default::default() };
-    let report = classifier.train(&data, &train_cfg, &mut rng);
-    println!("trained {} epochs, final loss {:.4}", report.epochs.len(), report.final_loss());
+    let report = classifier.train(data, &train_cfg, rng);
+    println!(
+        "trained {} for {} epochs, final loss {:.4}",
+        attention.name(),
+        report.epochs.len(),
+        report.final_loss()
+    );
+    Checkpoint::of_classifier(&classifier, None)
+}
+
+/// Train → save → reload → verify clean, then corrupt or drop a bias → verify rejected,
+/// and a freshly trained Linformer checkpoint → verify refused as not served.
+fn self_test() -> ExitCode {
+    let quick = std::env::var_os("RITA_QUICK").is_some();
+    let (n_train, epochs) = if quick { (12, 1) } else { (60, 3) };
+    let mut rng = SeedableRng64::seed_from_u64(0);
+
+    let data = TimeseriesDataset::generate_reduced(DatasetKind::Hhar, n_train, 0, 80, &mut rng);
+    let group = AttentionKind::Group { epsilon: 2.0, initial_groups: 6, adaptive: true };
+    let trained = train(group, &data, epochs, &mut rng);
 
     let path = std::env::temp_dir().join("rita-verify-selftest.ckpt");
-    Checkpoint::of_classifier(&classifier, None).save(&path).expect("save checkpoint");
+    trained.save(&path).expect("save checkpoint");
     let ckpt = Checkpoint::load(&path).expect("load checkpoint");
 
     // Positive control: the freshly trained checkpoint must audit clean.
@@ -124,9 +143,22 @@ fn self_test() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    // Negative control: the comparison baselines train and checkpoint but are not
+    // served, so a fresh Linformer checkpoint must be refused as such.
+    let linformer = train(AttentionKind::Linformer { proj_dim: 8 }, &data, epochs, &mut rng);
+    let refused = verify_checkpoint(&linformer);
+    println!("Linformer checkpoint: {}", refused.to_json());
+    let not_served = refused.diagnostics.iter().any(
+        |d| matches!(&d.error, VerifyError::BadConfig { detail } if detail.contains("not served")),
+    );
+    if !not_served {
+        eprintln!("self-test FAILED: Linformer checkpoint was not refused as not served");
+        return ExitCode::FAILURE;
+    }
+
     println!(
         "self-test passed: clean checkpoint accepted, corrupted and bias-less checkpoints \
-         rejected"
+         rejected, Linformer checkpoint refused as not served"
     );
     ExitCode::SUCCESS
 }

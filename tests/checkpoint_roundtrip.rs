@@ -35,31 +35,45 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
 }
 
 /// Classification: a trained classifier saved to disk and loaded in a fresh process
-/// produces bit-identical logits and evaluation accuracy.
+/// produces bit-identical logits and evaluation accuracy — for every attention kind,
+/// the Performer and Linformer baselines included (they train and checkpoint but are
+/// not served, so this restore is their only way back).
 #[test]
 fn classification_roundtrip_is_bit_identical() {
-    let mut r = rng(0);
-    let data = TimeseriesDataset::generate_reduced(DatasetKind::Hhar, 10, 5, 40, &mut r);
-    let split = data.split_at(10);
-    let mut clf = Classifier::new(group_config(3, 40), 5, &mut r);
-    let cfg = TrainConfig { epochs: 1, batch_size: 5, ..Default::default() };
-    let _ = clf.train(&split.train, &cfg, &mut r);
+    for (i, kind) in [
+        AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: true },
+        AttentionKind::Vanilla,
+        AttentionKind::Performer { features: 16 },
+        AttentionKind::Linformer { proj_dim: 6 },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut r = rng(0);
+        let data = TimeseriesDataset::generate_reduced(DatasetKind::Hhar, 10, 5, 40, &mut r);
+        let split = data.split_at(10);
+        let mut clf = Classifier::new(RitaConfig::tiny(3, 40, kind), 5, &mut r);
+        let cfg = TrainConfig { epochs: 1, batch_size: 5, ..Default::default() };
+        let _ = clf.train(&split.train, &cfg, &mut r);
 
-    let path = tmp_path("classifier.ckpt");
-    Checkpoint::of_classifier(&clf, None).save(&path).unwrap();
-    let mut restored = Checkpoint::load(&path).unwrap().restore_classifier(&mut rng(99)).unwrap();
-    std::fs::remove_file(&path).unwrap();
+        let path = tmp_path(&format!("classifier-{i}.ckpt"));
+        Checkpoint::of_classifier(&clf, None).save(&path).unwrap();
+        let mut restored =
+            Checkpoint::load(&path).unwrap().restore_classifier(&mut rng(99)).unwrap();
+        std::fs::remove_file(&path).unwrap();
 
-    // Scheduler state survived (the adaptive run moved it off the initial value).
-    assert_eq!(clf.model.scheduler_state(), restored.model.scheduler_state());
-    let x = NdArray::randn(&[4, 3, 40], 1.0, &mut r);
-    let a = no_grad(|| clf.logits(&x, false, &mut rng(1)).to_array());
-    let b = no_grad(|| restored.logits(&x, false, &mut rng(2)).to_array());
-    assert_eq!(a.as_slice(), b.as_slice(), "restored logits must be bit-identical");
+        // Scheduler state survived (the adaptive group run moved it off the initial
+        // value; the other kinds have none).
+        assert_eq!(clf.model.scheduler_state(), restored.model.scheduler_state());
+        let x = NdArray::randn(&[4, 3, 40], 1.0, &mut r);
+        let a = no_grad(|| clf.logits(&x, false, &mut rng(1)).to_array());
+        let b = no_grad(|| restored.logits(&x, false, &mut rng(2)).to_array());
+        assert_eq!(a.as_slice(), b.as_slice(), "{}: restored logits differ", kind.name());
 
-    let acc_a = clf.evaluate(&split.valid, 5, &mut rng(3));
-    let acc_b = restored.evaluate(&split.valid, 5, &mut rng(3));
-    assert_eq!(acc_a.to_bits(), acc_b.to_bits());
+        let acc_a = clf.evaluate(&split.valid, 5, &mut rng(3));
+        let acc_b = restored.evaluate(&split.valid, 5, &mut rng(3));
+        assert_eq!(acc_a.to_bits(), acc_b.to_bits(), "{}", kind.name());
+    }
 }
 
 /// Imputation: masked-MSE evaluation after a file round-trip is bit-identical.
