@@ -1,7 +1,7 @@
-//! Criterion micro-benchmarks for the attention mechanisms: forward-pass cost as the
-//! number of windows grows. This is the micro-level version of Fig. 4(b) and the §6.3.2
-//! speed-up claim — group attention's advantage over vanilla attention should widen with
-//! the sequence length.
+//! Micro-benchmarks for the attention mechanisms: forward-pass cost as the number of
+//! windows grows. This is the micro-level version of Fig. 4(b) and the §6.3.2 speed-up
+//! claim — group attention's advantage over vanilla attention should widen with the
+//! sequence length.
 //!
 //! The `attention_fused_fwd_bwd` group times the fused kernel's forward **and backward**
 //! at the shape of one long-series training step (2 heads, `n × n` vanilla and `n × 64`
@@ -11,16 +11,17 @@
 //! attention looks like). The kernel does the same arithmetic on both, so the two rows
 //! of a variant differ only if its speed depends on the values it is given.
 //!
-//! Besides the human-readable table on stdout, the run writes every measurement to
-//! `BENCH_attention.json` (config, n, mean, min per variant) so the perf trajectory
-//! tracked in `CHANGES.md` is diffable across PRs. `RITA_QUICK=1` shrinks the sweep to
+//! Every row is timed by [`rita_bench::sample`]. Besides the human-readable lines on
+//! stdout, the run writes every row to `BENCH_attention.json` (config, variant, n, and
+//! the median and quartiles of the per-iteration time) so the perf trajectory tracked in
+//! `CHANGES.md` is diffable across PRs. `RITA_QUICK=1` shrinks the sweep to
 //! seconds-scale smoke sizes (CI runs it on every push and uploads the JSON artifact).
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::SeedableRng;
+use rita_bench::{sample, Sample};
 use rita_core::attention::{
-    Attention, AttentionKind, GroupAttention, GroupAttentionConfig, LinformerAttention,
-    PerformerAttention, VanillaAttention,
+    Attention, GroupAttention, GroupAttentionConfig, LinformerAttention, PerformerAttention,
+    VanillaAttention,
 };
 use rita_nn::{no_grad, Var};
 use rita_tensor::{fused_attention, fused_attention_backward, NdArray, SeedableRng64};
@@ -51,36 +52,55 @@ fn group_config(initial_groups: usize) -> GroupAttentionConfig {
     GroupAttentionConfig { initial_groups, adaptive: false, ..Default::default() }
 }
 
-fn bench_attention_forward(c: &mut Criterion) {
+/// One measured row of `BENCH_attention.json`.
+struct Row {
+    config: &'static str,
+    variant: String,
+    n: usize,
+    sample: Sample,
+}
+
+/// Timed samples per row.
+fn samples() -> usize {
+    if quick() {
+        3
+    } else {
+        10
+    }
+}
+
+/// Times `routine` and records it as one row.
+fn bench<O>(
+    rows: &mut Vec<Row>,
+    config: &'static str,
+    variant: String,
+    n: usize,
+    routine: impl FnMut() -> O,
+) {
+    let s = sample(samples(), routine);
+    let (median, q1, q3) = (s.median_ns / 1e3, s.q1_ns / 1e3, s.q3_ns / 1e3);
+    println!("{config} {variant}/{n}: median {median:.1} us (q1 {q1:.1}, q3 {q3:.1})");
+    rows.push(Row { config, variant, n, sample: s });
+}
+
+fn bench_attention_forward(rows: &mut Vec<Row>) {
     let dh = 32;
-    let mut group = c.benchmark_group("attention_forward");
-    group.sample_size(if quick() { 3 } else { 10 });
     let ns: &[usize] = if quick() { &[64, 256] } else { &[256, 1024, 4096] };
     for &n in ns {
         let (q, k, v) = qkv(n, dh, 1);
-        let groups = 16.min(n);
-        group.bench_with_input(BenchmarkId::new("vanilla", n), &n, |b, _| {
-            let mut attn = VanillaAttention::new();
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group", n), &n, |b, _| {
-            let mut attn = GroupAttention::new(group_config(groups));
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("performer", n), &n, |b, _| {
-            let mut rng = SeedableRng64::seed_from_u64(2);
-            let mut attn = PerformerAttention::new(dh, 32, &mut rng);
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("linformer", n), &n, |b, _| {
-            let mut rng = SeedableRng64::seed_from_u64(3);
-            let mut attn = LinformerAttention::new(n, 32, &mut rng);
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
+        let seeded = SeedableRng64::seed_from_u64;
+        let attentions: [(&str, Box<dyn Attention>); 4] = [
+            ("vanilla", Box::new(VanillaAttention::new())),
+            ("group", Box::new(GroupAttention::new(group_config(16.min(n))))),
+            ("performer", Box::new(PerformerAttention::new(dh, 32, &mut seeded(2)))),
+            ("linformer", Box::new(LinformerAttention::new(n, 32, &mut seeded(3)))),
+        ];
+        for (variant, mut attn) in attentions {
+            bench(rows, "b1 h1 dh32", variant.into(), n, || {
+                no_grad(|| attn.forward(&q, &k, &v).to_array())
+            });
+        }
     }
-    group.finish();
-    // Silence "unused" warnings for the kinds enum re-export used only at compile time.
-    let _ = AttentionKind::Vanilla.name();
 }
 
 /// Multi-head configuration: exercises the head-split views and the batched kernels'
@@ -103,24 +123,21 @@ fn qkv_multihead(b: usize, h: usize, n: usize, dh: usize, seed: u64) -> (Var, Va
     (q, k, v)
 }
 
-fn bench_attention_forward_multihead(c: &mut Criterion) {
+fn bench_attention_forward_multihead(rows: &mut Vec<Row>) {
     let (b, h, dh) = (4, 8, 32);
-    let mut group = c.benchmark_group("attention_forward_b4h8");
-    group.sample_size(if quick() { 3 } else { 10 });
     let ns: &[usize] = if quick() { &[64] } else { &[256, 1024] };
     for &n in ns {
         let (q, k, v) = qkv_multihead(b, h, n, dh, 1);
-        let groups = 16.min(n);
-        group.bench_with_input(BenchmarkId::new("vanilla", n), &n, |bch, _| {
-            let mut attn = VanillaAttention::new();
-            bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group", n), &n, |bch, _| {
-            let mut attn = GroupAttention::new(group_config(groups));
-            bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
+        let attentions: [(&str, Box<dyn Attention>); 2] = [
+            ("vanilla", Box::new(VanillaAttention::new())),
+            ("group", Box::new(GroupAttention::new(group_config(16.min(n))))),
+        ];
+        for (variant, mut attn) in attentions {
+            bench(rows, "b4 h8 dh32", variant.into(), n, || {
+                no_grad(|| attn.forward(&q, &k, &v).to_array())
+            });
+        }
     }
-    group.finish();
 }
 
 /// Multiplier on the `peaked` queries and keys: unit-variance scores become scores of
@@ -128,11 +145,9 @@ fn bench_attention_forward_multihead(c: &mut Criterion) {
 /// near 100 and most other keys more than 87 below it.
 const PEAK: f32 = 6.0;
 
-fn bench_fused_forward_backward(c: &mut Criterion) {
+fn bench_fused_forward_backward(rows: &mut Vec<Row>) {
     let (h, dh, n_groups) = (2, 32, 64);
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut group = c.benchmark_group("attention_fused_fwd_bwd");
-    group.sample_size(if quick() { 3 } else { 10 });
     let ns: &[usize] = if quick() { &[128] } else { &[512, 2048] };
     for &n in ns {
         let mut rng = SeedableRng64::seed_from_u64(n as u64);
@@ -147,43 +162,22 @@ fn bench_fused_forward_backward(c: &mut Criterion) {
         let counts = NdArray::full(&[1, h, n_groups], (n / n_groups) as f32);
         for (inputs, mult) in [("flat", 1.0), ("peaked", PEAK)] {
             let (q, k, kg) = (q.scale(mult), k.scale(mult), kg.scale(mult));
-            let mut run = |variant: &str, k: &NdArray, v: &NdArray, w: Option<&NdArray>| {
-                let id = BenchmarkId::new(format!("{variant}_{inputs}"), n);
-                group.bench_with_input(id, &n, |b, _| {
-                    b.iter(|| {
-                        let f = fused_attention(&q, k, v, scale, w).unwrap();
-                        fused_attention_backward(&q, k, v, w, scale, &f.out, &f.lse, &g).unwrap()
-                    });
+            for (variant, k, v, w) in
+                [("vanilla", &k, &v, None), ("group", &kg, &vg, Some(&counts))]
+            {
+                bench(rows, "b1 h2 dh32 N64", format!("{variant}_{inputs}"), n, || {
+                    let f = fused_attention(&q, k, v, scale, w).unwrap();
+                    fused_attention_backward(&q, k, v, w, scale, &f.out, &f.lse, &g).unwrap()
                 });
-            };
-            run("vanilla", &k, &v, None);
-            run("group", &kg, &vg, Some(&counts));
+            }
         }
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_attention_forward,
-    bench_attention_forward_multihead,
-    bench_fused_forward_backward
-);
-
-/// Human-readable config label for a benchmark group name.
-fn config_label(group: &str) -> &'static str {
-    match group {
-        "attention_forward" => "b1 h1 dh32",
-        "attention_forward_b4h8" => "b4 h8 dh32",
-        "attention_fused_fwd_bwd" => "b1 h2 dh32 N64",
-        _ => "unknown",
-    }
-}
-
-/// Serialises the recorded measurements to `BENCH_attention.json` (no JSON dependency in
-/// the workspace, so the writer is hand-rolled; every emitted value is a number or a
-/// string without escapes).
-fn write_json(records: &[criterion::BenchRecord]) -> std::io::Result<()> {
+/// Serialises the rows to `BENCH_attention.json` (no JSON dependency in the workspace,
+/// so the writer is hand-rolled; every emitted value is a number or a string without
+/// escapes).
+fn write_json(rows: &[Row]) -> std::io::Result<()> {
     use std::io::Write;
     // Cargo runs bench binaries from the package directory; anchor the default output
     // at the workspace root so CI and humans find one canonical file. Quick-mode runs
@@ -197,32 +191,30 @@ fn write_json(records: &[criterion::BenchRecord]) -> std::io::Result<()> {
     writeln!(f, "  \"benchmark\": \"attention_forward\",")?;
     writeln!(f, "  \"quick\": {},", quick())?;
     writeln!(f, "  \"results\": [")?;
-    for (i, r) in records.iter().enumerate() {
-        let (variant, n) = r.name.split_once('/').unwrap_or((r.name.as_str(), "0"));
-        let comma = if i + 1 < records.len() { "," } else { "" };
+    for (i, Row { config, variant, n, sample: s }) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
         writeln!(
             f,
-            "    {{\"config\": \"{}\", \"variant\": \"{}\", \"n\": {}, \
-             \"mean_ns\": {}, \"min_ns\": {}, \"samples\": {}}}{}",
-            config_label(&r.group),
-            variant,
-            n,
-            r.mean_ns,
-            r.min_ns,
-            r.samples,
-            comma
+            "    {{\"config\": \"{config}\", \"variant\": \"{variant}\", \"n\": {n}, \
+             \"median_ns\": {:.0}, \"q1_ns\": {:.0}, \"q3_ns\": {:.0}, \"samples\": {}}}{comma}",
+            s.median_ns,
+            s.q1_ns,
+            s.q3_ns,
+            samples()
         )?;
     }
     writeln!(f, "  ]")?;
     writeln!(f, "}}")?;
-    println!("\nwrote {} ({} results)", path, records.len());
+    println!("\nwrote {} ({} results)", path, rows.len());
     Ok(())
 }
 
 fn main() {
-    benches();
-    let records = criterion::take_records();
-    if let Err(e) = write_json(&records) {
+    let mut rows = Vec::new();
+    bench_attention_forward(&mut rows);
+    bench_attention_forward_multihead(&mut rows);
+    bench_fused_forward_backward(&mut rows);
+    if let Err(e) = write_json(&rows) {
         eprintln!("failed to write BENCH_attention.json: {e}");
         std::process::exit(1);
     }

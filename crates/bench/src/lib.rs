@@ -1,9 +1,9 @@
 //! # rita-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the RITA evaluation
-//! (§6). Each binary in `src/bin/` prints one table/figure; the Criterion benches in
-//! `benches/` cover the micro-level claims (attention cost vs. length, matmul-formulated
-//! k-means vs. the pairwise loop).
+//! (§6). Each binary in `src/bin/` prints one table/figure; the benches in `benches/`,
+//! timed by [`sample`], cover the micro-level claims (attention cost vs. length,
+//! matmul-formulated k-means vs. the pairwise loop).
 //!
 //! Absolute numbers differ from the paper — the substrate is a CPU tensor library, the
 //! datasets are synthetic equivalents, and the default scale is reduced so the whole suite
@@ -16,6 +16,7 @@
 #![warn(clippy::all)]
 
 pub mod experiments;
+mod sampler;
 pub mod scale;
 pub mod table;
 
@@ -23,5 +24,6 @@ pub use experiments::{
     run_classification, run_imputation, run_tst_classification, run_tst_imputation,
     ClassificationResult, ImputationResult,
 };
+pub use sampler::{sample, Sample};
 pub use scale::Scale;
 pub use table::Table;

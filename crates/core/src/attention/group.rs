@@ -25,7 +25,7 @@
 //! tests and lives with them, in `tests/common`.
 
 use super::Attention;
-use crate::group::{group_key_blocks, Grouping};
+use crate::group::{group_key_blocks, group_layout, GroupLayout, Grouping};
 use crate::scheduler::error_bound::{distance_threshold, key_ball_radius};
 use crate::scheduler::merge::{mergeable_count, momentum_update};
 use rita_nn::Var;
@@ -158,7 +158,7 @@ pub(crate) fn group_attention(
     kmeans_iters: usize,
 ) -> (Var, Vec<Grouping>) {
     let shape = q.shape();
-    let (b, h, n, dh) = (shape[0], shape[1], shape[2], shape[3]);
+    let (b, h, dh) = (shape[0], shape[1], shape[3]);
 
     // 1. Group the (detached) keys through the shared grouping entry point, which the
     //    tape-free inference engine also uses — identical clusterings by construction.
@@ -167,28 +167,13 @@ pub(crate) fn group_attention(
     //    of K), so gradients still reach K.
     let groupings = group_key_blocks(&k.to_array(), n_groups, kmeans_iters);
 
-    // Per-group member counts (block-major over batch×heads).
-    let mut counts_flat = Vec::with_capacity(b * h * n_groups);
-    for g in &groupings {
-        counts_flat.extend(g.counts.iter().map(|&c| c as f32));
-    }
-
     // 2. Representative keys R = S · K and aggregated values Ṽ = M · V, both
     //    (batch, heads, N, dh), each realised as one segment sum — O(n·dh) per
     //    (batch, head) with no intermediate — instead of the O(N·n·dh) products with
-    //    the one-hot (N, n) matrices the paper's matrix formulation describes.
-    let inv_counts = NdArray::from_vec(
-        counts_flat.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-        &[b, h, n_groups, 1],
-    )
-    .expect("inverse counts batch");
-    // Flat group assignments, block-major over batch×heads — the layout `segment_sum`
-    // consumes. One shared allocation feeds both segment sums (and their backward
-    // closures) instead of two copies.
-    let mut segments = Vec::with_capacity(b * h * n);
-    for g in &groupings {
-        segments.extend_from_slice(&g.assignments);
-    }
+    //    the one-hot (N, n) matrices the paper's matrix formulation describes. One
+    //    shared allocation of the assignments feeds both segment sums (and their
+    //    backward closures) instead of two copies.
+    let GroupLayout { segments, weights, inv_counts } = group_layout(&groupings, b, h, n_groups);
     let segments: std::sync::Arc<[usize]> = segments.into();
     let representatives = k.segment_sum(segments.clone(), n_groups).mul(&Var::constant(inv_counts));
     let aggregated_values = v.segment_sum(segments, n_groups);
@@ -199,7 +184,6 @@ pub(crate) fn group_attention(
     //    `(b, h, n, N)` score matrix is never materialised and the backward recomputes
     //    per-tile scores.
     let scale = 1.0 / (dh as f32).sqrt();
-    let weights = NdArray::from_vec(counts_flat, &[b, h, n_groups]).expect("counts batch");
     let output = q.fused_group_attention(&representatives, &aggregated_values, scale, weights);
     (output, groupings)
 }

@@ -73,6 +73,7 @@ use std::fmt;
 use std::path::Path;
 
 use crate::attention::AttentionKind;
+use crate::model::config::MAX_TENSOR_ELEMS;
 use crate::model::{RitaConfig, RitaModel};
 use crate::tasks::{Classifier, Imputer};
 use rand::Rng;
@@ -719,6 +720,12 @@ impl Checkpoint {
                 "invalid model config ({rule}): {config:?}"
             )));
         }
+        let head = config.d_model.saturating_mul(num_classes);
+        if matches!(task, TaskKind::Classifier { .. }) && head > MAX_TENSOR_ELEMS {
+            return Err(CheckpointError::Corrupted(format!(
+                "a classifier head of {head} elements is over the cap of {MAX_TENSOR_ELEMS}"
+            )));
+        }
 
         let sched_len = r.u32("scheduler count")?;
         if sched_len != config.n_layers as u32 {
@@ -727,7 +734,8 @@ impl Checkpoint {
                 config.n_layers
             )));
         }
-        let mut scheduler = Vec::with_capacity(sched_len as usize);
+        // Grows as entries are read: a header count must not size an allocation.
+        let mut scheduler = Vec::new();
         for _ in 0..sched_len {
             let present = r.u8("scheduler flag")?;
             let target = r.f32("scheduler target")?;
@@ -1145,19 +1153,26 @@ mod tests {
         let clf = classifier(AttentionKind::Vanilla, 5);
         let ckpt = Checkpoint::of_classifier(&clf, None);
         let bytes = ckpt.to_bytes();
-        // The tensor-count u32 sits right after the fixed header + scheduler section.
-        // Corrupt it to a huge value: the reader must refuse without allocating. The
-        // file CRC is refreshed so the count guard itself stays exercised.
-        let sched_bytes = 4 + ckpt.scheduler.len() * 5;
-        let count_at = 8 + 4 + 1 + 4 + 8 * 4 + 4 + 1 + sched_bytes;
-        let mut corrupt = bytes.clone();
-        corrupt[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        refresh_file_crc(&mut corrupt);
-        let err = Checkpoint::from_bytes(&corrupt).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Corrupted(_) | CheckpointError::Truncated(_)),
-            "{err}"
-        );
+        // The tensor-count u32 sits right after the fixed header + scheduler section;
+        // the scheduler count right after the header, whose seventh dim is n_layers.
+        // Corrupt them to huge values: the reader must refuse without allocating (a
+        // scheduler section sized by u32::MAX layers would be 32 GiB). The file CRC is
+        // refreshed so the count guards themselves stay exercised.
+        let dims_at = 8 + 4 + 1 + 4;
+        let sched_at = dims_at + 8 * 4 + 4 + 1;
+        let count_at = sched_at + 4 + ckpt.scheduler.len() * 5;
+        for sites in [&[count_at][..], &[dims_at + 6 * 4, sched_at]] {
+            let mut corrupt = bytes.clone();
+            for &at in sites {
+                corrupt[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+            refresh_file_crc(&mut corrupt);
+            let err = Checkpoint::from_bytes(&corrupt).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Corrupted(_) | CheckpointError::Truncated(_)),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1209,6 +1224,45 @@ mod tests {
                 Err(CheckpointError::Corrupted(why)) => assert!(why.contains(rule), "{why}"),
                 other => panic!(
                     "{attention:?}: expected Corrupted naming '{rule}', got {:?}",
+                    other.map(|c| c.config)
+                ),
+            }
+        }
+    }
+
+    /// Header fields size the positional table and every weight before a record is
+    /// read, so a CRC-valid header asking for a tensor over `MAX_TENSOR_ELEMS` elements
+    /// is refused by the reader instead of aborting the loader on the allocation.
+    #[test]
+    fn a_header_implying_an_oversized_tensor_is_corrupted_naming_the_cap() {
+        let base = Checkpoint::of_classifier(&classifier(AttentionKind::Vanilla, 8), None);
+        const MAX: usize = u32::MAX as usize;
+        type Corrupt = fn(&mut Checkpoint);
+        let cases: [(&str, Corrupt); 8] = [
+            ("max_len", |c| c.config.max_len = MAX),
+            ("d_model", |c| (c.config.d_model, c.config.n_heads) = (1 << 17, 1)),
+            ("ff_hidden", |c| c.config.ff_hidden = MAX),
+            ("channels", |c| c.config.channels = MAX),
+            ("window", |c| (c.config.window, c.config.max_len) = (MAX, MAX)),
+            ("performer features", |c| {
+                c.config.attention = AttentionKind::Performer { features: MAX }
+            }),
+            ("linformer proj_dim", |c| {
+                c.config.attention = AttentionKind::Linformer { proj_dim: MAX }
+            }),
+            ("num_classes", |c| c.task = TaskKind::Classifier { num_classes: MAX }),
+        ];
+        for (field, corrupt) in cases {
+            let mut ckpt = base.clone();
+            corrupt(&mut ckpt);
+            // `to_bytes` writes a fresh CRC, so only the cap can refuse the file.
+            match Checkpoint::from_bytes(&ckpt.to_bytes()) {
+                Err(CheckpointError::Corrupted(why)) => {
+                    let cap = format!("over the cap of {MAX_TENSOR_ELEMS}");
+                    assert!(why.contains(&cap), "{field}: {why}")
+                }
+                other => panic!(
+                    "{field}: expected Corrupted naming the cap, got {:?}",
                     other.map(|c| c.config)
                 ),
             }

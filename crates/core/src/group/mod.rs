@@ -31,6 +31,31 @@ pub fn group_key_blocks(keys: &NdArray, n_groups: usize, iters: usize) -> Vec<Gr
     group_key_blocks_threaded(keys, n_groups, iters, threads)
 }
 
+/// The grouping constants of one group-attention call, block-major over batch×heads, as
+/// the training body and the inference executor hand them to segment sums and kernel.
+pub struct GroupLayout {
+    /// Flat group assignments, block after block — the layout `segment_sum` consumes.
+    pub segments: Vec<usize>,
+    /// Member counts, shape `(b, h, N)`: the fused kernel's group-softmax weights.
+    pub weights: NdArray,
+    /// `1 / max(count, 1)`, shape `(b, h, N, 1)`: turns per-group key sums into centroids.
+    pub inv_counts: NdArray,
+}
+
+/// Lays out the groupings [`group_key_blocks`] returned for a `(b, h, n, d)` key tensor
+/// with `n_groups` groups.
+pub fn group_layout(groupings: &[Grouping], b: usize, h: usize, n_groups: usize) -> GroupLayout {
+    let counts: Vec<f32> =
+        groupings.iter().flat_map(|g| g.counts.iter().map(|&c| c as f32)).collect();
+    let inv_counts = counts.iter().map(|&c| 1.0 / c.max(1.0)).collect();
+    let shape_err = "one count per group of every block";
+    GroupLayout {
+        segments: groupings.iter().flat_map(|g| g.assignments.iter().copied()).collect(),
+        inv_counts: NdArray::from_vec(inv_counts, &[b, h, n_groups, 1]).expect(shape_err),
+        weights: NdArray::from_vec(counts, &[b, h, n_groups]).expect(shape_err),
+    }
+}
+
 /// [`group_key_blocks`] with an explicit worker count (1 = serial).
 ///
 /// Each block is an O(1) strided sub-view of the (possibly head-split) key tensor

@@ -16,6 +16,10 @@ pub fn windows_for(len: usize, window: usize, stride: usize) -> usize {
     (len - window) / stride.max(1) + 1
 }
 
+/// Most elements any one tensor a config implies may hold (2^26 f32, 256 MiB): checkpoint
+/// header fields alone size them before a record is read, so [`RitaConfig::check`] caps them.
+pub const MAX_TENSOR_ELEMS: usize = 1 << 26;
+
 /// Hyper-parameters of a RITA model (Fig. 1 of the paper).
 ///
 /// The defaults follow Appendix A.1: an 8-layer stack of 2-head attention with hidden
@@ -132,6 +136,21 @@ impl RitaConfig {
         }
         if !(0.0..1.0).contains(&self.dropout) {
             return Err("dropout must be in [0, 1)".into());
+        }
+        // Every weight and the positional table (a row per window plus the class token)
+        // are `d_model` wide; the Performer and Linformer projections are not.
+        let (d, rows) = (self.d_model, self.max_windows().saturating_add(1));
+        let attention = match self.attention {
+            AttentionKind::Performer { features } => (d / self.n_heads).saturating_mul(features),
+            AttentionKind::Linformer { proj_dim } => proj_dim.saturating_mul(rows),
+            _ => 0,
+        };
+        let longest = [rows, self.channels.saturating_mul(self.window), d, self.ff_hidden];
+        let largest = longest.into_iter().fold(0, usize::max).saturating_mul(d).max(attention);
+        if largest > MAX_TENSOR_ELEMS {
+            return Err(format!(
+                "an implied tensor of {largest} elements is over the cap of {MAX_TENSOR_ELEMS}"
+            ));
         }
         // The rules the attention constructors assert, so a restore cannot panic on them.
         match self.attention {

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rita_core::attention::group::effective_groups;
-use rita_core::group::group_key_blocks;
+use rita_core::group::{group_key_blocks, group_layout, GroupLayout};
 use rita_nn::graph::{AttnOp, Graph, Node, Op, Plan, PlanError, ValueId};
 use rita_tensor::{fused_attention, NdArray, QuantMatrix};
 
@@ -322,28 +322,14 @@ fn exec_attention(node: &Node, attn: &AttnOp, ins: &[NdArray]) -> Result<NdArray
         }
         AttnOp::Group { n_groups, min_groups, kmeans_iters } => {
             let shape = q.shape();
-            let (b, h, n) = (shape[0], shape[1], shape[2]);
-            let groups = effective_groups(*n_groups, *min_groups, n);
+            let groups = effective_groups(*n_groups, *min_groups, shape[2]);
             let groupings = group_key_blocks(k, groups, *kmeans_iters);
-            let mut counts_flat = Vec::with_capacity(b * h * groups);
-            for g in &groupings {
-                counts_flat.extend(g.counts.iter().map(|&c| c as f32));
-            }
-            let inv_counts = NdArray::from_vec(
-                counts_flat.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-                &[b, h, groups, 1],
-            )
-            .map_err(|e| node_err(node, e))?;
-            let mut segments = Vec::with_capacity(b * h * n);
-            for g in &groupings {
-                segments.extend_from_slice(&g.assignments);
-            }
+            let GroupLayout { segments, weights, inv_counts } =
+                group_layout(&groupings, shape[0], shape[1], groups);
             let rep_sum = k.segment_sum(&segments, groups).map_err(|e| node_err(node, e))?;
             let representatives = rep_sum.mul(&inv_counts).map_err(|e| node_err(node, e))?;
             reclaim(rep_sum);
             let aggregated = v.segment_sum(&segments, groups).map_err(|e| node_err(node, e))?;
-            let weights =
-                NdArray::from_vec(counts_flat, &[b, h, groups]).map_err(|e| node_err(node, e))?;
             let scale = 1.0 / dh.sqrt();
             let out = fused_attention(q, &representatives, &aggregated, scale, Some(&weights))
                 .map_err(|e| node_err(node, e))?

@@ -15,7 +15,9 @@
 //! Run with: `cargo run --release --example verify [CHECKPOINT...]`
 //! (set `RITA_QUICK=1` for a seconds-scale smoke run)
 
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use rand::SeedableRng;
 use rita::core::attention::AttentionKind;
@@ -88,6 +90,25 @@ fn train(
     Checkpoint::of_classifier(&classifier, None)
 }
 
+/// A temp-dir checkpoint path unique to this run (pid plus the clock's nanoseconds), so
+/// concurrent self-tests never audit each other's file; dropping it removes the file,
+/// so every exit path, a failed control or a panic included, cleans up.
+struct TempCheckpoint(PathBuf);
+
+impl TempCheckpoint {
+    fn new() -> Self {
+        let nanos = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos());
+        let name = format!("rita-verify-selftest-{}-{nanos}.ckpt", std::process::id());
+        Self(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for TempCheckpoint {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// Train → save → reload → verify clean, then corrupt or drop a bias → verify rejected,
 /// and a freshly trained Linformer checkpoint → verify refused as not served.
 fn self_test() -> ExitCode {
@@ -99,9 +120,10 @@ fn self_test() -> ExitCode {
     let group = AttentionKind::Group { epsilon: 2.0, initial_groups: 6, adaptive: true };
     let trained = train(group, &data, epochs, &mut rng);
 
-    let path = std::env::temp_dir().join("rita-verify-selftest.ckpt");
-    trained.save(&path).expect("save checkpoint");
-    let ckpt = Checkpoint::load(&path).expect("load checkpoint");
+    let temp = TempCheckpoint::new();
+    let path = &temp.0;
+    trained.save(path).expect("save checkpoint");
+    let ckpt = Checkpoint::load(path).expect("load checkpoint");
 
     // Positive control: the freshly trained checkpoint must audit clean.
     let clean = verify_checkpoint(&ckpt);
