@@ -7,8 +7,8 @@
 //! parameters make Linformer prone to overfitting in the few-label regime, which the
 //! pretrain/finetune experiment (Table 3) reproduces.
 
-use super::Attention;
 use rand::Rng;
+use rita_core::attention::Attention;
 use rita_nn::{Module, ParamVisitor, Var};
 use rita_tensor::NdArray;
 
@@ -119,7 +119,7 @@ mod tests {
     fn has_trainable_projection_parameters() {
         let mut r = rng(2);
         let attn = LinformerAttention::new(16, 4, &mut r);
-        let params = Attention::parameters(&attn);
+        let params = Module::parameters(&attn);
         assert_eq!(params.len(), 2);
         assert_eq!(Module::num_parameters(&attn), 2 * 4 * 16);
         assert!(params.iter().all(|p| p.requires_grad()));

@@ -5,9 +5,9 @@
 //! (FAVOR+): `exp(qᵀk) ≈ φ(q)ᵀ φ(k)` with `φ(x) = exp(ωᵀx − ‖x‖²/2) / √m`. Changing the
 //! multiplication order then makes attention linear in the sequence length.
 
-use super::Attention;
 use rand::Rng;
-use rita_nn::{BufferVisitor, BufferVisitorMut, Var};
+use rita_core::attention::Attention;
+use rita_nn::Var;
 use rita_tensor::NdArray;
 
 /// FAVOR+ attention with a fixed random-feature matrix.
@@ -57,24 +57,13 @@ impl Attention for PerformerAttention {
     fn name(&self) -> &'static str {
         "Performer"
     }
-
-    // ω is drawn once at construction and never trained, but the approximation it
-    // defines *is* the model: a checkpointed Performer only reproduces its outputs in a
-    // fresh process if ω rides along as a buffer.
-    fn visit_buffers(&self, v: &mut BufferVisitor<'_>) {
-        v.leaf("omega", &self.omega);
-    }
-
-    fn visit_buffers_mut(&mut self, v: &mut BufferVisitorMut<'_>) {
-        v.leaf("omega", &mut self.omega);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::vanilla::VanillaAttention;
     use rand::SeedableRng;
+    use rita_core::attention::VanillaAttention;
     use rita_tensor::SeedableRng64;
 
     fn rng(seed: u64) -> SeedableRng64 {

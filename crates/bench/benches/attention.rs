@@ -18,11 +18,9 @@
 //! seconds-scale smoke sizes (CI runs it on every push and uploads the JSON artifact).
 
 use rand::SeedableRng;
+use rita_baselines::{LinformerAttention, PerformerAttention};
 use rita_bench::{sample, Sample};
-use rita_core::attention::{
-    Attention, GroupAttention, GroupAttentionConfig, LinformerAttention, PerformerAttention,
-    VanillaAttention,
-};
+use rita_core::attention::{Attention, GroupAttention, GroupAttentionConfig, VanillaAttention};
 use rita_nn::{no_grad, Var};
 use rita_tensor::{fused_attention, fused_attention_backward, NdArray, SeedableRng64};
 

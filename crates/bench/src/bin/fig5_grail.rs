@@ -1,6 +1,7 @@
 //! Figure 5: comparison against the non-deep-learning baseline GRAIL on the three
 //! univariate datasets — accuracy and training time.
 
+use rita_baselines::AttentionVariant;
 use rita_bench::experiments::{generate_split, run_classification, run_grail};
 use rita_bench::table::{fmt_pct, fmt_secs};
 use rita_bench::{Scale, Table};
@@ -22,7 +23,7 @@ fn main() {
             DataSplit { train: split.train.to_univariate(0), valid: split.valid.to_univariate(0) };
         let (grail_acc, grail_secs) = run_grail(&uni_split, 3);
         let attention = AttentionKind::Group { epsilon: 2.0, initial_groups: 16, adaptive: true };
-        let rita = run_classification(uni, scale, attention, &uni_split, 3);
+        let rita = run_classification(uni, scale, AttentionVariant::Rita(attention), &uni_split, 3);
         table.add_row(vec![
             uni.name().into(),
             fmt_pct(grail_acc),

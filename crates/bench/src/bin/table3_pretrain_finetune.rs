@@ -3,11 +3,11 @@
 
 use rand::SeedableRng;
 use rita_bench::experiments::{
-    attention_variants, generate_split, rita_config, run_tst_classification,
+    attention_variants, generate_split, rita_model, run_tst_classification,
 };
 use rita_bench::table::fmt_pct;
 use rita_bench::{Scale, Table};
-use rita_core::tasks::{finetune_classifier, pretrain, train_from_scratch, TrainConfig};
+use rita_core::tasks::{finetune_classifier, Classifier, Imputer, TrainConfig};
 use rita_data::DatasetKind;
 use rita_tensor::SeedableRng64;
 
@@ -38,15 +38,20 @@ fn main() {
         table.add_row(vec![kind.name().into(), "TST".into(), fmt_pct(tst.accuracy), "-".into()]);
 
         for (name, attention) in attention_variants(windows) {
-            let config = rita_config(kind, scale, attention);
+            // Scratch: a fresh classifier trained on the few labels only.
             let mut rng = SeedableRng64::seed_from_u64(5);
-            let (mut scratch_clf, _) = train_from_scratch(config, classes, &few, &cfg, &mut rng);
+            let model = rita_model(kind, scale, attention, &mut rng);
+            let mut scratch_clf = Classifier::from_model(model, classes, &mut rng);
+            scratch_clf.train(&few, &cfg, &mut rng);
             let scratch_acc = scratch_clf.evaluate(&split.valid, cfg.batch_size, &mut rng);
 
+            // Pretrained: the cloze task on every training series, then fine-tuning.
             let mut rng = SeedableRng64::seed_from_u64(5);
-            let outcome = pretrain(config, &split.train, &cfg, &mut rng);
+            let model = rita_model(kind, scale, attention, &mut rng);
+            let mut imputer = Imputer::from_model(model, &mut rng);
+            imputer.train(&split.train, &cfg, &mut rng);
             let (mut pre_clf, _) =
-                finetune_classifier(outcome.model, classes, &few, &cfg, &mut rng);
+                finetune_classifier(imputer.model, classes, &few, &cfg, &mut rng);
             let pre_acc = pre_clf.evaluate(&split.valid, cfg.batch_size, &mut rng);
 
             table.add_row(vec![

@@ -1,13 +1,13 @@
 //! Shared experiment runners used by the table/figure binaries.
 //!
-//! Every runner takes an [`AttentionKind`] (or a baseline), trains on a generated dataset
-//! split, and reports the metrics the paper's tables contain: accuracy or MSE, mean
-//! training seconds per epoch, and inference seconds.
+//! Every runner takes an [`AttentionVariant`] (or a baseline), trains on a generated
+//! dataset split, and reports the metrics the paper's tables contain: accuracy or MSE,
+//! mean training seconds per epoch, and inference seconds.
 
 use rand::SeedableRng;
-use rita_baselines::{Grail, GrailConfig, TstClassifier, TstConfig, TstImputer};
+use rita_baselines::{AttentionVariant, Grail, GrailConfig, TstClassifier, TstConfig, TstImputer};
 use rita_core::attention::AttentionKind;
-use rita_core::model::RitaConfig;
+use rita_core::model::{RitaConfig, RitaModel};
 use rita_core::scheduler::MemoryModel;
 use rita_core::tasks::{timed, Classifier, Imputer, TrainConfig};
 use rita_data::{DataSplit, DatasetKind, TimeseriesDataset};
@@ -16,18 +16,19 @@ use rita_tensor::SeedableRng64;
 use crate::scale::Scale;
 
 /// The attention variants compared throughout the evaluation, in the paper's column order.
-pub fn attention_variants(max_windows: usize) -> Vec<(&'static str, AttentionKind)> {
+pub fn attention_variants(max_windows: usize) -> Vec<(&'static str, AttentionVariant)> {
+    let reduced = (max_windows / 4).clamp(4, 64);
     vec![
-        ("Vanilla", AttentionKind::Vanilla),
-        ("Performer", AttentionKind::Performer { features: 32 }),
-        ("Linformer", AttentionKind::Linformer { proj_dim: (max_windows / 4).clamp(4, 64) }),
+        ("Vanilla", AttentionVariant::Rita(AttentionKind::Vanilla)),
+        ("Performer", AttentionVariant::Performer { features: 32 }),
+        ("Linformer", AttentionVariant::Linformer { proj_dim: reduced }),
         (
             "Group Attn.",
-            AttentionKind::Group {
+            AttentionVariant::Rita(AttentionKind::Group {
                 epsilon: 2.0,
-                initial_groups: (max_windows / 4).clamp(4, 64),
+                initial_groups: reduced,
                 adaptive: true,
-            },
+            }),
         ),
     ]
 }
@@ -93,18 +94,29 @@ fn train_cfg(scale: Scale) -> TrainConfig {
     }
 }
 
+/// The harness backbone for `kind` with `attention` in every layer (the variant sets
+/// the config's attention kind).
+pub fn rita_model(
+    kind: DatasetKind,
+    scale: Scale,
+    attention: AttentionVariant,
+    rng: &mut SeedableRng64,
+) -> RitaModel {
+    attention.model(rita_config(kind, scale, AttentionKind::Vanilla), rng)
+}
+
 /// Trains and evaluates a RITA-architecture classifier with the given attention mechanism.
 pub fn run_classification(
     kind: DatasetKind,
     scale: Scale,
-    attention: AttentionKind,
+    attention: AttentionVariant,
     split: &DataSplit,
     seed: u64,
 ) -> ClassificationResult {
     let mut rng = SeedableRng64::seed_from_u64(seed);
-    let config = rita_config(kind, scale, attention);
     let num_classes = kind.paper_spec().num_classes;
-    let mut clf = Classifier::new(config, num_classes, &mut rng);
+    let model = rita_model(kind, scale, attention, &mut rng);
+    let mut clf = Classifier::from_model(model, num_classes, &mut rng);
     let cfg = train_cfg(scale);
     let report = clf.train(&split.train, &cfg, &mut rng);
     let accuracy = clf.evaluate(&split.valid, cfg.batch_size, &mut rng);
@@ -148,13 +160,12 @@ pub fn run_tst_classification(
 pub fn run_imputation(
     kind: DatasetKind,
     scale: Scale,
-    attention: AttentionKind,
+    attention: AttentionVariant,
     split: &DataSplit,
     seed: u64,
 ) -> ImputationResult {
     let mut rng = SeedableRng64::seed_from_u64(seed);
-    let config = rita_config(kind, scale, attention);
-    let mut imp = Imputer::new(config, &mut rng);
+    let mut imp = Imputer::from_model(rita_model(kind, scale, attention, &mut rng), &mut rng);
     let cfg = train_cfg(scale);
     let report = imp.train(&split.train, &cfg, &mut rng);
     let mse = imp.evaluate(&split.valid, cfg.batch_size, cfg.mask_rate, &mut rng);

@@ -1,21 +1,19 @@
 //! Attention mechanisms.
 //!
 //! The RITA encoder is parameterised over the attention mechanism so the paper's
-//! comparisons can be run on an otherwise identical architecture (exactly how the
-//! evaluation constructs its `Vanilla`, `Performer`, `Linformer` and `Group Attn.`
-//! baselines). All mechanisms consume pre-projected, head-split tensors of shape
-//! `(batch, heads, windows, head_dim)` and produce the same shape.
+//! comparisons can be run on an otherwise identical architecture. This crate builds the
+//! two kinds it checkpoints and serves — vanilla attention and RITA's group attention;
+//! the evaluation's Performer and Linformer baselines live in `rita-baselines` and plug
+//! in through [`crate::model::RitaModel::with_attention`]. All mechanisms consume
+//! pre-projected, head-split tensors of shape `(batch, heads, windows, head_dim)` and
+//! produce the same shape.
 
 pub mod group;
-pub mod linformer;
-pub mod performer;
 pub mod vanilla;
 
-use rita_nn::{BufferVisitor, BufferVisitorMut, ParamPath, ParamVisitor, Var};
+use rita_nn::{ParamVisitor, Var};
 
 pub use group::{GroupAttention, GroupAttentionConfig, GroupAttentionStats};
-pub use linformer::LinformerAttention;
-pub use performer::PerformerAttention;
 pub use vanilla::VanillaAttention;
 
 /// Which attention mechanism an encoder layer uses.
@@ -32,16 +30,6 @@ pub enum AttentionKind {
         /// Whether the adaptive scheduler may shrink the number of groups.
         adaptive: bool,
     },
-    /// Performer (FAVOR+ positive random features).
-    Performer {
-        /// Number of random features.
-        features: usize,
-    },
-    /// Linformer (learned low-rank projection of keys and values along the sequence).
-    Linformer {
-        /// Projected sequence length.
-        proj_dim: usize,
-    },
 }
 
 impl AttentionKind {
@@ -50,8 +38,6 @@ impl AttentionKind {
         match self {
             AttentionKind::Vanilla => "Vanilla",
             AttentionKind::Group { .. } => "Group Attn.",
-            AttentionKind::Performer { .. } => "Performer",
-            AttentionKind::Linformer { .. } => "Linformer",
         }
     }
 
@@ -67,26 +53,10 @@ pub trait Attention {
     /// `(batch, heads, windows, head_dim)`; the output has the same shape as `v`.
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var;
 
-    /// Visits the mechanism's own trainable parameters by name (most have none;
-    /// Linformer reports its projection matrices). Part of the named module tree that
-    /// checkpoints and optimisers key off.
+    /// Visits the mechanism's own trainable parameters by name (vanilla and group
+    /// attention have none; a baseline such as Linformer reports its projection
+    /// matrices). Part of the named module tree that optimisers key off.
     fn visit_params(&self, _visitor: &mut ParamVisitor<'_>) {}
-
-    /// Visits non-trainable state a checkpoint must persist (Performer's random-feature
-    /// matrix). Default: none.
-    fn visit_buffers(&self, _visitor: &mut BufferVisitor<'_>) {}
-
-    /// Mutable counterpart of [`Attention::visit_buffers`], used on checkpoint restore.
-    fn visit_buffers_mut(&mut self, _visitor: &mut BufferVisitorMut<'_>) {}
-
-    /// Trainable parameters owned by the mechanism itself, derived from
-    /// [`Attention::visit_params`].
-    fn parameters(&self) -> Vec<Var> {
-        let mut out = Vec::new();
-        let mut f = |_: &ParamPath, var: &Var| out.push(var.clone());
-        self.visit_params(&mut ParamVisitor::new(&mut f));
-        out
-    }
 
     /// Mechanism name for reporting.
     fn name(&self) -> &'static str;
@@ -116,16 +86,9 @@ pub trait Attention {
     fn restore_scheduled_target(&mut self, _target: f32) {}
 }
 
-/// Builds the configured attention mechanism for one encoder layer.
-///
-/// `max_windows` is the largest number of windows the layer will see (needed by
-/// Linformer's fixed-size projection); `head_dim` is the per-head feature size.
-pub fn build_attention(
-    kind: AttentionKind,
-    max_windows: usize,
-    head_dim: usize,
-    rng: &mut impl rand::Rng,
-) -> Box<dyn Attention> {
+/// Builds the configured attention mechanism for one encoder layer. Neither kind draws
+/// from a generator, so building one leaves the model's initialisation order untouched.
+pub fn build_attention(kind: AttentionKind) -> Box<dyn Attention> {
     match kind {
         AttentionKind::Vanilla => Box::new(VanillaAttention::new()),
         AttentionKind::Group { epsilon, initial_groups, adaptive } => {
@@ -135,12 +98,6 @@ pub fn build_attention(
                 adaptive,
                 ..GroupAttentionConfig::default()
             }))
-        }
-        AttentionKind::Performer { features } => {
-            Box::new(PerformerAttention::new(head_dim, features, rng))
-        }
-        AttentionKind::Linformer { proj_dim } => {
-            Box::new(LinformerAttention::new(max_windows, proj_dim, rng))
         }
     }
 }
@@ -195,21 +152,12 @@ mod tests {
     fn kind_names() {
         assert_eq!(AttentionKind::Vanilla.name(), "Vanilla");
         assert_eq!(AttentionKind::default_group().name(), "Group Attn.");
-        assert_eq!(AttentionKind::Performer { features: 16 }.name(), "Performer");
-        assert_eq!(AttentionKind::Linformer { proj_dim: 32 }.name(), "Linformer");
     }
 
     #[test]
     fn build_attention_dispatches() {
-        let mut rng = SeedableRng64::seed_from_u64(1);
-        for kind in [
-            AttentionKind::Vanilla,
-            AttentionKind::default_group(),
-            AttentionKind::Performer { features: 8 },
-            AttentionKind::Linformer { proj_dim: 4 },
-        ] {
-            let a = build_attention(kind, 16, 8, &mut rng);
-            assert_eq!(a.name(), kind.name());
+        for kind in [AttentionKind::Vanilla, AttentionKind::default_group()] {
+            assert_eq!(build_attention(kind).name(), kind.name());
         }
     }
 }

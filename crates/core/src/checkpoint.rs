@@ -14,8 +14,9 @@
 //! classes  u32      number of classes (classifier only; 0 otherwise)
 //! config            channels, max_len, window, stride, d_model, n_heads, n_layers,
 //!                   ff_hidden (u32 each), dropout (f32), attention tag (u8) + payload:
-//!                     0 vanilla | 1 group (ε f32, initial_groups u32, adaptive u8)
-//!                     | 2 performer (features u32) | 3 linformer (proj_dim u32)
+//!                     0 vanilla | 1 group (ε f32, initial_groups u32, adaptive u8);
+//!                     2 and 3 held the Performer and Linformer baselines, which are
+//!                     no longer checkpointed: they are rejected like any unknown tag
 //! sched    u32 n    then n × (present u8, target f32): the per-layer persistent §5.1
 //!                   group-count targets, so a restart resumes the exact schedule
 //! tensors  u32 n    then n records. A v3 record is
@@ -31,8 +32,7 @@
 //!                                   so a dtype/payload mismatch is structural damage
 //!                     payload       f32 LE data | i8 codes then f32 LE scales
 //!                   (v1/v2 records have no dtype/paylen fields and are always f32.)
-//!                   Every named parameter followed by every named buffer, in
-//!                   visitor order.
+//!                   Every named parameter, in visitor order.
 //! optim    u8       0 = absent; 1 = steps u64, lr β₁ β₂ ε wd (f32 each), u32 n,
 //!                   then n × (path, ndim, dims, first-moment f32…, second-moment f32…)
 //! crcs     u32 n    then n × u32: CRC-32 of each tensor record (path length through
@@ -78,7 +78,7 @@ use crate::model::{RitaConfig, RitaModel};
 use crate::tasks::{Classifier, Imputer};
 use rand::Rng;
 use rita_nn::optim::{AdamW, AdamWState};
-use rita_nn::{BufferVisitorMut, Module, ParamPath};
+use rita_nn::{Module, ParamPath};
 use rita_tensor::NdArray;
 
 const MAGIC: &[u8; 8] = b"RITACKPT";
@@ -222,7 +222,7 @@ pub enum CheckpointError {
         /// The checksum recomputed from the bytes actually read.
         computed: u32,
     },
-    /// A parameter or buffer of the model has no tensor in the checkpoint.
+    /// A parameter of the model has no tensor in the checkpoint.
     MissingTensor(String),
     /// A tensor's shape disagrees with the model parameter it should fill.
     ShapeMismatch {
@@ -244,12 +244,6 @@ pub enum CheckpointError {
     },
     /// The checkpoint carries no optimizer section.
     NoOptimizerState,
-    /// The checkpoint's attention kind trains and restores but has no serving graph:
-    /// the comparison baselines (Performer, Linformer) are not served.
-    AttentionNotServed {
-        /// The kind's name, as [`crate::attention::AttentionKind::name`] gives it.
-        kind: &'static str,
-    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -290,11 +284,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::NoOptimizerState => {
                 write!(f, "checkpoint carries no optimizer state (saved without an optimizer)")
             }
-            CheckpointError::AttentionNotServed { kind } => write!(
-                f,
-                "{kind} attention is not served (only Vanilla and Group are); restore the \
-                 checkpoint with the training modules instead"
-            ),
         }
     }
 }
@@ -318,34 +307,45 @@ pub struct Checkpoint {
     /// Per-encoder-layer persistent scheduler group-count targets (`None` for
     /// non-group layers).
     pub scheduler: Vec<Option<f32>>,
-    /// Named tensors: every parameter, then every buffer, in visitor order.
+    /// Named tensors: every parameter, in visitor order.
     pub tensors: Vec<(String, TensorRecord)>,
     /// AdamW moment state keyed by parameter path, when saved for resumption.
     pub optimizer: Option<AdamWState>,
 }
 
-/// Collects a module's parameters and buffers into the checkpoint tensor list.
+/// Collects a module's parameters into the checkpoint tensor list.
 fn collect_tensors(module: &impl Module) -> Vec<(String, TensorRecord)> {
-    let mut tensors: Vec<(String, TensorRecord)> = module
+    module
         .named_parameters()
         .into_iter()
         .map(|(path, var)| (path.to_string(), TensorRecord::F32(var.to_array())))
-        .collect();
-    tensors.extend(
-        module
-            .named_buffers()
-            .into_iter()
-            .map(|(path, buf)| (path.to_string(), TensorRecord::F32(buf.clone()))),
-    );
-    tensors
+        .collect()
+}
+
+/// The config a checkpoint of `model` records. Panics unless every layer runs the
+/// attention that config names: a layer built by [`RitaModel::with_attention`] from
+/// another mechanism (a `rita-baselines` Performer or Linformer) would be written as a
+/// file that restores silently as the configured kind.
+fn recorded_config(model: &RitaModel) -> RitaConfig {
+    let recorded = model.config.attention.name();
+    for (i, layer) in model.encoder.layers.iter().enumerate() {
+        let runs = layer.attention.name();
+        assert!(
+            runs == recorded,
+            "layer {i} runs {runs} attention but the config records {recorded}: a checkpoint \
+             holds only the attention kinds rita-core builds (Vanilla and Group)"
+        );
+    }
+    model.config
 }
 
 impl Checkpoint {
-    /// Captures a bare backbone.
+    /// Captures a bare backbone. Panics if a layer runs attention other than the
+    /// configured kind (see [`RitaModel::with_attention`]); so do the other `of_*`.
     pub fn of_backbone(model: &RitaModel) -> Self {
         Self {
             task: TaskKind::Backbone,
-            config: model.config,
+            config: recorded_config(model),
             scheduler: model.scheduler_state(),
             tensors: collect_tensors(model),
             optimizer: None,
@@ -356,7 +356,7 @@ impl Checkpoint {
     pub fn of_classifier(clf: &Classifier, optimizer: Option<&AdamW>) -> Self {
         Self {
             task: TaskKind::Classifier { num_classes: clf.num_classes },
-            config: clf.model.config,
+            config: recorded_config(&clf.model),
             scheduler: clf.model.scheduler_state(),
             tensors: collect_tensors(clf),
             optimizer: optimizer.map(AdamW::state),
@@ -367,7 +367,7 @@ impl Checkpoint {
     pub fn of_imputer(imp: &Imputer, optimizer: Option<&AdamW>) -> Self {
         Self {
             task: TaskKind::Imputer,
-            config: imp.model.config,
+            config: recorded_config(&imp.model),
             scheduler: imp.model.scheduler_state(),
             tensors: collect_tensors(imp),
             optimizer: optimizer.map(AdamW::state),
@@ -375,7 +375,7 @@ impl Checkpoint {
     }
 
     /// Rebuilds a classifier from this checkpoint: constructs the architecture from the
-    /// stored config, then overwrites every parameter and buffer bit-exactly and
+    /// stored config, then overwrites every parameter bit-exactly and
     /// restores the scheduler state.
     pub fn restore_classifier(&self, rng: &mut impl Rng) -> Result<Classifier, CheckpointError> {
         let TaskKind::Classifier { num_classes } = self.task else {
@@ -425,7 +425,7 @@ impl Checkpoint {
         }
     }
 
-    /// Overwrites every parameter and buffer of `module` from the stored tensors.
+    /// Overwrites every parameter of `module` from the stored tensors.
     /// Errors when a tensor is missing, has the wrong shape, or is left over.
     fn restore_module(&self, module: &mut (impl Module + ?Sized)) -> Result<(), CheckpointError> {
         let by_path: HashMap<&str, &TensorRecord> =
@@ -450,31 +450,6 @@ impl Checkpoint {
             used.insert(by_path.get_key_value(path.as_str()).expect("present").0);
         }
 
-        let mut buffer_error: Option<CheckpointError> = None;
-        let mut visit = |path: &ParamPath, buf: &mut NdArray| {
-            if buffer_error.is_some() {
-                return;
-            }
-            let Some(tensor) = by_path.get(path.as_str()).copied() else {
-                buffer_error = Some(CheckpointError::MissingTensor(path.to_string()));
-                return;
-            };
-            if tensor.shape() != buf.shape() {
-                buffer_error = Some(CheckpointError::ShapeMismatch {
-                    path: path.to_string(),
-                    expected: buf.shape().to_vec(),
-                    found: tensor.shape().to_vec(),
-                });
-                return;
-            }
-            *buf = tensor.to_f32();
-            used.insert(by_path.get_key_value(path.as_str()).expect("present").0);
-        };
-        module.visit_buffers_mut(&mut BufferVisitorMut::new(&mut visit));
-        if let Some(e) = buffer_error {
-            return Err(e);
-        }
-
         let leftover: Vec<String> = self
             .tensors
             .iter()
@@ -490,7 +465,7 @@ impl Checkpoint {
     /// The offline int8 quantization pass: converts every rank-2 `.weight` parameter
     /// to [`TensorRecord::Int8`] with per-output-column scales and drops the optimizer
     /// section (a quantized checkpoint is a serving artifact, not a training resume
-    /// point). Biases, norms, buffers, and higher-rank tensors stay f32 — they are
+    /// point). Biases, norms and higher-rank tensors stay f32 — they are
     /// tiny and numerically load-bearing. Weights whose reduction depth exceeds
     /// [`rita_tensor::MAX_QUANT_K`] (i32 accumulation could overflow) also stay f32.
     ///
@@ -567,14 +542,6 @@ impl Checkpoint {
                 w.f32(epsilon);
                 w.u32(initial_groups as u32);
                 w.u8(adaptive as u8);
-            }
-            AttentionKind::Performer { features } => {
-                w.u8(2);
-                w.u32(features as u32);
-            }
-            AttentionKind::Linformer { proj_dim } => {
-                w.u8(3);
-                w.u32(proj_dim as u32);
             }
         }
         w.u32(self.scheduler.len() as u32);
@@ -699,8 +666,6 @@ impl Checkpoint {
                 let adaptive = r.u8("group adaptive")? != 0;
                 AttentionKind::Group { epsilon, initial_groups, adaptive }
             }
-            2 => AttentionKind::Performer { features: r.u32("performer features")? as usize },
-            3 => AttentionKind::Linformer { proj_dim: r.u32("linformer proj_dim")? as usize },
             t => return Err(CheckpointError::Corrupted(format!("unknown attention tag {t}"))),
         };
         let config = RitaConfig {
@@ -1215,8 +1180,6 @@ mod tests {
             (group(f32::NAN, 4), "group epsilon must be finite and > 1"),
             (group(f32::INFINITY, 4), "group epsilon must be finite and > 1"),
             (group(2.0, 0), "group initial_groups must be at least 1"),
-            (AttentionKind::Performer { features: 0 }, "performer features must be at least 1"),
-            (AttentionKind::Linformer { proj_dim: 0 }, "linformer proj_dim must be at least 1"),
         ] {
             ckpt.config.attention = attention;
             // `to_bytes` writes a fresh CRC, so only the config rule can refuse the file.
@@ -1238,18 +1201,12 @@ mod tests {
         let base = Checkpoint::of_classifier(&classifier(AttentionKind::Vanilla, 8), None);
         const MAX: usize = u32::MAX as usize;
         type Corrupt = fn(&mut Checkpoint);
-        let cases: [(&str, Corrupt); 8] = [
+        let cases: [(&str, Corrupt); 6] = [
             ("max_len", |c| c.config.max_len = MAX),
             ("d_model", |c| (c.config.d_model, c.config.n_heads) = (1 << 17, 1)),
             ("ff_hidden", |c| c.config.ff_hidden = MAX),
             ("channels", |c| c.config.channels = MAX),
             ("window", |c| (c.config.window, c.config.max_len) = (MAX, MAX)),
-            ("performer features", |c| {
-                c.config.attention = AttentionKind::Performer { features: MAX }
-            }),
-            ("linformer proj_dim", |c| {
-                c.config.attention = AttentionKind::Linformer { proj_dim: MAX }
-            }),
             ("num_classes", |c| c.task = TaskKind::Classifier { num_classes: MAX }),
         ];
         for (field, corrupt) in cases {
@@ -1366,16 +1323,53 @@ mod tests {
 
     #[test]
     fn file_roundtrip_and_atomic_save() {
-        let clf = classifier(AttentionKind::Performer { features: 8 }, 6);
+        let clf = classifier(AttentionKind::default_group(), 6);
         let ckpt = Checkpoint::of_classifier(&clf, None);
         let dir = std::env::temp_dir().join("rita-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("clf.ckpt");
         ckpt.save(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(loaded.tensors.len(), ckpt.tensors.len());
-        // Performer's ω must be among the buffers.
-        assert!(loaded.tensors.iter().any(|(p, _)| p.ends_with("attention.omega")));
+        assert_eq!(loaded.tensors, ckpt.tensors);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Tags 2 and 3 were the Performer and Linformer baselines, which are no longer
+    /// checkpointed: a CRC-valid file carrying either, with the `u32` payload its writer
+    /// put after the tag, is refused like any unknown tag by both readers.
+    #[test]
+    fn retired_attention_tags_are_corrupted() {
+        let vanilla = Checkpoint::of_classifier(&classifier(AttentionKind::Vanilla, 14), None);
+        let bytes = vanilla.to_bytes();
+        // The attention tag follows magic, version, task tag, class count, the eight
+        // config dims and the dropout; Vanilla carries no payload after it.
+        let tag_at = 8 + 4 + 1 + 4 + 8 * 4 + 4;
+        assert_eq!(bytes[tag_at], 0, "a vanilla checkpoint");
+        let path =
+            std::env::temp_dir().join(format!("rita-ckpt-retired-tag-{}.ckpt", std::process::id()));
+        for tag in [2u8, 3] {
+            let mut retired = bytes[..tag_at].to_vec();
+            retired.push(tag);
+            retired.extend_from_slice(&8u32.to_le_bytes());
+            retired.extend_from_slice(&bytes[tag_at + 1..]);
+            refresh_file_crc(&mut retired);
+            std::fs::write(&path, &retired).unwrap();
+            let named = format!("unknown attention tag {tag}");
+            for (reader, result) in [
+                ("from_bytes", Checkpoint::from_bytes(&retired)),
+                ("load", Checkpoint::load(&path)),
+            ] {
+                match result {
+                    Err(CheckpointError::Corrupted(why)) => {
+                        assert!(why.contains(&named), "{reader}, tag {tag}: {why}")
+                    }
+                    other => panic!(
+                        "{reader}, tag {tag}: expected Corrupted naming the tag, got {:?}",
+                        other.map(|c| c.config)
+                    ),
+                }
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1479,7 +1473,6 @@ mod tests {
         let attn_extra = match ckpt.config.attention {
             AttentionKind::Vanilla => 0,
             AttentionKind::Group { .. } => 9,
-            AttentionKind::Performer { .. } | AttentionKind::Linformer { .. } => 4,
         };
         let sched_bytes = 4 + ckpt.scheduler.len() * 5;
         let mut pos = 8 + 4 + 1 + 4 + 8 * 4 + 4 + 1 + attn_extra + sched_bytes + 4;

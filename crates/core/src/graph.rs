@@ -52,10 +52,8 @@ fn emit_layer_norm(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
 /// grammar (`model.encoder.layers.3.norm1`, …), with the `model.` prefix dropped for a
 /// bare backbone — matching how checkpoints name their tensors per task.
 ///
-/// This is where it is decided which checkpoints can be served: a config that
-/// [`RitaConfig::check`] rejects is [`CheckpointError::Corrupted`] naming the rule, and
-/// the comparison baselines (Performer, Linformer), which train and checkpoint but have
-/// no serving graph, are [`CheckpointError::AttentionNotServed`].
+/// A config that [`RitaConfig::check`] rejects is [`CheckpointError::Corrupted`] naming
+/// the rule, so no loader serves it.
 pub fn build_graph(
     config: &RitaConfig,
     task: TaskKind,
@@ -99,9 +97,6 @@ pub fn build_graph(
                 min_groups: group_defaults.min_groups,
                 kmeans_iters: group_defaults.kmeans_iters,
             },
-            kind @ (AttentionKind::Performer { .. } | AttentionKind::Linformer { .. }) => {
-                return Err(CheckpointError::AttentionNotServed { kind: kind.name() });
-            }
         };
         let attended = g.push(&format!("{p}.attention"), Op::Attention(attn_op), vec![qh, kh, vh]);
         let merged = g.push(&format!("{p}.attention.merge_heads"), Op::MergeHeads, vec![attended]);

@@ -9,8 +9,9 @@
 //!
 //! Crate layout (matching the paper's sections):
 //!
-//! * [`attention`] — vanilla, group (§4), Performer and Linformer mechanisms behind one
-//!   trait, so the evaluation's comparisons run on an identical architecture.
+//! * [`attention`] — vanilla and group (§4) attention behind one trait; the evaluation's
+//!   Performer and Linformer baselines (`rita-baselines`) implement the same trait and
+//!   plug into an otherwise identical model through `RitaModel::with_attention`.
 //! * [`group`] — the GPU-friendly k-means grouping (§4.4) and assignment matrices.
 //! * [`scheduler`] — error bound (§4.3), cluster merging and momentum update (§5.1),
 //!   memory model, batch-size binary search and the learned `B = f(L, N)` predictor (§5.2).

@@ -29,8 +29,7 @@ pub const MAX_TENSOR_ELEMS: usize = 1 << 26;
 pub struct RitaConfig {
     /// Number of input channels (variables) of the timeseries.
     pub channels: usize,
-    /// Maximum series length the model will see (determines the positional table and the
-    /// Linformer projection size).
+    /// Maximum series length the model will see (determines the positional table).
     pub max_len: usize,
     /// Convolution window width `w` — timestamps per window.
     pub window: usize,
@@ -138,15 +137,10 @@ impl RitaConfig {
             return Err("dropout must be in [0, 1)".into());
         }
         // Every weight and the positional table (a row per window plus the class token)
-        // are `d_model` wide; the Performer and Linformer projections are not.
+        // are `d_model` wide.
         let (d, rows) = (self.d_model, self.max_windows().saturating_add(1));
-        let attention = match self.attention {
-            AttentionKind::Performer { features } => (d / self.n_heads).saturating_mul(features),
-            AttentionKind::Linformer { proj_dim } => proj_dim.saturating_mul(rows),
-            _ => 0,
-        };
         let longest = [rows, self.channels.saturating_mul(self.window), d, self.ff_hidden];
-        let largest = longest.into_iter().fold(0, usize::max).saturating_mul(d).max(attention);
+        let largest = longest.into_iter().fold(0, usize::max).saturating_mul(d);
         if largest > MAX_TENSOR_ELEMS {
             return Err(format!(
                 "an implied tensor of {largest} elements is over the cap of {MAX_TENSOR_ELEMS}"
@@ -159,12 +153,6 @@ impl RitaConfig {
             }
             AttentionKind::Group { initial_groups: 0, .. } => {
                 Err("group initial_groups must be at least 1".into())
-            }
-            AttentionKind::Performer { features: 0 } => {
-                Err("performer features must be at least 1".into())
-            }
-            AttentionKind::Linformer { proj_dim: 0 } => {
-                Err("linformer proj_dim must be at least 1".into())
             }
             _ => Ok(()),
         }

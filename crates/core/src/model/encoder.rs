@@ -1,12 +1,13 @@
 //! The RITA encoder: a stack of Transformer encoder layers whose self-attention is
-//! pluggable (vanilla, group, Performer, Linformer), as required by the paper's
-//! evaluation methodology (§6.1, "Alternative Methods").
+//! pluggable (vanilla and group here; the Performer and Linformer baselines of
+//! `rita-baselines` through a factory), as required by the paper's evaluation
+//! methodology (§6.1, "Alternative Methods").
 
-use crate::attention::{build_attention, merge_heads, split_heads, Attention, GroupAttentionStats};
+use crate::attention::{merge_heads, split_heads, Attention, GroupAttentionStats};
 use crate::model::config::RitaConfig;
 use rand::Rng;
 use rita_nn::layers::{Dropout, FeedForward, LayerNorm, Linear};
-use rita_nn::{BufferVisitor, BufferVisitorMut, Module, ParamVisitor, Var};
+use rita_nn::{Module, ParamVisitor, Var};
 
 /// One encoder layer: multi-head (pluggable) attention + feed-forward, each wrapped in a
 /// residual connection and layer normalisation (post-norm, as in the original
@@ -26,20 +27,20 @@ pub struct EncoderLayer {
 }
 
 impl EncoderLayer {
-    /// Builds one layer for `config`.
-    pub fn new(config: &RitaConfig, rng: &mut impl Rng) -> Self {
+    /// Builds one layer for `config`. Its attention comes from `make_attention`, called
+    /// once after the four projections are drawn and before the feed-forward block.
+    pub fn new<R: Rng>(
+        config: &RitaConfig,
+        make_attention: &mut impl FnMut(&mut R) -> Box<dyn Attention>,
+        rng: &mut R,
+    ) -> Self {
         let d = config.d_model;
         Self {
             q_proj: Linear::new(d, d, rng),
             k_proj: Linear::new(d, d, rng),
             v_proj: Linear::new(d, d, rng),
             out_proj: Linear::new(d, d, rng),
-            attention: build_attention(
-                config.attention,
-                config.max_windows() + 1,
-                config.head_dim(),
-                rng,
-            ),
+            attention: make_attention(rng),
             norm1: LayerNorm::new(d),
             norm2: LayerNorm::new(d),
             ff: FeedForward::new(d, config.ff_hidden, config.dropout, rng),
@@ -72,14 +73,6 @@ impl Module for EncoderLayer {
         v.scope("norm2", |v| self.norm2.visit_params(v));
         v.scope("ff", |v| self.ff.visit_params(v));
     }
-
-    fn visit_buffers(&self, v: &mut BufferVisitor<'_>) {
-        v.scope("attention", |v| self.attention.visit_buffers(v));
-    }
-
-    fn visit_buffers_mut(&mut self, v: &mut BufferVisitorMut<'_>) {
-        v.scope("attention", |v| self.attention.visit_buffers_mut(v));
-    }
 }
 
 /// The full encoder stack.
@@ -89,9 +82,15 @@ pub struct RitaEncoder {
 }
 
 impl RitaEncoder {
-    /// Builds `config.n_layers` layers.
-    pub fn new(config: &RitaConfig, rng: &mut impl Rng) -> Self {
-        let layers = (0..config.n_layers).map(|_| EncoderLayer::new(config, rng)).collect();
+    /// Builds `config.n_layers` layers, each with its own `make_attention(rng)`.
+    pub fn new<R: Rng>(
+        config: &RitaConfig,
+        mut make_attention: impl FnMut(&mut R) -> Box<dyn Attention>,
+        rng: &mut R,
+    ) -> Self {
+        let layers = (0..config.n_layers)
+            .map(|_| EncoderLayer::new(config, &mut make_attention, rng))
+            .collect();
         Self { layers }
     }
 
@@ -162,24 +161,12 @@ impl Module for RitaEncoder {
             v.scope_indexed("layers", i, |v| layer.visit_params(v));
         }
     }
-
-    fn visit_buffers(&self, v: &mut BufferVisitor<'_>) {
-        for (i, layer) in self.layers.iter().enumerate() {
-            v.scope_indexed("layers", i, |v| layer.visit_buffers(v));
-        }
-    }
-
-    fn visit_buffers_mut(&mut self, v: &mut BufferVisitorMut<'_>) {
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            v.scope_indexed("layers", i, |v| layer.visit_buffers_mut(v));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::AttentionKind;
+    use crate::attention::{build_attention, AttentionKind};
     use rand::SeedableRng;
     use rita_tensor::{NdArray, SeedableRng64};
 
@@ -187,10 +174,14 @@ mod tests {
         SeedableRng64::seed_from_u64(seed)
     }
 
+    fn encoder(config: &RitaConfig, rng: &mut SeedableRng64) -> RitaEncoder {
+        RitaEncoder::new(config, |_| build_attention(config.attention), rng)
+    }
+
     fn run_encoder(kind: AttentionKind) -> Var {
         let mut r = rng(0);
         let config = RitaConfig::tiny(3, 60, kind);
-        let mut enc = RitaEncoder::new(&config, &mut r);
+        let mut enc = encoder(&config, &mut r);
         let x = Var::constant(NdArray::randn(&[2, 13, 16], 1.0, &mut r));
         enc.forward(&x, false, &mut r)
     }
@@ -200,8 +191,6 @@ mod tests {
         for kind in [
             AttentionKind::Vanilla,
             AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: true },
-            AttentionKind::Performer { features: 8 },
-            AttentionKind::Linformer { proj_dim: 6 },
         ] {
             let y = run_encoder(kind);
             assert_eq!(y.shape(), vec![2, 13, 16], "{}", kind.name());
@@ -217,7 +206,7 @@ mod tests {
             40,
             AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: true },
         );
-        let mut enc = RitaEncoder::new(&config, &mut r);
+        let mut enc = encoder(&config, &mut r);
         let params = enc.parameters();
         assert!(!params.is_empty());
         let x = Var::constant(NdArray::randn(&[2, 9, 16], 1.0, &mut r));
@@ -231,7 +220,7 @@ mod tests {
     fn group_stats_reported_only_for_group_layers() {
         let mut r = rng(2);
         let group_cfg = RitaConfig::tiny(3, 40, AttentionKind::default_group());
-        let mut enc = RitaEncoder::new(&group_cfg, &mut r);
+        let mut enc = encoder(&group_cfg, &mut r);
         assert_eq!(enc.mean_group_count(), Some(0.0), "no forward pass yet means zero groups used");
         let x = Var::constant(NdArray::randn(&[1, 9, 16], 1.0, &mut r));
         let _ = enc.forward(&x, false, &mut r);
@@ -241,17 +230,8 @@ mod tests {
         assert_eq!(enc.mean_group_count().unwrap(), 3.0);
 
         let vanilla_cfg = RitaConfig::tiny(3, 40, AttentionKind::Vanilla);
-        let mut vanilla_enc = RitaEncoder::new(&vanilla_cfg, &mut r);
+        let mut vanilla_enc = encoder(&vanilla_cfg, &mut r);
         let _ = vanilla_enc.forward(&x, false, &mut r);
         assert!(vanilla_enc.mean_group_count().is_none());
-    }
-
-    #[test]
-    fn linformer_layers_expose_projection_parameters() {
-        let mut r = rng(3);
-        let cfg = RitaConfig::tiny(3, 40, AttentionKind::Linformer { proj_dim: 4 });
-        let enc = RitaEncoder::new(&cfg, &mut r);
-        let plain = RitaEncoder::new(&RitaConfig::tiny(3, 40, AttentionKind::Vanilla), &mut r);
-        assert!(enc.num_parameters() > plain.num_parameters());
     }
 }

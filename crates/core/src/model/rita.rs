@@ -1,12 +1,12 @@
 //! The assembled RITA model: time-aware convolution embedding + encoder stack (Fig. 1).
 
-use crate::attention::GroupAttentionStats;
+use crate::attention::{build_attention, Attention, GroupAttentionStats};
 use crate::model::config::RitaConfig;
 use crate::model::embedding::TimeConvEmbed;
 use crate::model::encoder::RitaEncoder;
 use crate::scheduler::MemoryModel;
 use rand::Rng;
-use rita_nn::{BufferVisitor, BufferVisitorMut, Module, ParamVisitor, Var};
+use rita_nn::{Module, ParamVisitor, Var};
 use rita_tensor::NdArray;
 
 /// The backbone shared by every downstream task: it maps a batch of raw series
@@ -22,13 +22,29 @@ pub struct RitaModel {
 }
 
 impl RitaModel {
-    /// Builds a model for `config`.
+    /// Builds a model for `config` with the attention `config.attention` names.
     pub fn new(config: RitaConfig, rng: &mut impl Rng) -> Self {
+        Self::with_attention(config, |_| build_attention(config.attention), rng)
+    }
+
+    /// Builds a model for `config` whose layers run the attention `make_attention`
+    /// returns: it is called once per layer, after that layer's four projections are
+    /// drawn from `rng` and before its feed-forward block, where [`RitaModel::new`]
+    /// builds the configured kind. A mechanism that draws from `rng` there (the
+    /// `rita-baselines` Performer and Linformer) shifts only the draws after it.
+    ///
+    /// `config.attention` still names what a checkpoint records, so a model whose layers
+    /// run anything else cannot be checkpointed (`Checkpoint::of_*` panics).
+    pub fn with_attention<R: Rng>(
+        config: RitaConfig,
+        make_attention: impl FnMut(&mut R) -> Box<dyn Attention>,
+        rng: &mut R,
+    ) -> Self {
         config.validate();
         Self {
             config,
             embedding: TimeConvEmbed::new(&config, rng),
-            encoder: RitaEncoder::new(&config, rng),
+            encoder: RitaEncoder::new(&config, make_attention, rng),
         }
     }
 
@@ -98,14 +114,6 @@ impl Module for RitaModel {
     fn visit_params(&self, v: &mut ParamVisitor<'_>) {
         v.scope("embedding", |v| self.embedding.visit_params(v));
         v.scope("encoder", |v| self.encoder.visit_params(v));
-    }
-
-    fn visit_buffers(&self, v: &mut BufferVisitor<'_>) {
-        v.scope("encoder", |v| self.encoder.visit_buffers(v));
-    }
-
-    fn visit_buffers_mut(&mut self, v: &mut BufferVisitorMut<'_>) {
-        v.scope("encoder", |v| self.encoder.visit_buffers_mut(v));
     }
 }
 

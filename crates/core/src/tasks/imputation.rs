@@ -12,7 +12,7 @@ use rita_data::batch::{batch_indices_by_length, make_masked_batch, MaskedBatch};
 use rita_data::TimeseriesDataset;
 use rita_nn::layers::Linear;
 use rita_nn::loss::masked_mse;
-use rita_nn::{no_grad, BufferVisitor, BufferVisitorMut, Module, ParamVisitor, Var};
+use rita_nn::{no_grad, Module, ParamVisitor, Var};
 use rita_tensor::NdArray;
 
 /// A RITA backbone with a reconstruction (transpose-convolution) head.
@@ -140,14 +140,6 @@ impl Module for Imputer {
     fn visit_params(&self, v: &mut ParamVisitor<'_>) {
         v.scope("model", |v| self.model.visit_params(v));
         v.scope("decoder", |v| self.decoder.visit_params(v));
-    }
-
-    fn visit_buffers(&self, v: &mut BufferVisitor<'_>) {
-        v.scope("model", |v| self.model.visit_buffers(v));
-    }
-
-    fn visit_buffers_mut(&mut self, v: &mut BufferVisitorMut<'_>) {
-        v.scope("model", |v| self.model.visit_buffers_mut(v));
     }
 }
 

@@ -24,11 +24,10 @@
 //! buffers are re-zeroed before reuse, and each node runs the kernel sequence of the
 //! module call it stands for. The result is bit-identical to a `no_grad` `Var` forward —
 //! the property `tests/infer_parity.rs` and `tests/plan_executor.rs` pin at 0 ulp
-//! for both served attention kinds (vanilla and group; the Performer and Linformer
-//! baselines train and checkpoint but are not served), with the `Var` interpreter
-//! (`rita_core::graph::run_var`) kept in-tree as the exactness oracle. Kernel or plan
-//! failures surface as a typed [`InferError`] on the offending request instead of
-//! panicking a worker thread.
+//! for both attention kinds a checkpoint can hold (vanilla and group), with the `Var`
+//! interpreter (`rita_core::graph::run_var`) kept in-tree as the exactness oracle.
+//! Kernel or plan failures surface as a typed [`InferError`] on the offending request
+//! instead of panicking a worker thread.
 //!
 //! ## Serving
 //!

@@ -20,9 +20,9 @@
 //!   deduplication by node identity is the consumer's job (the optimisers dedupe so a
 //!   tied weight is stepped once; checkpoints store one copy per path, which round-trips
 //!   because every path is written and re-assigned).
-//! * Non-trainable state that must survive a checkpoint round-trip (Performer's random
-//!   feature matrix, batch-norm running statistics) is reported through
-//!   [`Module::visit_buffers`] / [`Module::visit_buffers_mut`] instead.
+//! * Non-trainable state that must survive a round-trip (batch-norm running
+//!   statistics) is reported through [`Module::visit_buffers`] /
+//!   [`Module::visit_buffers_mut`] instead.
 
 use std::fmt;
 

@@ -138,8 +138,8 @@ fn audit(ckpt: &Checkpoint, served: Option<&Graph>) -> Report {
     let emitted = match build_graph(config, ckpt.task, &ckpt.scheduler) {
         Ok(graph) => graph,
         Err(e) => {
-            // An inconsistent config or an attention kind that is not served: nothing
-            // below is meaningful without a graph to compare against.
+            // An inconsistent config: nothing below is meaningful without a graph to
+            // compare against.
             let detail = match e {
                 CheckpointError::Corrupted(rule) => rule,
                 e => e.to_string(),

@@ -62,8 +62,7 @@ impl Analysis {
 /// independent derivation produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyError {
-    /// The checkpoint's configuration is internally inconsistent, or names an
-    /// attention kind that is not served.
+    /// The checkpoint's configuration is internally inconsistent.
     BadConfig {
         /// Which constraint failed.
         detail: String,

@@ -7,10 +7,11 @@
 //!
 //! With no arguments it runs a self-test, as CI does: train a tiny classifier, save
 //! and reload its checkpoint, and demand a clean report — then, as negative controls,
-//! corrupt one copy of the checkpoint (wrong-shape head weight), remove one `.bias`
-//! from another, and train a Linformer classifier, and demand the analyzer rejects all
-//! three (the Linformer baseline trains and checkpoints but is not served). Any
-//! direction failing exits non-zero.
+//! corrupt one copy of the checkpoint (wrong-shape head weight) and remove one `.bias`
+//! from another, and demand the analyzer rejects both; and rewrite the saved file's
+//! attention tag to 2 (the retired Performer tag, with its payload and a fresh
+//! checksum), and demand that loading it fails as `Corrupted`. Any direction failing
+//! exits non-zero.
 //!
 //! Run with: `cargo run --release --example verify [CHECKPOINT...]`
 //! (set `RITA_QUICK=1` for a seconds-scale smoke run)
@@ -21,12 +22,12 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use rand::SeedableRng;
 use rita::core::attention::AttentionKind;
-use rita::core::checkpoint::{Checkpoint, TensorRecord};
+use rita::core::checkpoint::{crc32, Checkpoint, CheckpointError, TensorRecord};
 use rita::core::model::RitaConfig;
 use rita::core::tasks::{Classifier, TrainConfig};
 use rita::data::{DatasetKind, TimeseriesDataset};
 use rita::tensor::{NdArray, SeedableRng64};
-use rita::verify::{verify_checkpoint, VerifyError};
+use rita::verify::verify_checkpoint;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -110,7 +111,7 @@ impl Drop for TempCheckpoint {
 }
 
 /// Train → save → reload → verify clean, then corrupt or drop a bias → verify rejected,
-/// and a freshly trained Linformer checkpoint → verify refused as not served.
+/// and a CRC-valid file with the retired attention tag 2 → load refused as `Corrupted`.
 fn self_test() -> ExitCode {
     let quick = std::env::var_os("RITA_QUICK").is_some();
     let (n_train, epochs) = if quick { (12, 1) } else { (60, 3) };
@@ -165,22 +166,34 @@ fn self_test() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Negative control: the comparison baselines train and checkpoint but are not
-    // served, so a fresh Linformer checkpoint must be refused as such.
-    let linformer = train(AttentionKind::Linformer { proj_dim: 8 }, &data, epochs, &mut rng);
-    let refused = verify_checkpoint(&linformer);
-    println!("Linformer checkpoint: {}", refused.to_json());
-    let not_served = refused.diagnostics.iter().any(
-        |d| matches!(&d.error, VerifyError::BadConfig { detail } if detail.contains("not served")),
-    );
-    if !not_served {
-        eprintln!("self-test FAILED: Linformer checkpoint was not refused as not served");
-        return ExitCode::FAILURE;
+    // Negative control: tag 2 held the Performer baseline, which is no longer
+    // checkpointed. A file carrying it (with the `u32` payload its writer put after the
+    // tag, and a whole-file checksum that matches) must not load as anything.
+    let bytes = std::fs::read(path).expect("read the saved checkpoint");
+    // The tag follows magic, version, task tag, class count, eight dims and dropout;
+    // the group payload after it is ε, initial_groups and adaptive (9 bytes).
+    let tag_at = 8 + 4 + 1 + 4 + 8 * 4 + 4;
+    let mut retired = bytes[..tag_at].to_vec();
+    retired.push(2);
+    retired.extend_from_slice(&16u32.to_le_bytes());
+    retired.extend_from_slice(&bytes[tag_at + 1 + 9..bytes.len() - 4]);
+    let crc = crc32(&retired);
+    retired.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, &retired).expect("write the retired-tag file");
+    match Checkpoint::load(path) {
+        Err(CheckpointError::Corrupted(why)) if why.contains("unknown attention tag 2") => {
+            println!("retired attention tag 2: refused ({why})");
+        }
+        other => {
+            let got = other.map(|c| c.config.attention.name());
+            eprintln!("self-test FAILED: a file with attention tag 2 loaded as {got:?}");
+            return ExitCode::FAILURE;
+        }
     }
 
     println!(
         "self-test passed: clean checkpoint accepted, corrupted and bias-less checkpoints \
-         rejected, Linformer checkpoint refused as not served"
+         rejected, retired attention tag refused"
     );
     ExitCode::SUCCESS
 }

@@ -16,7 +16,7 @@
 //! | [`core`] ([`rita_core`]) | group attention, adaptive scheduler, RITA models & tasks, checkpoints |
 //! | [`verify`] ([`rita_verify`]) | independent static analyzer for graph plans and checkpoints |
 //! | [`infer`] ([`rita_infer`]) | tape-free batched inference from checkpoints |
-//! | [`baselines`] ([`rita_baselines`]) | TST and GRAIL |
+//! | [`baselines`] ([`rita_baselines`]) | TST, GRAIL, and the Performer and Linformer attention variants |
 //!
 //! ## Quickstart
 //!

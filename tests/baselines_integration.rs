@@ -1,9 +1,12 @@
-//! Integration tests for the baselines: TST and GRAIL run end-to-end on the same
-//! synthetic datasets RITA uses, through the public umbrella API.
+//! Integration tests for the baselines: TST, GRAIL and the Performer and Linformer
+//! attention variants run end-to-end on the same synthetic datasets RITA uses, through
+//! the public umbrella API.
 
 use rand::SeedableRng;
-use rita::baselines::{Grail, GrailConfig, TstClassifier, TstConfig, TstImputer};
-use rita::core::tasks::TrainConfig;
+use rita::baselines::{AttentionVariant, Grail, GrailConfig, TstClassifier, TstConfig, TstImputer};
+use rita::core::attention::AttentionKind;
+use rita::core::model::RitaConfig;
+use rita::core::tasks::{Classifier, TrainConfig};
 use rita::data::{DatasetKind, TimeseriesDataset};
 use rita::nn::{optim::AdamW, Module};
 use rita::tensor::SeedableRng64;
@@ -57,4 +60,35 @@ fn grail_univariate_classification() {
     // 8 classes → chance 0.125; landmark 1-NN should do clearly better on this easy data.
     assert!(acc > 0.2, "GRAIL accuracy {acc}");
     assert!(grail.fit_seconds > 0.0);
+}
+
+/// The attention baselines train inside the RITA architecture, built through the
+/// variant's factory with the head attached by `Classifier::from_model`.
+#[test]
+fn attention_baselines_train_on_the_same_data() {
+    let mut r = rng(4);
+    let data = TimeseriesDataset::generate_reduced(DatasetKind::Hhar, 20, 6, 60, &mut r);
+    let split = data.split_at(20);
+    for (name, variant) in [
+        ("Performer", AttentionVariant::Performer { features: 16 }),
+        ("Linformer", AttentionVariant::Linformer { proj_dim: 6 }),
+    ] {
+        let config = RitaConfig {
+            channels: 3,
+            max_len: 60,
+            d_model: 16,
+            n_layers: 1,
+            ff_hidden: 32,
+            dropout: 0.0,
+            attention: AttentionKind::Vanilla,
+            ..Default::default()
+        };
+        let mut clf = Classifier::from_model(variant.model(config, &mut r), 5, &mut r);
+        assert_eq!(clf.model.encoder.layers[0].attention.name(), name);
+        let cfg = TrainConfig { epochs: 1, batch_size: 10, lr: 1e-3, ..Default::default() };
+        let report = clf.train(&split.train, &cfg, &mut r);
+        assert!(report.final_loss().is_finite(), "{name}");
+        let acc = clf.evaluate(&split.valid, 6, &mut r);
+        assert!((0.0..=1.0).contains(&acc), "{name}");
+    }
 }

@@ -35,16 +35,12 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
 }
 
 /// Classification: a trained classifier saved to disk and loaded in a fresh process
-/// produces bit-identical logits and evaluation accuracy — for every attention kind,
-/// the Performer and Linformer baselines included (they train and checkpoint but are
-/// not served, so this restore is their only way back).
+/// produces bit-identical logits and evaluation accuracy — for every attention kind.
 #[test]
 fn classification_roundtrip_is_bit_identical() {
     for (i, kind) in [
         AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: true },
         AttentionKind::Vanilla,
-        AttentionKind::Performer { features: 16 },
-        AttentionKind::Linformer { proj_dim: 6 },
     ]
     .into_iter()
     .enumerate()

@@ -137,8 +137,6 @@ fn all_attention_variants_train_on_the_same_data() {
     for attention in [
         AttentionKind::Vanilla,
         AttentionKind::Group { epsilon: 2.0, initial_groups: 6, adaptive: true },
-        AttentionKind::Performer { features: 16 },
-        AttentionKind::Linformer { proj_dim: 6 },
     ] {
         let config = RitaConfig {
             channels: 3,

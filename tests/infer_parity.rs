@@ -3,9 +3,9 @@
 //! `rita-infer` executes the model on `NdArray` directly, with no `Var` allocation per
 //! op and arena-recycled activation buffers. Because it calls the same tensor kernels
 //! in the same order, its outputs must be **bit-identical** (0 ulp) to a `no_grad`
-//! `Var` forward of the same checkpoint — across both served attention kinds (vanilla
-//! and group; the Performer and Linformer baselines train but are not served), both
-//! task heads, and the strided split-head shapes the encoder produces internally.
+//! `Var` forward of the same checkpoint — across both attention kinds (vanilla and
+//! group), both task heads, and the strided split-head shapes the encoder produces
+//! internally.
 
 use rand::SeedableRng;
 use rita::core::attention::AttentionKind;

@@ -6,9 +6,9 @@
 //! in-tree exactness oracle. The model serves the graph exactly as `build_graph` emits
 //! it. These tests pin that the two interpreters agree at 0 ulp across every served
 //! attention kind (vanilla and group), task head, and shape bucket, that the plan cache
-//! counts hits and misses, that a checkpoint missing any parameter (a bias included) or
-//! naming a baseline attention kind is refused by every loader and by the verifier,
-//! that a malformed checkpoint fails the *request* (typed
+//! counts hits and misses, that a checkpoint missing any parameter (a bias included)
+//! is refused by every loader and by the verifier, that a malformed checkpoint fails
+//! the *request* (typed
 //! `InferError`) — never the worker thread serving it — and that the FFN's GELU writes
 //! over its dying input with the arena, the executor and the verifier agreeing on it.
 
@@ -26,7 +26,6 @@ use rita::infer::{
     PublishError, RequestError, ServeError, Server, ServerConfig,
 };
 use rita::nn::graph::{Graph, Op, Plan, PlanError};
-use rita::nn::no_grad;
 use rita::tensor::{NdArray, SeedableRng64};
 use rita::verify::{verify_checkpoint, verify_plan, Analysis, Corruption, VerifyError};
 
@@ -154,53 +153,6 @@ fn a_checkpoint_missing_a_bias_is_refused_by_every_loader() {
         ckpt.restore_classifier(&mut r),
         Err(CheckpointError::MissingTensor(path)) if path == BIAS
     ));
-}
-
-/// The comparison baselines train and checkpoint but are not served: a Performer or
-/// Linformer classifier checkpoint is refused with `AttentionNotServed` by
-/// `InferModel`, by `InferSession`, by the registry (which activates nothing), and by
-/// the verifier (a `BadConfig` naming the kind), while `restore_classifier` still
-/// restores it.
-#[test]
-fn a_baseline_attention_checkpoint_is_refused_by_every_loader() {
-    for (name, kind) in [
-        ("Performer", AttentionKind::Performer { features: 16 }),
-        ("Linformer", AttentionKind::Linformer { proj_dim: 6 }),
-    ] {
-        let mut r = rng(41);
-        let mut clf = Classifier::new(RitaConfig::tiny(3, 60, kind), 4, &mut r);
-        let ckpt = Checkpoint::of_classifier(&clf, None);
-        let not_served = |e: &CheckpointError| matches!(e, CheckpointError::AttentionNotServed { kind } if *kind == name);
-
-        match InferModel::from_checkpoint(&ckpt) {
-            Err(e) => assert!(not_served(&e), "{name}: expected AttentionNotServed, got {e}"),
-            Ok(_) => panic!("{name}: a baseline checkpoint must not load for serving"),
-        }
-        match InferSession::from_checkpoint(&ckpt) {
-            Err(e) => assert!(not_served(&e), "{name}: expected AttentionNotServed, got {e}"),
-            Ok(_) => panic!("{name}: a baseline checkpoint must not open a session"),
-        }
-        let registry = ModelRegistry::new();
-        match registry.publish(&ckpt) {
-            Err(PublishError::Checkpoint(e)) => assert!(not_served(&e), "{name}: got {e}"),
-            other => panic!("{name}: expected the publish to be refused, got {other:?}"),
-        }
-        assert_eq!(registry.current_version(), None);
-
-        let report = verify_checkpoint(&ckpt);
-        assert!(
-            report.diagnostics.iter().any(|d| d.analysis == Analysis::Config
-                && matches!(&d.error, VerifyError::BadConfig { detail }
-                    if detail.contains(name) && detail.contains("not served"))),
-            "{name}: expected a not-served BadConfig, got:\n{report}"
-        );
-
-        let mut restored = ckpt.restore_classifier(&mut rng(43)).expect("training restore");
-        let x = NdArray::randn(&[2, 3, 60], 1.0, &mut r);
-        let a = no_grad(|| clf.logits(&x, false, &mut rng(44)).to_array());
-        let b = no_grad(|| restored.logits(&x, false, &mut rng(45)).to_array());
-        assert_eq!(bits(&a), bits(&b), "{name}: restored logits must be bit-identical");
-    }
 }
 
 /// Plans are compiled once per `(batch, length)` bucket and then served from the
