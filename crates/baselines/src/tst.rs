@@ -15,6 +15,7 @@
 
 use rand::Rng;
 use rita_core::attention::{merge_heads, split_heads, Attention, VanillaAttention};
+use rita_core::model::embedding::sinusoidal_table;
 use rita_data::batch::{batch_indices, make_batch, make_masked_batch};
 use rita_data::TimeseriesDataset;
 use rita_nn::layers::{BatchNorm1d, Dropout, FeedForward, Linear};
@@ -136,7 +137,7 @@ impl TstModel {
     /// Builds the backbone.
     pub fn new(config: TstConfig, rng: &mut impl Rng) -> Self {
         let embed = Linear::new(config.channels, config.d_model, rng);
-        let positional = sinusoidal(config.max_len, config.d_model);
+        let positional = sinusoidal_table(config.max_len, config.d_model);
         let layers = (0..config.n_layers).map(|_| TstLayer::new(&config, rng)).collect();
         Self { config, embed, positional, layers }
     }
@@ -178,17 +179,6 @@ impl Module for TstModel {
             v.scope_indexed("layers", i, |v| l.visit_buffers_mut(v));
         }
     }
-}
-
-fn sinusoidal(len: usize, d: usize) -> NdArray {
-    let mut data = vec![0.0f32; len * d];
-    for pos in 0..len {
-        for i in 0..d {
-            let angle = pos as f32 / 10_000f32.powf((2 * (i / 2)) as f32 / d as f32);
-            data[pos * d + i] = if i % 2 == 0 { angle.sin() } else { angle.cos() };
-        }
-    }
-    NdArray::from_vec(data, &[len, d]).expect("positional table")
 }
 
 /// TST with its concatenated-output linear classifier.

@@ -9,8 +9,9 @@
 //!
 //! ```text
 //! magic    8 bytes  b"RITACKPT"
-//! version  u32      currently 3 (version-1/2 files still load bit-exactly)
-//! task     u8       0 = backbone, 1 = classifier, 2 = imputer
+//! version  u32      3, the only version this reader accepts
+//! task     u8       1 = classifier, 2 = imputer (0 held a bare backbone, which no
+//!                   request can use; it is rejected like any unknown tag)
 //! classes  u32      number of classes (classifier only; 0 otherwise)
 //! config            channels, max_len, window, stride, d_model, n_heads, n_layers,
 //!                   ff_hidden (u32 each), dropout (f32), attention tag (u8) + payload:
@@ -19,7 +20,7 @@
 //!                     no longer checkpointed: they are rejected like any unknown tag
 //! sched    u32 n    then n × (present u8, target f32): the per-layer persistent §5.1
 //!                   group-count targets, so a restart resumes the exact schedule
-//! tensors  u32 n    then n records. A v3 record is
+//! tensors  u32 n    then n records, each
 //!                     path_len u32, path utf-8
 //!                     dtype    u8   0 = f32 | 1 = int8 (per-channel scales); 2 was
 //!                                   reserved for bf16 in PR 10, never written, and is
@@ -31,7 +32,6 @@
 //!                                   against dtype × numel (+ scales) before parsing,
 //!                                   so a dtype/payload mismatch is structural damage
 //!                     payload       f32 LE data | i8 codes then f32 LE scales
-//!                   (v1/v2 records have no dtype/paylen fields and are always f32.)
 //!                   Every named parameter, in visitor order.
 //! optim    u8       0 = absent; 1 = steps u64, lr β₁ β₂ ε wd (f32 each), u32 n,
 //!                   then n × (path, ndim, dims, first-moment f32…, second-moment f32…)
@@ -43,14 +43,14 @@
 //!
 //! ## Version policy
 //!
-//! The version is bumped whenever the byte layout changes incompatibly; readers reject
-//! unknown versions with [`CheckpointError::UnsupportedVersion`] instead of guessing.
-//! Adding new trailing sections is a version bump too — v1 readers must be able to
-//! assume they consumed the whole buffer. This reader accepts version 1 (no checksum
-//! trailer — integrity is the caller's problem, as it always was), version 2 (trailer
-//! verified; any mismatch is [`CheckpointError::ChecksumMismatch`]), and version 3
-//! (per-tensor dtype tags). The one writer, [`Checkpoint::to_bytes`], emits version 3;
-//! the older readers are pinned by golden files under `tests/fixtures/`.
+//! The version is bumped whenever the byte layout changes incompatibly, and adding a
+//! trailing section is a bump too (the reader requires that it consumed the whole
+//! buffer). The reader holds what the one writer, [`Checkpoint::to_bytes`], writes:
+//! version 3, whose checksum trailer every file carries, so no file skips the CRC.
+//! Any other version, the retired 1 and 2 included, is
+//! [`CheckpointError::UnsupportedVersion`]; a CRC that does not match is
+//! [`CheckpointError::ChecksumMismatch`]. The format is pinned by a golden file,
+//! `tests/fixtures/ckpt_v3.hex`.
 //!
 //! ## Scale values are not validated here
 //!
@@ -63,28 +63,31 @@
 //! ## Failure behaviour
 //!
 //! Loading never panics on malformed input: truncated files, corrupted counts and
-//! wrong-version files all surface as descriptive [`CheckpointError`]s. Restoring into a
-//! model validates both directions — every parameter must be present with the right
-//! shape, and unknown leftover tensors are an error (they indicate an architecture
-//! mismatch).
+//! wrong-version files all surface as descriptive [`CheckpointError`]s. Every loader
+//! (`restore_classifier`, `restore_imputer`, and `rita-infer`'s `InferModel`) binds the
+//! records with [`Checkpoint::bind`] before it builds anything: each parameter the
+//! forward graph declares must be present at its declared shape, and a leftover record
+//! is an error (it indicates an architecture mismatch).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
 use crate::attention::AttentionKind;
+use crate::graph::build_graph;
 use crate::model::config::MAX_TENSOR_ELEMS;
 use crate::model::{RitaConfig, RitaModel};
 use crate::tasks::{Classifier, Imputer};
-use rand::Rng;
+use rand::SeedableRng;
+use rita_nn::graph::{Binding, Graph};
 use rita_nn::optim::{AdamW, AdamWState};
 use rita_nn::{Module, ParamPath};
-use rita_tensor::NdArray;
+use rita_tensor::{NdArray, SeedableRng64};
 
 const MAGIC: &[u8; 8] = b"RITACKPT";
 const VERSION: u32 = 3;
 
-/// Dtype tags of version-3 tensor records.
+/// Dtype tags of tensor records.
 const DTYPE_F32: u8 = 0;
 const DTYPE_INT8: u8 = 1;
 
@@ -97,7 +100,7 @@ const DTYPE_INT8: u8 = 1;
 /// (training restore, verification probes, non-GEMM consumers) goes through.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TensorRecord {
-    /// Full-precision tensor — what v1/v2 checkpoints contain exclusively.
+    /// Full-precision tensor.
     F32(NdArray),
     /// Int8 per-channel quantized rank-2 weight: `data[p * n + j]` is the code of
     /// element `(p, j)` and dequantizes to `data[p * n + j] as f32 * scales[j]` — one
@@ -167,7 +170,7 @@ const CRC32_TABLE: [u32; 256] = {
 
 /// The CRC-32 (IEEE 802.3, as used by zlib/PNG/Ethernet) of `bytes`.
 ///
-/// This is the integrity primitive behind the version-2 checkpoint trailer: one
+/// This is the integrity primitive behind the checkpoint trailer: one
 /// checksum per tensor record plus one over the whole file, so a single flipped bit
 /// anywhere in a checkpoint fails the load instead of silently serving damaged
 /// weights. Public so external tooling (and the chaos tests) can recompute trailers.
@@ -188,8 +191,6 @@ const MAX_NDIM: u32 = 8;
 /// Which task head a checkpoint carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
-    /// A bare RITA backbone (no head).
-    Backbone,
     /// Backbone + linear classification head.
     Classifier {
         /// Number of output classes.
@@ -212,7 +213,7 @@ pub enum CheckpointError {
     Truncated(String),
     /// A structural invariant of the format was violated.
     Corrupted(String),
-    /// A version-2 CRC-32 (per-tensor or whole-file) does not match the stored bytes:
+    /// A CRC-32 (per-tensor or whole-file) does not match the stored bytes:
     /// the file was damaged after it was written.
     ChecksumMismatch {
         /// Which checksum failed ("whole-file checksum" or the tensor's path).
@@ -256,7 +257,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported checkpoint version {v} (this reader understands 1..={VERSION})"
+                    "unsupported checkpoint version {v} (this reader understands only {VERSION})"
                 )
             }
             CheckpointError::Truncated(what) => {
@@ -340,19 +341,9 @@ fn recorded_config(model: &RitaModel) -> RitaConfig {
 }
 
 impl Checkpoint {
-    /// Captures a bare backbone. Panics if a layer runs attention other than the
-    /// configured kind (see [`RitaModel::with_attention`]); so do the other `of_*`.
-    pub fn of_backbone(model: &RitaModel) -> Self {
-        Self {
-            task: TaskKind::Backbone,
-            config: recorded_config(model),
-            scheduler: model.scheduler_state(),
-            tensors: collect_tensors(model),
-            optimizer: None,
-        }
-    }
-
     /// Captures a classifier, optionally with its optimiser for later resumption.
+    /// Panics if a layer runs attention other than the configured kind (see
+    /// [`RitaModel::with_attention`]); so does [`Checkpoint::of_imputer`].
     pub fn of_classifier(clf: &Classifier, optimizer: Option<&AdamW>) -> Self {
         Self {
             task: TaskKind::Classifier { num_classes: clf.num_classes },
@@ -374,33 +365,33 @@ impl Checkpoint {
         }
     }
 
-    /// Rebuilds a classifier from this checkpoint: constructs the architecture from the
-    /// stored config, then overwrites every parameter bit-exactly and
-    /// restores the scheduler state.
-    pub fn restore_classifier(&self, rng: &mut impl Rng) -> Result<Classifier, CheckpointError> {
+    /// Rebuilds a classifier from this checkpoint: binds the records to the forward
+    /// graph of the stored config ([`Checkpoint::bind`]), and only then constructs the
+    /// architecture, overwrites every parameter bit-exactly and restores the
+    /// scheduler state. A record set that does not match the graph is refused
+    /// before anything is built.
+    pub fn restore_classifier(&self) -> Result<Classifier, CheckpointError> {
         let TaskKind::Classifier { num_classes } = self.task else {
             return Err(CheckpointError::TaskMismatch {
                 found: self.task_name(),
                 requested: "classifier",
             });
         };
-        let mut clf = Classifier::new(self.config, num_classes, rng);
-        self.restore_module(&mut clf)?;
+        let mut clf = self.restore_module(|rng| Classifier::new(self.config, num_classes, rng))?;
         clf.model.restore_scheduler_state(&self.scheduler);
         Ok(clf)
     }
 
     /// Rebuilds an imputer from this checkpoint (see
     /// [`Checkpoint::restore_classifier`]).
-    pub fn restore_imputer(&self, rng: &mut impl Rng) -> Result<Imputer, CheckpointError> {
+    pub fn restore_imputer(&self) -> Result<Imputer, CheckpointError> {
         if self.task != TaskKind::Imputer {
             return Err(CheckpointError::TaskMismatch {
                 found: self.task_name(),
                 requested: "imputer",
             });
         }
-        let mut imp = Imputer::new(self.config, rng);
-        self.restore_module(&mut imp)?;
+        let mut imp = self.restore_module(|rng| Imputer::new(self.config, rng))?;
         imp.model.restore_scheduler_state(&self.scheduler);
         Ok(imp)
     }
@@ -419,47 +410,66 @@ impl Checkpoint {
 
     fn task_name(&self) -> &'static str {
         match self.task {
-            TaskKind::Backbone => "backbone",
             TaskKind::Classifier { .. } => "classifier",
             TaskKind::Imputer => "imputer",
         }
     }
 
-    /// Overwrites every parameter of `module` from the stored tensors.
-    /// Errors when a tensor is missing, has the wrong shape, or is left over.
-    fn restore_module(&self, module: &mut (impl Module + ?Sized)) -> Result<(), CheckpointError> {
-        let by_path: HashMap<&str, &TensorRecord> =
-            self.tensors.iter().map(|(p, t)| (p.as_str(), t)).collect();
-        if by_path.len() != self.tensors.len() {
-            return Err(CheckpointError::Corrupted("duplicate tensor paths".into()));
+    /// Binds the records to the parameters `graph` declares: the one place a
+    /// checkpoint's records are compared with a model's parameters. Every declared
+    /// parameter must have exactly one record ([`CheckpointError::MissingTensor`];
+    /// a repeated path is [`CheckpointError::Corrupted`]) at the declared shape
+    /// ([`CheckpointError::ShapeMismatch`]), and no record may be left over
+    /// ([`CheckpointError::UnexpectedTensors`]). Returns each graph value's record,
+    /// `None` for values that are not parameters.
+    pub fn bind(&self, graph: &Graph) -> Result<Vec<Option<&TensorRecord>>, CheckpointError> {
+        let mut by_path: HashMap<&str, &TensorRecord> = HashMap::with_capacity(self.tensors.len());
+        for (path, record) in &self.tensors {
+            if by_path.insert(path, record).is_some() {
+                return Err(CheckpointError::Corrupted(format!("duplicate tensor path '{path}'")));
+            }
         }
-        let mut used: HashSet<&str> = HashSet::with_capacity(by_path.len());
-
-        for (path, var) in module.named_parameters() {
-            let Some(tensor) = by_path.get(path.as_str()).copied() else {
-                return Err(CheckpointError::MissingTensor(path.to_string()));
-            };
-            if tensor.shape() != var.shape() {
+        let mut bound = vec![None; graph.values.len()];
+        for (slot, info) in bound.iter_mut().zip(&graph.values) {
+            let Some(Binding::Param { path, shape }) = &info.binding else { continue };
+            let record = by_path
+                .remove(path.as_str())
+                .ok_or_else(|| CheckpointError::MissingTensor(path.clone()))?;
+            if record.shape() != shape.as_slice() {
                 return Err(CheckpointError::ShapeMismatch {
-                    path: path.to_string(),
-                    expected: var.shape(),
-                    found: tensor.shape().to_vec(),
+                    path: path.clone(),
+                    expected: shape.clone(),
+                    found: record.shape().to_vec(),
                 });
             }
-            var.set_value(tensor.to_f32());
-            used.insert(by_path.get_key_value(path.as_str()).expect("present").0);
+            *slot = Some(record);
         }
+        if !by_path.is_empty() {
+            let leftover = self.tensors.iter().map(|(p, _)| p.clone());
+            return Err(CheckpointError::UnexpectedTensors(
+                leftover.filter(|p| by_path.contains_key(p.as_str())).collect(),
+            ));
+        }
+        Ok(bound)
+    }
 
-        let leftover: Vec<String> = self
-            .tensors
-            .iter()
-            .filter(|(p, _)| !used.contains(p.as_str()))
-            .map(|(p, _)| p.clone())
-            .collect();
-        if !leftover.is_empty() {
-            return Err(CheckpointError::UnexpectedTensors(leftover));
+    /// Binds the records to the forward graph of the stored config, and only then
+    /// builds the module tree with `build` and writes every parameter from its record.
+    /// The tree declares the paths and shapes the graph does (pinned by a `graph`
+    /// test), so the writes need no check; the values `build` draws are all
+    /// overwritten, so any fixed seed serves.
+    fn restore_module<M: Module>(
+        &self,
+        build: impl FnOnce(&mut SeedableRng64) -> M,
+    ) -> Result<M, CheckpointError> {
+        self.bind(&build_graph(&self.config, self.task, &self.scheduler)?)?;
+        let module = build(&mut SeedableRng64::seed_from_u64(0));
+        let by_path: HashMap<&str, &TensorRecord> =
+            self.tensors.iter().map(|(p, t)| (p.as_str(), t)).collect();
+        for (path, var) in module.named_parameters() {
+            var.set_value(by_path[path.as_str()].to_f32());
         }
-        Ok(())
+        Ok(module)
     }
 
     /// The offline int8 quantization pass: converts every rank-2 `.weight` parameter
@@ -508,10 +518,6 @@ impl Checkpoint {
         w.bytes(MAGIC);
         w.u32(VERSION);
         match self.task {
-            TaskKind::Backbone => {
-                w.u8(0);
-                w.u32(0);
-            }
             TaskKind::Classifier { num_classes } => {
                 w.u8(1);
                 w.u32(num_classes as u32);
@@ -596,8 +602,8 @@ impl Checkpoint {
         w.0
     }
 
-    /// Parses the byte format, accepting versions 1 (no checksum trailer), 2 (trailer
-    /// verified), and 3 (dtype-tagged records). Never panics on malformed input.
+    /// Parses the version-3 byte format, checksums verified. Never panics on malformed
+    /// input.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader { buf, pos: 0 };
         let magic = r.bytes(8, "magic")?;
@@ -605,31 +611,28 @@ impl Checkpoint {
             return Err(CheckpointError::BadMagic);
         }
         let version = r.u32("version")?;
-        if !(1..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        if version >= 2 {
-            // Verify the whole-file CRC before trusting a single length field: a
-            // flipped bit anywhere (header, counts, tensor data, even the trailer
-            // itself) fails here, before any allocation-driving parse.
-            if buf.len() < r.pos + 4 {
-                return Err(CheckpointError::Truncated("file checksum".into()));
-            }
-            let tail = &buf[buf.len() - 4..];
-            let stored = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-            let computed = crc32(&buf[..buf.len() - 4]);
-            if stored != computed {
-                return Err(CheckpointError::ChecksumMismatch {
-                    what: "whole-file checksum".into(),
-                    stored,
-                    computed,
-                });
-            }
+        // Verify the whole-file CRC before trusting a single length field: a flipped
+        // bit anywhere (header, counts, tensor data, even the trailer itself) fails
+        // here, before any allocation-driving parse.
+        if buf.len() < r.pos + 4 {
+            return Err(CheckpointError::Truncated("file checksum".into()));
+        }
+        let tail = &buf[buf.len() - 4..];
+        let stored = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+        let computed = crc32(&buf[..buf.len() - 4]);
+        if stored != computed {
+            return Err(CheckpointError::ChecksumMismatch {
+                what: "whole-file checksum".into(),
+                stored,
+                computed,
+            });
         }
         let task_tag = r.u8("task tag")?;
         let num_classes = r.u32("num_classes")? as usize;
         let task = match task_tag {
-            0 => TaskKind::Backbone,
             1 => {
                 if num_classes < 2 {
                     return Err(CheckpointError::Corrupted(format!(
@@ -721,8 +724,7 @@ impl Checkpoint {
         for _ in 0..n_tensors {
             let start = r.pos;
             let path = r.str("tensor path")?;
-            let record =
-                if version >= 3 { r.record(&path)? } else { TensorRecord::F32(r.tensor(&path)?) };
+            let record = r.record(&path)?;
             tensor_spans.push(start..r.pos);
             tensors.push((path, record));
         }
@@ -743,7 +745,7 @@ impl Checkpoint {
                 let mut moments = Vec::with_capacity(n as usize);
                 for _ in 0..n {
                     let path = r.str("moment path")?;
-                    let shape = r.shape(&path)?;
+                    let shape = r.shape(&path, 4)?;
                     let len: usize = shape.iter().product();
                     let m = r.tensor_data(len, &shape, &path)?;
                     let v = r.tensor_data(len, &shape, &path)?;
@@ -754,29 +756,27 @@ impl Checkpoint {
             t => return Err(CheckpointError::Corrupted(format!("unknown optimizer flag {t}"))),
         };
 
-        if version >= 2 {
-            let n_crcs = r.u32("tensor checksum count")?;
-            if n_crcs != n_tensors {
-                return Err(CheckpointError::Corrupted(format!(
-                    "trailer carries {n_crcs} tensor checksums for {n_tensors} tensors"
-                )));
-            }
-            // The whole-file CRC already proved the bytes are what the writer wrote;
-            // the per-tensor CRCs pinpoint the damaged record when it did not (e.g. a
-            // trailer rewritten by an attacker-free but buggy copy tool).
-            for (span, (path, _)) in tensor_spans.iter().zip(&tensors) {
-                let stored = r.u32("tensor checksum")?;
-                let computed = crc32(&buf[span.clone()]);
-                if stored != computed {
-                    return Err(CheckpointError::ChecksumMismatch {
-                        what: format!("tensor '{path}'"),
-                        stored,
-                        computed,
-                    });
-                }
-            }
-            let _file_crc = r.u32("file checksum")?; // verified before parsing
+        let n_crcs = r.u32("tensor checksum count")?;
+        if n_crcs != n_tensors {
+            return Err(CheckpointError::Corrupted(format!(
+                "trailer carries {n_crcs} tensor checksums for {n_tensors} tensors"
+            )));
         }
+        // The whole-file CRC already proved the bytes are what the writer wrote; the
+        // per-tensor CRCs pinpoint the damaged record when it did not (e.g. a trailer
+        // rewritten by an attacker-free but buggy copy tool).
+        for (span, (path, _)) in tensor_spans.iter().zip(&tensors) {
+            let stored = r.u32("tensor checksum")?;
+            let computed = crc32(&buf[span.clone()]);
+            if stored != computed {
+                return Err(CheckpointError::ChecksumMismatch {
+                    what: format!("tensor '{path}'"),
+                    stored,
+                    computed,
+                });
+            }
+        }
+        let _file_crc = r.u32("file checksum")?; // verified before parsing
 
         if r.pos != buf.len() {
             return Err(CheckpointError::Corrupted(format!(
@@ -855,7 +855,7 @@ impl Writer {
         }
     }
 
-    /// Writes one version-3 dtype-tagged record (dtype, dims, scale count for int8,
+    /// Writes one dtype-tagged record (dtype, dims, scale count for int8,
     /// payload length, payload). The payload length is redundant with dtype × dims on
     /// purpose: the reader cross-checks them, turning a rotted dtype tag or payload
     /// into structural damage instead of misparsed weights.
@@ -929,14 +929,10 @@ impl Reader<'_> {
             .map_err(|_| CheckpointError::Corrupted(format!("{what} is not valid utf-8")))
     }
 
-    fn shape(&mut self, path: &str) -> Result<Vec<usize>, CheckpointError> {
-        self.shape_with_width(path, 4)
-    }
-
     /// Reads a rank + dims prefix, bounding the implied element count by what the
     /// remaining buffer could hold at `width` bytes per element — before any
     /// allocation trusts it.
-    fn shape_with_width(&mut self, path: &str, width: u64) -> Result<Vec<usize>, CheckpointError> {
+    fn shape(&mut self, path: &str, width: u64) -> Result<Vec<usize>, CheckpointError> {
         let ndim = self.u32("tensor rank")?;
         if ndim > MAX_NDIM {
             return Err(CheckpointError::Corrupted(format!("tensor '{path}' has rank {ndim}")));
@@ -969,13 +965,7 @@ impl Reader<'_> {
             .map_err(|e| CheckpointError::Corrupted(format!("tensor '{path}': {e}")))
     }
 
-    fn tensor(&mut self, path: &str) -> Result<NdArray, CheckpointError> {
-        let shape = self.shape(path)?;
-        let len: usize = shape.iter().product();
-        self.tensor_data(len, &shape, path)
-    }
-
-    /// Reads one version-3 dtype-tagged record, cross-checking the stored payload
+    /// Reads one dtype-tagged record, cross-checking the stored payload
     /// length against the one the dtype and dims imply. Scale *values* are not judged
     /// here — that is the verifier's job (see the module docs).
     fn record(&mut self, path: &str) -> Result<TensorRecord, CheckpointError> {
@@ -989,14 +979,15 @@ impl Reader<'_> {
                 )))
             }
         };
-        let shape = self.shape_with_width(path, width)?;
+        let shape = self.shape(path, width)?;
         let numel: usize = shape.iter().product();
         let scales_len = if dtype == DTYPE_INT8 {
             let n = self.u32("tensor scale count")? as usize;
             let channels = shape.last().copied().unwrap_or(0);
             if shape.len() != 2 || n != channels {
                 return Err(CheckpointError::Corrupted(format!(
-                    "int8 tensor '{path}' (shape {shape:?}) declares {n} scales — expected one                      per output column"
+                    "int8 tensor '{path}' (shape {shape:?}) declares {n} scales — expected one \
+                     per output column"
                 )));
             }
             n
@@ -1011,7 +1002,8 @@ impl Reader<'_> {
         let paylen = self.u64("tensor payload length")?;
         if paylen != expect {
             return Err(CheckpointError::Corrupted(format!(
-                "tensor '{path}' stores a {paylen}-byte payload but its dtype and shape imply                  {expect} bytes — dtype tag and payload disagree"
+                "tensor '{path}' stores a {paylen}-byte payload but its dtype and shape imply \
+                 {expect} bytes — dtype tag and payload disagree"
             )));
         }
         match dtype {
@@ -1074,7 +1066,7 @@ mod tests {
     fn restore_rejects_task_mismatch() {
         let clf = classifier(AttentionKind::Vanilla, 1);
         let ckpt = Checkpoint::of_classifier(&clf, None);
-        let err = ckpt.restore_imputer(&mut rng(2)).err().unwrap();
+        let err = ckpt.restore_imputer().err().unwrap();
         assert!(matches!(err, CheckpointError::TaskMismatch { .. }), "{err}");
     }
 
@@ -1272,16 +1264,16 @@ mod tests {
         }
     }
 
-    /// Decodes a golden file of a down-level format (`tests/fixtures/*.hex`, 32 bytes
-    /// per line). Both were written once by the version-1 and version-2 writers of
-    /// commit `2ff91ed`, the last to carry them, from one checkpoint: a classifier
+    /// The golden file `tests/fixtures/ckpt_v3.hex` (32 bytes per line): a classifier
     /// (5 classes) with `RitaConfig { channels: 1, max_len: 20, window: 5, stride: 5,
     /// d_model: 4, n_heads: 1, n_layers: 1, ff_hidden: 8, dropout: 0.0, attention:
     /// Group { epsilon: 2.0, initial_groups: 2, adaptive: true } }` built from seed 42,
     /// after one AdamW step (lr 1e-2, weight decay 1e-4, loop seed 43) on the two
     /// univariate (channel 0) length-20 HHAR series of `generate_reduced(Hhar, 2, 0,
-    /// 20, seed 41)`, saved with its optimiser.
-    fn golden(hex: &str) -> Vec<u8> {
+    /// 20, seed 41)`, saved with its optimiser. Its last four bytes hash all the
+    /// others: tensors, config, task, scheduler targets and AdamW moments.
+    fn golden_v3() -> Vec<u8> {
+        let hex = include_str!("../../../tests/fixtures/ckpt_v3.hex");
         let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
         digits
             .chunks(2)
@@ -1289,36 +1281,49 @@ mod tests {
             .collect()
     }
 
-    const GOLDEN_V1: &str = include_str!("../../../tests/fixtures/ckpt_v1.hex");
-    const GOLDEN_V2: &str = include_str!("../../../tests/fixtures/ckpt_v2.hex");
-
-    /// A checkpoint decoded from a golden file is, bit for bit, the one the old writer
-    /// held in memory: re-encoded as version 3 it is the 4 956-byte file the parent's
-    /// `to_bytes` made of it (whose last four bytes hash all the others: tensors,
-    /// config, task, scheduler targets and AdamW moments), and that file round-trips.
-    fn assert_is_the_golden_checkpoint(ckpt: &Checkpoint) {
+    #[test]
+    fn the_v3_golden_file_roundtrips_byte_for_byte() {
+        let v3 = golden_v3();
+        assert_eq!(v3.len(), 4956);
+        assert_eq!(&v3[8..12], &3u32.to_le_bytes());
+        assert_eq!(v3[v3.len() - 4..], [0x98, 0x55, 0x4b, 0xef], "the golden file CRC");
+        let ckpt = Checkpoint::from_bytes(&v3).expect("the golden file loads");
         assert_eq!(ckpt.task, TaskKind::Classifier { num_classes: 5 });
         assert_eq!((ckpt.config.channels, ckpt.config.d_model, ckpt.config.n_layers), (1, 4, 1));
         assert_eq!(ckpt.scheduler, vec![Some(2.0)]);
         let state = ckpt.optimizer.as_ref().expect("saved with its optimiser");
         assert_eq!((state.steps, state.moments.len()), (1, ckpt.tensors.len()));
-        let v3 = ckpt.to_bytes();
-        assert_eq!(v3.len(), 4956);
-        assert_eq!(v3[v3.len() - 4..], [0x98, 0x55, 0x4b, 0xef], "the parent's v3 file CRC");
-        assert_eq!(Checkpoint::from_bytes(&v3).unwrap().to_bytes(), v3);
+        assert_eq!(ckpt.to_bytes(), v3);
     }
 
+    /// Versions 1 (no checksum trailer) and 2 are retired: a file labelled with either,
+    /// even with a checksum that matches, is refused before anything else is read.
     #[test]
-    fn version_1_files_without_a_trailer_still_load() {
-        let v1 = golden(GOLDEN_V1);
-        assert_eq!(&v1[8..12], &1u32.to_le_bytes());
-        assert_is_the_golden_checkpoint(&Checkpoint::from_bytes(&v1).expect("v1 keeps loading"));
-        // A v1 file is *not* integrity-checked: a flip loads fine or fails structurally,
-        // which is exactly why the version was bumped. It must not panic.
-        let mut flipped = v1.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0xFF;
-        let _ = Checkpoint::from_bytes(&flipped);
+    fn down_level_version_labels_are_unsupported() {
+        for version in [1u32, 2] {
+            let mut relabelled = golden_v3();
+            relabelled[8..12].copy_from_slice(&version.to_le_bytes());
+            refresh_file_crc(&mut relabelled);
+            match Checkpoint::from_bytes(&relabelled) {
+                Err(CheckpointError::UnsupportedVersion(v)) => assert_eq!(v, version),
+                other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
+    }
+
+    /// Tag 0 held a bare backbone, which answers no request: a CRC-valid file carrying
+    /// it is refused like any unknown tag.
+    #[test]
+    fn the_retired_backbone_task_tag_is_corrupted() {
+        let mut bytes = golden_v3();
+        // The task tag follows magic and version; a backbone stored 0 classes.
+        bytes[12] = 0;
+        bytes[13..17].copy_from_slice(&0u32.to_le_bytes());
+        refresh_file_crc(&mut bytes);
+        match Checkpoint::from_bytes(&bytes) {
+            Err(CheckpointError::Corrupted(why)) => assert_eq!(why, "unknown task tag 0"),
+            other => panic!("expected Corrupted naming the tag, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1378,13 +1383,22 @@ mod tests {
         let clf = classifier(AttentionKind::Vanilla, 7);
         let mut ckpt = Checkpoint::of_classifier(&clf, None);
         let removed = ckpt.tensors.remove(0);
-        let err = ckpt.restore_classifier(&mut rng(8)).err().unwrap();
+        let err = ckpt.restore_classifier().err().unwrap();
         assert!(matches!(err, CheckpointError::MissingTensor(_)), "{err}");
 
         let mut extra = Checkpoint::of_classifier(&clf, None);
-        extra.tensors.push(("ghost.weight".into(), removed.1));
-        let err = extra.restore_classifier(&mut rng(9)).err().unwrap();
-        assert!(matches!(err, CheckpointError::UnexpectedTensors(_)), "{err}");
+        extra.tensors.push(("ghost.weight".into(), removed.1.clone()));
+        let err = extra.restore_classifier().err().unwrap();
+        assert!(matches!(&err, CheckpointError::UnexpectedTensors(p) if p == &["ghost.weight"]));
+
+        let mut twice = Checkpoint::of_classifier(&clf, None);
+        twice.tensors.push(removed);
+        match twice.restore_classifier() {
+            Err(CheckpointError::Corrupted(why)) => {
+                assert_eq!(why, "duplicate tensor path 'model.embedding.conv.weight'")
+            }
+            other => panic!("expected a duplicate path, got {:?}", other.err()),
+        }
     }
 
     #[test]
@@ -1392,7 +1406,7 @@ mod tests {
         let clf = classifier(AttentionKind::Vanilla, 10);
         let mut ckpt = Checkpoint::of_classifier(&clf, None);
         ckpt.tensors[0].1 = TensorRecord::F32(NdArray::zeros(&[1, 1]));
-        let err = ckpt.restore_classifier(&mut rng(11)).err().unwrap();
+        let err = ckpt.restore_classifier().err().unwrap();
         assert!(matches!(err, CheckpointError::ShapeMismatch { .. }), "{err}");
     }
 
@@ -1451,21 +1465,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v2_bytes_from_the_versioned_writer_load_bit_exactly() {
-        let v2 = golden(GOLDEN_V2);
-        assert_eq!(&v2[8..12], &2u32.to_le_bytes());
-        assert_is_the_golden_checkpoint(&Checkpoint::from_bytes(&v2).expect("v2 keeps loading"));
-        // v2 is still integrity-checked: a flipped data byte is caught.
-        let mut damaged = v2.clone();
-        let mid = damaged.len() / 2;
-        damaged[mid] ^= 0xFF;
-        assert!(matches!(
-            Checkpoint::from_bytes(&damaged),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
-    }
-
     /// Byte span of each serialized tensor record (path length field through payload),
     /// computed from the in-memory checkpoint — used to corrupt records surgically
     /// while keeping both CRC layers consistent.
@@ -1512,27 +1511,50 @@ mod tests {
             .iter()
             .position(|(_, t)| matches!(t, TensorRecord::Int8 { .. }))
             .expect("quantized checkpoint has int8 records");
-        let (path, _) = &ckpt.tensors[idx];
+        let (path, rec) = &ckpt.tensors[idx];
+        let (k, n) = (rec.shape()[0], rec.shape()[1]);
         // The dtype byte sits right after the length-prefixed path.
         let dtype_at = spans[idx].start + 4 + path.len();
         assert_eq!(bytes[dtype_at], DTYPE_INT8);
-        // 2 is the tag once reserved for bf16: no writer ever produced it, and it is as
-        // unknown as 7.
-        for wrong in [DTYPE_F32, 2u8, 7u8] {
+        // Read as f32, the record's scale count and the low half of its payload length
+        // become the payload length. 2 is the tag once reserved for bf16: no writer
+        // ever produced it, and it is as unknown as 7.
+        let misread = n as u64 + (((k * n + 4 * n) as u64) << 32);
+        let f32_why = format!(
+            "tensor '{path}' stores a {misread}-byte payload but its dtype and shape imply {} \
+             bytes — dtype tag and payload disagree",
+            4 * k * n
+        );
+        for (wrong, why) in [
+            (DTYPE_F32, f32_why),
+            (2u8, format!("tensor '{path}' has unknown dtype tag 2")),
+            (7u8, format!("tensor '{path}' has unknown dtype tag 7")),
+        ] {
             let mut damaged = bytes.clone();
             damaged[dtype_at] = wrong;
             refresh_crcs(&mut damaged, &spans, idx);
-            let err = Checkpoint::from_bytes(&damaged).unwrap_err();
-            assert!(
-                matches!(err, CheckpointError::Corrupted(_) | CheckpointError::Truncated(_)),
-                "dtype {wrong}: {err}"
-            );
-            if wrong != DTYPE_F32 {
-                assert!(
-                    matches!(&err, CheckpointError::Corrupted(m) if m.contains("unknown dtype tag")),
-                    "dtype {wrong}: {err}"
-                );
+            match Checkpoint::from_bytes(&damaged) {
+                Err(CheckpointError::Corrupted(m)) => assert_eq!(m, why, "dtype {wrong}"),
+                other => panic!("dtype {wrong}: expected Corrupted, got {other:?}"),
             }
+        }
+
+        // An f32 bias relabelled int8 reads the low half of its payload length as a
+        // scale count, which a rank-1 tensor cannot carry.
+        let idx = ckpt.tensors.iter().position(|(p, _)| p.ends_with(".bias")).unwrap();
+        let (path, rec) = &ckpt.tensors[idx];
+        let mut damaged = bytes.clone();
+        damaged[spans[idx].start + 4 + path.len()] = DTYPE_INT8;
+        refresh_crcs(&mut damaged, &spans, idx);
+        let why = format!(
+            "int8 tensor '{path}' (shape {:?}) declares {} scales — expected one per output \
+             column",
+            rec.shape(),
+            rec.payload_bytes()
+        );
+        match Checkpoint::from_bytes(&damaged) {
+            Err(CheckpointError::Corrupted(m)) => assert_eq!(m, why),
+            other => panic!("expected Corrupted, got {other:?}"),
         }
     }
 
@@ -1552,10 +1574,14 @@ mod tests {
         let mut damaged = bytes.clone();
         damaged[paylen_at..paylen_at + 8].copy_from_slice(&(stored + 4).to_le_bytes());
         refresh_crcs(&mut damaged, &spans, idx);
-        let err = Checkpoint::from_bytes(&damaged).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Corrupted(_) | CheckpointError::Truncated(_)),
-            "{err}"
+        let why = format!(
+            "tensor '{path}' stores a {}-byte payload but its dtype and shape imply {stored} \
+             bytes — dtype tag and payload disagree",
+            stored + 4
         );
+        match Checkpoint::from_bytes(&damaged) {
+            Err(CheckpointError::Corrupted(m)) => assert_eq!(m, why),
+            other => panic!("expected Corrupted, got {other:?}"),
+        }
     }
 }

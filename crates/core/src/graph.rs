@@ -27,16 +27,17 @@ use crate::model::RitaConfig;
 /// (rebuilt from the config, never checkpointed).
 pub const POSITIONAL: &str = "positional";
 
-/// Emits a linear layer as one node named `prefix` and returns its output value.
-fn emit_linear(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
-    let w = g.param(&format!("{prefix}.weight"));
-    let b = g.param(&format!("{prefix}.bias"));
+/// Emits a linear layer `d_in → d_out` as one node named `prefix` and returns its
+/// output value.
+fn emit_linear(g: &mut Graph, prefix: &str, x: ValueId, d_in: usize, d_out: usize) -> ValueId {
+    let w = g.param(&format!("{prefix}.weight"), &[d_in, d_out]);
+    let b = g.param(&format!("{prefix}.bias"), &[d_out]);
     g.push(prefix, Op::Linear, vec![x, w, b])
 }
 
-fn emit_layer_norm(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
-    let gamma = g.param(&format!("{prefix}.gamma"));
-    let beta = g.param(&format!("{prefix}.beta"));
+fn emit_layer_norm(g: &mut Graph, prefix: &str, x: ValueId, d: usize) -> ValueId {
+    let gamma = g.param(&format!("{prefix}.gamma"), &[d]);
+    let beta = g.param(&format!("{prefix}.beta"), &[d]);
     g.push(
         prefix,
         Op::LayerNorm { eps: rita_nn::layers::LayerNorm::DEFAULT_EPS },
@@ -44,13 +45,15 @@ fn emit_layer_norm(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
     )
 }
 
-/// Builds the forward graph for `config` and `task`.
+/// Builds the forward graph for `config` and `task`, declaring every parameter's
+/// shape next to its path, so [`crate::checkpoint::Checkpoint::bind`] can check a
+/// checkpoint's records against it before anything is built.
 ///
 /// `scheduler` is the checkpoint's persisted per-layer group-count targets (ignored for
 /// non-group attention); a missing entry falls back to the configured initial group
 /// count, exactly as checkpoint loading always has. Node IDs follow the parameter-path
-/// grammar (`model.encoder.layers.3.norm1`, …), with the `model.` prefix dropped for a
-/// bare backbone — matching how checkpoints name their tensors per task.
+/// grammar (`model.encoder.layers.3.norm1`, …), matching how checkpoints name their
+/// tensors.
 ///
 /// A config that [`RitaConfig::check`] rejects is [`CheckpointError::Corrupted`] naming
 /// the rule, so no loader serves it.
@@ -60,10 +63,7 @@ pub fn build_graph(
     scheduler: &[Option<f32>],
 ) -> Result<Graph, CheckpointError> {
     config.check().map_err(CheckpointError::Corrupted)?;
-    let bb = match task {
-        TaskKind::Backbone => "",
-        _ => "model.",
-    };
+    let (d, patch) = (config.d_model, config.channels * config.window);
     let group_defaults = GroupAttentionConfig::default();
     let mut g = Graph::new();
     let x = g.add_input("input");
@@ -71,21 +71,21 @@ pub fn build_graph(
     // Input stage: time-aware convolution as one windowed projection, then [CLS] +
     // positions.
     let embedded = {
-        let w = g.param(&format!("{bb}embedding.conv.weight"));
-        let b = g.param(&format!("{bb}embedding.conv.bias"));
+        let w = g.param("model.embedding.conv.weight", &[patch, d]);
+        let b = g.param("model.embedding.conv.bias", &[d]);
         let op = Op::WindowEmbed { window: config.window, stride: config.stride };
-        g.push(&format!("{bb}embedding.conv"), op, vec![x, w, b])
+        g.push("model.embedding.conv", op, vec![x, w, b])
     };
-    let cls = g.param(&format!("{bb}embedding.cls"));
+    let cls = g.param("model.embedding.cls", &[d]);
     let pos = g.positional(POSITIONAL);
-    let mut h = g.push(&format!("{bb}embedding"), Op::ClsConcatPos, vec![embedded, cls, pos]);
+    let mut h = g.push("model.embedding", Op::ClsConcatPos, vec![embedded, cls, pos]);
 
     // Encoder stack.
     for i in 0..config.n_layers {
-        let p = format!("{bb}encoder.layers.{i}");
-        let q = emit_linear(&mut g, &format!("{p}.q_proj"), h);
-        let k = emit_linear(&mut g, &format!("{p}.k_proj"), h);
-        let v = emit_linear(&mut g, &format!("{p}.v_proj"), h);
+        let p = format!("model.encoder.layers.{i}");
+        let q = emit_linear(&mut g, &format!("{p}.q_proj"), h, d, d);
+        let k = emit_linear(&mut g, &format!("{p}.k_proj"), h, d, d);
+        let v = emit_linear(&mut g, &format!("{p}.v_proj"), h, d, d);
         let split = Op::SplitHeads { heads: config.n_heads };
         let qh = g.push(&format!("{p}.q_proj.split_heads"), split, vec![q]);
         let kh = g.push(&format!("{p}.k_proj.split_heads"), split, vec![k]);
@@ -100,27 +100,25 @@ pub fn build_graph(
         };
         let attended = g.push(&format!("{p}.attention"), Op::Attention(attn_op), vec![qh, kh, vh]);
         let merged = g.push(&format!("{p}.attention.merge_heads"), Op::MergeHeads, vec![attended]);
-        let projected = emit_linear(&mut g, &format!("{p}.out_proj"), merged);
+        let projected = emit_linear(&mut g, &format!("{p}.out_proj"), merged, d, d);
         let sum1 = g.push(&format!("{p}.residual1"), Op::Add, vec![h, projected]);
-        let x1 = emit_layer_norm(&mut g, &format!("{p}.norm1"), sum1);
-        let ff1 = emit_linear(&mut g, &format!("{p}.ff.fc1"), x1);
+        let x1 = emit_layer_norm(&mut g, &format!("{p}.norm1"), sum1, d);
+        let ff1 = emit_linear(&mut g, &format!("{p}.ff.fc1"), x1, d, config.ff_hidden);
         let act = g.push(&format!("{p}.ff.gelu"), Op::Gelu, vec![ff1]);
-        let ff2 = emit_linear(&mut g, &format!("{p}.ff.fc2"), act);
+        let ff2 = emit_linear(&mut g, &format!("{p}.ff.fc2"), act, config.ff_hidden, d);
         let sum2 = g.push(&format!("{p}.residual2"), Op::Add, vec![x1, ff2]);
-        h = emit_layer_norm(&mut g, &format!("{p}.norm2"), sum2);
+        h = emit_layer_norm(&mut g, &format!("{p}.norm2"), sum2, d);
     }
-    g.encoder_output = h;
 
     // Task head.
     g.output = match task {
-        TaskKind::Backbone => h,
-        TaskKind::Classifier { .. } => {
+        TaskKind::Classifier { num_classes } => {
             let pooled = g.push("cls_pool", Op::ClsPool, vec![h]);
-            emit_linear(&mut g, "head", pooled)
+            emit_linear(&mut g, "head", pooled, d, num_classes)
         }
         TaskKind::Imputer => {
             let windows = g.push("windows", Op::SliceWindows, vec![h]);
-            let decoded = emit_linear(&mut g, "decoder", windows);
+            let decoded = emit_linear(&mut g, "decoder", windows, d, patch);
             let fold = Op::Fold1d {
                 channels: config.channels,
                 window: config.window,
@@ -228,7 +226,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::Checkpoint;
     use crate::model::embedding::sinusoidal_table;
-    use crate::tasks::Classifier;
+    use crate::tasks::{Classifier, Imputer};
     use rand::SeedableRng;
     use rita_tensor::SeedableRng64;
 
@@ -250,19 +248,33 @@ mod tests {
         ));
     }
 
+    /// The graph declares every parameter at the path and shape the module tree gives
+    /// it, for both attention kinds and both heads: `Checkpoint::bind` checks records
+    /// against the graph alone, and `restore_*` write them into the tree unchecked.
     #[test]
     fn graph_params_match_checkpoint_tensor_paths_exactly() {
         let mut rng = SeedableRng64::seed_from_u64(0);
         for kind in kinds() {
             let config = RitaConfig::tiny(3, 60, kind);
-            let clf = Classifier::new(config, 4, &mut rng);
-            let ckpt = Checkpoint::of_classifier(&clf, None);
-            let graph = build_graph(&config, ckpt.task, &ckpt.scheduler).unwrap();
-            let mut graph_paths = graph.param_paths();
-            let mut ckpt_paths: Vec<String> = ckpt.tensors.iter().map(|(p, _)| p.clone()).collect();
-            graph_paths.sort();
-            ckpt_paths.sort();
-            assert_eq!(graph_paths, ckpt_paths, "{}", kind.name());
+            for ckpt in [
+                Checkpoint::of_classifier(&Classifier::new(config, 4, &mut rng), None),
+                Checkpoint::of_imputer(&Imputer::new(config, &mut rng), None),
+            ] {
+                let graph = build_graph(&config, ckpt.task, &ckpt.scheduler).unwrap();
+                let mut graph_params: Vec<(String, Vec<usize>)> = graph
+                    .values
+                    .iter()
+                    .filter_map(|v| match &v.binding {
+                        Some(Binding::Param { path, shape }) => Some((path.clone(), shape.clone())),
+                        _ => None,
+                    })
+                    .collect();
+                let mut ckpt_params: Vec<(String, Vec<usize>)> =
+                    ckpt.tensors.iter().map(|(p, t)| (p.clone(), t.shape().to_vec())).collect();
+                graph_params.sort();
+                ckpt_params.sort();
+                assert_eq!(graph_params, ckpt_params, "{} {:?}", kind.name(), ckpt.task);
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! | `worker_panic` | `panic!` inside a worker's batch | catch-unwind isolation, the in-place worker restart, the circuit breaker |
 //! | `slow_batch` | a sleep before the batch forward | hard-deadline cancellation of a request that expires while its batch computes |
 //! | `poison_logits` | the batch output replaced with NaN | non-finite detection, quarantine + last-good rollback |
-//! | `corrupt_publish` | one byte of the checkpoint file flipped in `publish_path` | the version-2 CRC trailer, publish rejection with traffic on last-good |
+//! | `corrupt_publish` | one byte of the checkpoint file flipped in `publish_path` | the checkpoint's CRC trailer, publish rejection with traffic on last-good |
 //!
 //! Injection is **runtime-scoped and default-off**: every hook first checks one
 //! relaxed atomic, so an un-injected server pays a single load per batch. A

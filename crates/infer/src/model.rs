@@ -3,10 +3,11 @@
 //!
 //! There is no hand-written forward here any more. `rita_core::graph::build_graph`
 //! emits the same graph the training module tree defines (node IDs are the
-//! checkpoint's own tensor paths, one node per module call), the model serves that
-//! graph as emitted, and `crate::plan` interprets the compiled plan with raw
-//! [`NdArray`] kernels. Bit-parity with a `no_grad` training forward is a property of
-//! the shared graph and kernels — pinned by
+//! checkpoint's own tensor paths, one node per module call, each parameter declared
+//! with its shape), `Checkpoint::bind` checks the records against it before anything
+//! is built, the model serves that graph as emitted, and `crate::plan` interprets the
+//! compiled plan with raw [`NdArray`] kernels. Bit-parity with a `no_grad` training
+//! forward is a property of the shared graph and kernels — pinned by
 //! `tests/infer_parity.rs` and the `Var` oracle interpreter — not of a mirror kept in
 //! sync by hand.
 
@@ -92,8 +93,6 @@ pub struct InferModel {
     /// Pre-packed int8 weight panels per graph value under an int8 policy — the
     /// executor multiplies through these directly; no f32 copy of the weight exists.
     quant: Vec<Option<Arc<QuantMatrix>>>,
-    /// Shape per bound name, for plan compilation.
-    shapes_by_name: HashMap<String, Vec<usize>>,
     num_classes: Option<usize>,
     mean_groups: Option<f32>,
     plans: Mutex<HashMap<(usize, usize), Arc<CachedPlan>>>,
@@ -101,13 +100,12 @@ pub struct InferModel {
 
 impl InferModel {
     /// Loads a checkpoint into servable form: emits the forward graph for the
-    /// checkpoint's config/task and binds every parameter value to its tensor. A
-    /// config `build_graph` cannot serve (one `RitaConfig::check` rejects, or a
-    /// baseline attention kind) is refused with its typed error.
-    /// Validates that every tensor the graph needs is present (a missing one, bias
-    /// included, is [`CheckpointError::MissingTensor`]) and none are left over; tensor
-    /// *shapes* are checked when the first plan for a shape bucket compiles, and a
-    /// mismatch fails that request with a typed error rather than panicking a worker.
+    /// checkpoint's config/task and binds every parameter value to its tensor through
+    /// `Checkpoint::bind`, before any weight is packed. A config `build_graph` cannot
+    /// serve (one `RitaConfig::check` rejects) is refused with its typed error, and so
+    /// is a record set that does not match the graph: a missing tensor, bias included
+    /// ([`CheckpointError::MissingTensor`]), a wrong shape
+    /// ([`CheckpointError::ShapeMismatch`]) or a leftover one.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
         Self::from_checkpoint_with(ckpt, Precision::for_checkpoint(ckpt))
     }
@@ -122,8 +120,7 @@ impl InferModel {
     ) -> Result<Self, CheckpointError> {
         let config = ckpt.config;
         let graph = build_graph(&config, ckpt.task, &ckpt.scheduler)?;
-        let by_path: HashMap<&str, &TensorRecord> =
-            ckpt.tensors.iter().map(|(p, t)| (p.as_str(), t)).collect();
+        let records = ckpt.bind(&graph)?;
 
         // A value may bind quantized only if *every* consumption is the weight
         // operand of a quantized-capable op — then no kernel ever needs the f32 form.
@@ -141,60 +138,38 @@ impl InferModel {
 
         let mut bound: Vec<Option<NdArray>> = vec![None; graph.values.len()];
         let mut quant: Vec<Option<Arc<QuantMatrix>>> = vec![None; graph.values.len()];
-        let mut shapes_by_name = HashMap::new();
-        let mut used: std::collections::HashSet<&str> = Default::default();
-        for (i, info) in graph.values.iter().enumerate() {
-            match &info.binding {
-                Some(Binding::Param { path }) => match by_path.get(path.as_str()) {
-                    Some(&rec) => {
-                        used.insert(path.as_str());
-                        shapes_by_name.insert(path.clone(), rec.shape().to_vec());
-                        let eligible = precision.uses_int8()
-                            && weight_only[i]
-                            && consumed[i]
-                            && rec.shape().len() == 2
-                            && rec.shape()[0] <= MAX_QUANT_K;
-                        match rec {
-                            // Offline-quantized records bind their packed panels
-                            // directly — the int8 payload never inflates to f32.
-                            TensorRecord::Int8 { shape, data, scales } if eligible => {
-                                quant[i] = Some(Arc::new(QuantMatrix::from_quantized(
-                                    data,
-                                    scales.clone(),
-                                    shape[0],
-                                    shape[1],
-                                )));
-                            }
-                            // Load-time quantization of a trained f32 weight under an
-                            // int8 policy — same routine the offline pass uses.
-                            TensorRecord::F32(t) if eligible && path.ends_with(".weight") => {
-                                quant[i] = Some(Arc::new(QuantMatrix::quantize(
-                                    t.as_slice(),
-                                    rec.shape()[0],
-                                    rec.shape()[1],
-                                )));
-                            }
-                            rec => bound[i] = Some(rec.to_f32()),
-                        }
+        for (i, (info, record)) in graph.values.iter().zip(records).enumerate() {
+            if let Some(rec) = record {
+                let eligible = precision.uses_int8()
+                    && weight_only[i]
+                    && consumed[i]
+                    && rec.shape().len() == 2
+                    && rec.shape()[0] <= MAX_QUANT_K;
+                match rec {
+                    // Offline-quantized records bind their packed panels directly — the
+                    // int8 payload never inflates to f32.
+                    TensorRecord::Int8 { shape, data, scales } if eligible => {
+                        quant[i] = Some(Arc::new(QuantMatrix::from_quantized(
+                            data,
+                            scales.clone(),
+                            shape[0],
+                            shape[1],
+                        )));
                     }
-                    None => return Err(CheckpointError::MissingTensor(path.clone())),
-                },
-                Some(Binding::Positional) => {
-                    let table = sinusoidal_table(config.max_windows() + 1, config.d_model);
-                    shapes_by_name.insert(info.name.clone(), table.shape().to_vec());
-                    bound[i] = Some(table);
+                    // Load-time quantization of a trained f32 weight under an int8
+                    // policy — same routine the offline pass uses.
+                    TensorRecord::F32(t) if eligible && info.name.ends_with(".weight") => {
+                        quant[i] = Some(Arc::new(QuantMatrix::quantize(
+                            t.as_slice(),
+                            rec.shape()[0],
+                            rec.shape()[1],
+                        )));
+                    }
+                    rec => bound[i] = Some(rec.to_f32()),
                 }
-                _ => {}
+            } else if info.binding == Some(Binding::Positional) {
+                bound[i] = Some(sinusoidal_table(config.max_windows() + 1, config.d_model));
             }
-        }
-        let extra: Vec<String> = ckpt
-            .tensors
-            .iter()
-            .map(|(p, _)| p.clone())
-            .filter(|p| !used.contains(p.as_str()))
-            .collect();
-        if !extra.is_empty() {
-            return Err(CheckpointError::UnexpectedTensors(extra));
         }
 
         let group_targets: Vec<f32> = graph
@@ -222,7 +197,6 @@ impl InferModel {
             precision,
             bound,
             quant,
-            shapes_by_name,
             num_classes,
             mean_groups,
             plans: Mutex::new(HashMap::new()),
@@ -293,13 +267,22 @@ impl InferModel {
         }
         note_plan_cache(false);
         let input_shape = [batch, self.config.channels, length];
-        let lookup = |name: &str| self.shapes_by_name.get(name).cloned();
+        // Parameters at their declared (and bound) shapes, the positional table at
+        // the shape it was built with.
+        let lookup = |name: &str| {
+            let (info, table) =
+                self.graph.values.iter().zip(&self.bound).find(|(v, _)| v.name == name)?;
+            match &info.binding {
+                Some(Binding::Param { shape, .. }) => Some(shape.clone()),
+                _ => table.as_ref().map(|t| t.shape().to_vec()),
+            }
+        };
         let plan = self.graph.compile(&input_shape, &lookup)?;
         let report = rita_verify::verify_plan(&self.graph, &plan, &lookup);
         if report.has_errors() {
             return Err(InferError::Rejected(report));
         }
-        let cached = Arc::new(CachedPlan::new(plan, true));
+        let cached = Arc::new(CachedPlan::new(plan));
         plans.insert((batch, length), cached.clone());
         Ok(cached)
     }
@@ -311,8 +294,9 @@ impl InferModel {
 
     /// Runs the compiled plan for `x`'s `(batch, length)` bucket up to (and including)
     /// the node producing `target`, a value of [`InferModel::graph`], and returns that
-    /// value. The encoder and the heads are this run to their outputs; tests and
-    /// diagnostics use it to look inside a forward.
+    /// value. [`InferModel::try_logits`] and [`InferModel::try_reconstruct`] are this
+    /// run to the graph's output; tests and diagnostics use it to look inside a
+    /// forward.
     pub fn try_run_to(&self, x: &NdArray, target: ValueId) -> Result<NdArray, InferError> {
         let shape = x.shape();
         if shape.len() != 3 {
@@ -331,13 +315,6 @@ impl InferModel {
         crate::plan::execute(&self.graph, &cached, &self.bound, &self.quant, x, target)
     }
 
-    /// Encodes a raw batch `(batch, channels, length)` into contextual embeddings
-    /// `(batch, windows + 1, d_model)` — position 0 is the `[CLS]` token — by running
-    /// a prefix of the compiled plan up to the encoder output.
-    pub fn try_encode(&self, x: &NdArray) -> Result<NdArray, InferError> {
-        self.try_run_to(x, self.graph.encoder_output)
-    }
-
     /// Class logits `(batch, classes)` for a raw batch.
     pub fn try_logits(&self, x: &NdArray) -> Result<NdArray, InferError> {
         if self.num_classes.is_none() {
@@ -353,12 +330,6 @@ impl InferModel {
             return Err(InferError::MissingHead { requested: "reconstruct" });
         }
         self.try_run_to(observed, self.graph.output)
-    }
-
-    /// Panicking convenience for [`InferModel::try_encode`] — benches and calibration
-    /// probes that run known-good shapes.
-    pub fn encode(&self, x: &NdArray) -> NdArray {
-        self.try_encode(x).unwrap_or_else(|e| panic!("encode failed: {e}"))
     }
 
     /// Panicking convenience for [`InferModel::try_logits`]. Panics when the

@@ -119,19 +119,16 @@ pub(crate) fn note_plan_cache(hit: bool) {
 }
 
 /// A compiled plan plus a process-unique ID used to pre-size each thread's buffer pool
-/// exactly once per (thread, plan), and the static-verification stamp the executor
-/// `debug_assert!`s before running.
+/// exactly once per (thread, plan). The model's plan cache builds one only after
+/// `rita_verify::verify_plan` found no error in the plan.
 pub(crate) struct CachedPlan {
     pub(crate) plan: Plan,
     id: u64,
-    /// `true` once `rita_verify::verify_plan` passed with no error diagnostics. Every
-    /// plan the cache hands to the executor must carry this stamp.
-    verified: bool,
 }
 
 impl CachedPlan {
-    pub(crate) fn new(plan: Plan, verified: bool) -> Self {
-        Self { plan, id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed), verified }
+    pub(crate) fn new(plan: Plan) -> Self {
+        Self { plan, id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed) }
     }
 }
 
@@ -158,7 +155,6 @@ pub(crate) fn execute(
     x: &NdArray,
     target: ValueId,
 ) -> Result<NdArray, InferError> {
-    debug_assert!(cached.verified, "executor handed a plan without the static-verification stamp");
     let plan = &cached.plan;
     RESERVED.with(|r| {
         if r.borrow_mut().insert(cached.id) {
@@ -357,16 +353,15 @@ mod tests {
         let (d, d_ff) = (8usize, 16usize);
         let mut g = Graph::new();
         let x = g.add_input("input");
-        let (gamma, beta) = (g.param("ln.gamma"), g.param("ln.beta"));
-        let (w1, b1) = (g.param("ff1.weight"), g.param("ff1.bias"));
-        let (w2, b2) = (g.param("ff2.weight"), g.param("ff2.bias"));
+        let (gamma, beta) = (g.param("ln.gamma", &[d]), g.param("ln.beta", &[d]));
+        let (w1, b1) = (g.param("ff1.weight", &[d, d_ff]), g.param("ff1.bias", &[d_ff]));
+        let (w2, b2) = (g.param("ff2.weight", &[d_ff, d]), g.param("ff2.bias", &[d]));
         let ln = g.push("ln", Op::LayerNorm { eps: 1e-5 }, vec![x, gamma, beta]);
         let ff1 = g.push("ff1", Op::Linear, vec![ln, w1, b1]);
         let act = g.push("gelu", Op::Gelu, vec![ff1]);
         let ff2 = g.push("ff2", Op::Linear, vec![act, w2, b2]);
         let out = g.push("residual", Op::Add, vec![ff2, ln]);
         g.output = out;
-        g.encoder_output = out;
 
         let mut rng = rng_from_seed(3);
         let params = [
@@ -390,7 +385,7 @@ mod tests {
         let row = 4 * 2 * 5;
         assert_eq!(plan.arena, vec![row * d, row * d_ff, row * d]);
 
-        let cached = CachedPlan::new(plan, true);
+        let cached = CachedPlan::new(plan);
         let quant = vec![None; g.values.len()];
         let run = || execute(&g, &cached, &bound, &quant, &input, out).unwrap();
         pool_reset();

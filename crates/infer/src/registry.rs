@@ -24,8 +24,8 @@
 //! (non-finite logits, an executor error), it calls
 //! [`ModelRegistry::quarantine`] — the damaged version is barred from automatic
 //! re-selection and, if it was current, traffic atomically repoints to last-good.
-//! A failed publish (load, static verification, or — with the version-2 checkpoint
-//! format — a checksum mismatch) never touches the current pointer at all, so the
+//! A failed publish (load, static verification, or a checksum mismatch in the
+//! checkpoint's CRC trailer) never touches the current pointer at all, so the
 //! "rollback" for publish-time corruption is simply that traffic keeps flowing from
 //! the pinned last-good version.
 
@@ -41,12 +41,12 @@ use crate::model::InferModel;
 /// Why a checkpoint could not be published.
 #[derive(Debug)]
 pub enum PublishError {
-    /// Loading the checkpoint failed: missing or leftover tensors, a corrupt config,
-    /// an unknown format.
+    /// Loading the checkpoint failed: missing, wrong-shape or leftover tensors, a
+    /// corrupt config, an unknown format.
     Checkpoint(CheckpointError),
     /// The checkpoint loaded, but the independent static analyzer found
-    /// error-severity defects (wrong-shape tensors, a serving graph that differs from
-    /// the emitted one, orphan params…). The full diagnostic report rides along; the
+    /// error-severity defects (a non-finite dequantization scale, a serving graph that
+    /// differs from the emitted one…). The full diagnostic report rides along; the
     /// registry's current version is untouched.
     Rejected(Report),
 }
@@ -126,7 +126,7 @@ impl ModelRegistry {
     /// (`rita_verify`) over the checkpoint × graph pair, and only then atomically
     /// installs it as the current version, returning its version id. Any
     /// error-severity diagnostic refuses activation with the report attached
-    /// ([`PublishError::Rejected`]), so a wrong-shape tensor is caught before a single
+    /// ([`PublishError::Rejected`]), so a rotted int8 scale is caught before a single
     /// request sees the new version; requests admitted before the swap finish on the
     /// version they started with.
     pub fn publish(&self, ckpt: &Checkpoint) -> Result<u64, PublishError> {
@@ -166,8 +166,8 @@ impl ModelRegistry {
     /// Reads, decodes, verifies, and publishes the checkpoint file at `path`.
     ///
     /// This is the full publish pipeline a deployment would run: bytes → format +
-    /// checksum check (`Checkpoint::from_bytes`, which with version-2 files rejects
-    /// any single flipped byte via the CRC trailer) → architecture load → static
+    /// checksum check (`Checkpoint::from_bytes`, which rejects any single flipped byte
+    /// via the CRC trailer every file carries) → architecture load → static
     /// analysis → atomic swap. Any failure leaves the registry untouched — traffic
     /// keeps flowing from the pinned last-good version. The chaos point
     /// `corrupt_publish` taps the byte buffer here, so `tests/fault_tolerance.rs` can
@@ -589,14 +589,18 @@ mod tests {
         let reg = ModelRegistry::new();
         reg.publish(&checkpoint(1)).unwrap();
         let before = reg.current().unwrap();
-        let mut bad = checkpoint(2);
-        // The tensor is *present* (so loading succeeds) but its shape is wrong —
+        let mut bad = checkpoint(2).quantize();
+        // Every record binds (so loading succeeds) but a dequantization scale is NaN —
         // only the static analyzer can refuse this before a request trips on it.
-        for (p, t) in bad.tensors.iter_mut() {
-            if p == "head.weight" {
-                *t = rita_core::checkpoint::TensorRecord::F32(rita_tensor::NdArray::zeros(&[3, 3]));
-            }
-        }
+        let scales = bad
+            .tensors
+            .iter_mut()
+            .find_map(|(_, t)| match t {
+                rita_core::checkpoint::TensorRecord::Int8 { scales, .. } => Some(scales),
+                rita_core::checkpoint::TensorRecord::F32(_) => None,
+            })
+            .expect("a quantized checkpoint has int8 records");
+        scales[0] = f32::NAN;
         match reg.publish(&bad) {
             Err(PublishError::Rejected(report)) => {
                 assert!(report.has_errors(), "rejection must carry error diagnostics")

@@ -11,7 +11,8 @@
 //! The IR is deliberately tiny: single-output nodes, a fixed op vocabulary covering the
 //! RITA forward (window embedding, encoder layers with vanilla or group attention, task
 //! heads), and values that are either the run input, a named (always required)
-//! parameter, a deterministic table, or a node output. Interpreters live downstream: `rita-core` walks a plan with
+//! parameter of a declared shape, a deterministic table, or a node output. Interpreters
+//! live downstream: `rita-core` walks a plan with
 //! `no_grad` [`crate::Var`] ops (the exactness oracle), `rita-infer` walks the same
 //! plan with raw `NdArray` kernels (the serving path). Because both execute the same
 //! schedule over the same kernels, their outputs are bit-identical by construction.
@@ -27,12 +28,14 @@ pub struct ValueId(pub usize);
 pub enum Binding {
     /// The run's input batch, shaped `(batch, channels, length)`.
     Input,
-    /// A named parameter or buffer from the checkpoint / module tree; every one is
-    /// required.
+    /// A named parameter from the checkpoint / module tree; every one is required, at
+    /// exactly the shape the graph declares for it.
     Param {
         /// Dot-separated path in the module-visitor grammar, e.g.
         /// `model.encoder.layers.0.q_proj.weight`.
         path: String,
+        /// The shape the emitted architecture gives this parameter.
+        shape: Vec<usize>,
     },
     /// A deterministic table rebuilt from the config rather than checkpointed (the
     /// sinusoidal positional table), looked up by the value's name.
@@ -355,10 +358,8 @@ pub struct Graph {
     pub nodes: Vec<Node>,
     /// The run input value.
     pub input: ValueId,
-    /// The task output value (logits / reconstruction / encoder states).
+    /// The task output value (logits / reconstruction).
     pub output: ValueId,
-    /// The encoder-stack output — lets `encode()` run a prefix of the same plan.
-    pub encoder_output: ValueId,
 }
 
 /// Why a graph failed to compile into a [`Plan`].
@@ -431,13 +432,7 @@ pub struct Plan {
 impl Graph {
     /// An empty graph (no input value yet); use the builder methods to populate it.
     pub fn new() -> Self {
-        Self {
-            values: Vec::new(),
-            nodes: Vec::new(),
-            input: ValueId(0),
-            output: ValueId(0),
-            encoder_output: ValueId(0),
-        }
+        Self { values: Vec::new(), nodes: Vec::new(), input: ValueId(0), output: ValueId(0) }
     }
 
     /// Adds the run-input value and marks it as [`Graph::input`].
@@ -447,9 +442,10 @@ impl Graph {
         id
     }
 
-    /// Adds a named parameter value.
-    pub fn param(&mut self, path: &str) -> ValueId {
-        self.add_value(path, Some(Binding::Param { path: path.to_string() }))
+    /// Adds a named parameter value of the given shape.
+    pub fn param(&mut self, path: &str, shape: &[usize]) -> ValueId {
+        let binding = Binding::Param { path: path.to_string(), shape: shape.to_vec() };
+        self.add_value(path, Some(binding))
     }
 
     /// Adds a deterministic-table value (looked up by `name` at bind time).
@@ -468,17 +464,6 @@ impl Graph {
         let output = self.add_value(id, None);
         self.nodes.push(Node { id: id.to_string(), op, inputs, output });
         output
-    }
-
-    /// Every parameter path the graph binds.
-    pub fn param_paths(&self) -> Vec<String> {
-        self.values
-            .iter()
-            .filter_map(|v| match &v.binding {
-                Some(Binding::Param { path }) => Some(path.clone()),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Index of the node producing each value, if any.
@@ -716,16 +701,15 @@ mod tests {
     fn toy() -> Graph {
         let mut g = Graph::new();
         let x = g.add_input("input");
-        let w1 = g.param("l1.weight");
-        let b1 = g.param("l1.bias");
-        let w2 = g.param("l2.weight");
-        let b2 = g.param("l2.bias");
+        let w1 = g.param("l1.weight", &[8, 8]);
+        let b1 = g.param("l1.bias", &[8]);
+        let w2 = g.param("l2.weight", &[8, 8]);
+        let b2 = g.param("l2.bias", &[8]);
         let y1 = g.push("l1", Op::Linear, vec![x, w1, b1]);
         let y2 = g.push("l2", Op::Linear, vec![y1, w2, b2]);
         let sum = g.push("residual", Op::Add, vec![y1, y2]);
         let out = g.push("act", Op::Gelu, vec![sum]);
         g.output = out;
-        g.encoder_output = out;
         g.validate().expect("toy graph is well-formed");
         g
     }
@@ -765,13 +749,12 @@ mod tests {
         // GELU's output takes ff1's slot and the chain needs two slots, not three.
         let mut g = Graph::new();
         let x = g.add_input("input");
-        let (w1, b1) = (g.param("l1.weight"), g.param("l1.bias"));
-        let (w2, b2) = (g.param("l2.weight"), g.param("l2.bias"));
+        let (w1, b1) = (g.param("l1.weight", &[8, 8]), g.param("l1.bias", &[8]));
+        let (w2, b2) = (g.param("l2.weight", &[8, 8]), g.param("l2.bias", &[8]));
         let ff1 = g.push("l1", Op::Linear, vec![x, w1, b1]);
         let act = g.push("act", Op::Gelu, vec![ff1]);
         let ff2 = g.push("l2", Op::Linear, vec![act, w2, b2]);
         g.output = ff2;
-        g.encoder_output = ff2;
         let plan = g.compile(&[2, 5, 8], &toy_lookup).unwrap();
         assert_eq!(plan.in_place, vec![false, true, false]);
         assert_eq!(plan.arena.len(), 2);
@@ -828,13 +811,12 @@ mod tests {
     fn aliased_views_keep_their_base_slot_live() {
         let mut g = Graph::new();
         let x = g.add_input("input");
-        let w = g.param("l.weight");
-        let b = g.param("l.bias");
+        let w = g.param("l.weight", &[8, 8]);
+        let b = g.param("l.bias", &[8]);
         let y = g.push("l", Op::Linear, vec![x, w, b]); // (2, 6, 8)
         let split = g.push("split", Op::SplitHeads { heads: 2 }, vec![y]);
         let merged = g.push("merge", Op::MergeHeads, vec![split]);
         g.output = merged;
-        g.encoder_output = merged;
         let plan = g
             .compile(&[2, 6, 8], &|p| match p {
                 "l.weight" => Some(vec![8, 8]),

@@ -40,8 +40,8 @@ fn consumer_counts(graph: &Graph) -> Vec<usize> {
 }
 
 /// Analysis 1a — SSA well-formedness: value indices in range, unique node IDs, unique
-/// producers, no node writing a bound value, every read bound or produced, and both
-/// distinguished outputs realisable.
+/// producers, no node writing a bound value, every read bound or produced, and the
+/// output realisable.
 ///
 /// When this analysis reports errors the graph cannot be indexed safely, so the
 /// plan-level analyses are skipped.
@@ -61,7 +61,7 @@ pub fn verify_structure(graph: &Graph) -> Vec<Diagnostic> {
             }
         }
     }
-    for out in [graph.input, graph.output, graph.encoder_output] {
+    for out in [graph.input, graph.output] {
         if out.0 >= n_values {
             diags.push(Diagnostic::error(
                 Analysis::Structure,
@@ -118,14 +118,13 @@ pub fn verify_structure(graph: &Graph) -> Vec<Diagnostic> {
         }
     }
 
-    for out in [graph.output, graph.encoder_output] {
-        if graph.values[out.0].binding.is_none() && producers[out.0].is_none() {
-            diags.push(Diagnostic::error(
-                Analysis::Structure,
-                graph.values[out.0].name.clone(),
-                VerifyError::MissingOutput,
-            ));
-        }
+    let out = graph.output;
+    if graph.values[out.0].binding.is_none() && producers[out.0].is_none() {
+        diags.push(Diagnostic::error(
+            Analysis::Structure,
+            graph.values[out.0].name.clone(),
+            VerifyError::MissingOutput,
+        ));
     }
     diags
 }
@@ -562,7 +561,7 @@ pub fn verify_bindings(graph: &Graph, tensors: &HashMap<String, Vec<usize>>) -> 
     let consumers = consumer_counts(graph);
     let mut bound_paths: HashSet<&str> = HashSet::new();
     for (i, info) in graph.values.iter().enumerate() {
-        let Some(Binding::Param { path }) = &info.binding else { continue };
+        let Some(Binding::Param { path, .. }) = &info.binding else { continue };
         bound_paths.insert(path.as_str());
         if consumers[i] > 0 && !tensors.contains_key(path) {
             diags.push(Diagnostic::error(

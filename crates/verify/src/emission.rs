@@ -3,7 +3,7 @@
 //! The serving tier runs the graph `rita_core::graph::build_graph` emits for a
 //! checkpoint, with no pass in between. This analysis re-emits that graph and checks
 //! the one under audit against it node for node: the same ID, the same op (constants
-//! included), and the same input values by name, plus the same distinguished outputs.
+//! included), and the same input values by name, plus the same output.
 //! A swapped operand, an altered op constant, or a missing or extra node surfaces as a
 //! [`VerifyError::EmissionMismatch`] naming the first node that differs.
 
@@ -44,14 +44,9 @@ pub(crate) fn verify_emission(emitted: &Graph, served: &Graph) -> Vec<Diagnostic
         );
         mismatch("", detail);
     }
-    for (label, e, s) in [
-        ("output", emitted.output, served.output),
-        ("encoder_output", emitted.encoder_output, served.encoder_output),
-    ] {
-        let (e, s) = (&emitted.values[e.0].name, &served.values[s.0].name);
-        if e != s {
-            mismatch(label, format!("{label} is '{s}', the emission's is '{e}'"));
-        }
+    let (e, s) = (&emitted.values[emitted.output.0].name, &served.values[served.output.0].name);
+    if e != s {
+        mismatch("output", format!("output is '{s}', the emission's is '{e}'"));
     }
     diags
 }

@@ -189,12 +189,11 @@ mod tests {
     fn toy() -> Graph {
         let mut g = Graph::new();
         let x = g.add_input("input");
-        let w = g.param("w");
+        let w = g.param("w", &[4]);
         let a = g.push("a", Op::Gelu, vec![x]);
         let b = g.push("b", Op::Gelu, vec![a]);
         let y = g.push("y", Op::Add, vec![b, w]);
         g.output = y;
-        g.encoder_output = b;
         g
     }
 

@@ -64,7 +64,7 @@ pub enum Corruption {
 
 /// Flips every bit of one byte (`site` taken modulo `buf.len()`) in place — the
 /// byte-level twin of [`Corruption`] for serialized artifacts with integrity
-/// trailers (the version-2+ checkpoint formats). A sweep over sites exercises damage
+/// trailers (the checkpoint format's CRC trailer). A sweep over sites exercises damage
 /// in every file region: header, counts, tensor data, and the checksum trailer
 /// itself. Returns `false` on an empty buffer (no site to damage).
 pub fn flip_byte(buf: &mut [u8], site: usize) -> bool {

@@ -83,8 +83,7 @@ pub enum VerifyError {
         /// The out-of-range slot index.
         index: usize,
     },
-    /// A distinguished output (`output` / `encoder_output`) is neither bound nor
-    /// produced.
+    /// The graph's output is neither bound nor produced.
     MissingOutput,
     /// The schedule does not list every node exactly once.
     ScheduleLength {

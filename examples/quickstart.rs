@@ -61,7 +61,7 @@ fn main() {
     Checkpoint::of_classifier(&classifier, None).save(&ckpt_path).expect("save checkpoint");
     let mut reloaded = Checkpoint::load(&ckpt_path)
         .expect("load checkpoint")
-        .restore_classifier(&mut rng)
+        .restore_classifier()
         .expect("restore classifier");
     let mut eval_rng = SeedableRng64::seed_from_u64(1);
     let original = classifier.evaluate(&split.valid, 16, &mut eval_rng);

@@ -10,7 +10,9 @@
 //! corrupt one copy of the checkpoint (wrong-shape head weight) and remove one `.bias`
 //! from another, and demand the analyzer rejects both; and rewrite the saved file's
 //! attention tag to 2 (the retired Performer tag, with its payload and a fresh
-//! checksum), and demand that loading it fails as `Corrupted`. Any direction failing
+//! checksum), and demand that loading it fails as `Corrupted`; and relabel the saved
+//! file as version 1 (retired, and without a checksum trailer) with a fresh checksum,
+//! and demand that loading it fails as `UnsupportedVersion(1)`. Any direction failing
 //! exits non-zero.
 //!
 //! Run with: `cargo run --release --example verify [CHECKPOINT...]`
@@ -111,7 +113,8 @@ impl Drop for TempCheckpoint {
 }
 
 /// Train → save → reload → verify clean, then corrupt or drop a bias → verify rejected,
-/// and a CRC-valid file with the retired attention tag 2 → load refused as `Corrupted`.
+/// a CRC-valid file with the retired attention tag 2 → load refused as `Corrupted`, and
+/// one relabelled as version 1 → load refused as `UnsupportedVersion(1)`.
 fn self_test() -> ExitCode {
     let quick = std::env::var_os("RITA_QUICK").is_some();
     let (n_train, epochs) = if quick { (12, 1) } else { (60, 3) };
@@ -191,9 +194,27 @@ fn self_test() -> ExitCode {
         }
     }
 
+    // Negative control: versions 1 and 2 are retired, and version 1 carried no
+    // checksum at all. The saved file relabelled as version 1, with a whole-file
+    // checksum that matches, must not load as anything.
+    let mut relabelled = bytes;
+    relabelled[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let body = relabelled.len() - 4;
+    let crc = crc32(&relabelled[..body]);
+    relabelled[body..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, &relabelled).expect("write the relabelled file");
+    match Checkpoint::load(path) {
+        Err(CheckpointError::UnsupportedVersion(1)) => println!("version 1 label: refused"),
+        other => {
+            let got = other.map(|c| c.task);
+            eprintln!("self-test FAILED: a file labelled version 1 loaded as {got:?}");
+            return ExitCode::FAILURE;
+        }
+    }
+
     println!(
         "self-test passed: clean checkpoint accepted, corrupted and bias-less checkpoints \
-         rejected, retired attention tag refused"
+         rejected, retired attention tag and version label refused"
     );
     ExitCode::SUCCESS
 }

@@ -54,8 +54,7 @@ fn classification_roundtrip_is_bit_identical() {
 
         let path = tmp_path(&format!("classifier-{i}.ckpt"));
         Checkpoint::of_classifier(&clf, None).save(&path).unwrap();
-        let mut restored =
-            Checkpoint::load(&path).unwrap().restore_classifier(&mut rng(99)).unwrap();
+        let mut restored = Checkpoint::load(&path).unwrap().restore_classifier().unwrap();
         std::fs::remove_file(&path).unwrap();
 
         // Scheduler state survived (the adaptive group run moved it off the initial
@@ -83,7 +82,7 @@ fn imputation_roundtrip_is_bit_identical() {
 
     let path = tmp_path("imputer.ckpt");
     Checkpoint::of_imputer(&imp, None).save(&path).unwrap();
-    let mut restored = Checkpoint::load(&path).unwrap().restore_imputer(&mut rng(98)).unwrap();
+    let mut restored = Checkpoint::load(&path).unwrap().restore_imputer().unwrap();
     std::fs::remove_file(&path).unwrap();
 
     // Identical masks (same rng seed) + identical weights ⇒ identical metric. Evaluate
@@ -105,7 +104,7 @@ fn forecasting_roundtrip_is_bit_identical() {
 
     let ckpt = Checkpoint::of_imputer(&imp, None);
     let m_a = evaluate_forecast(&mut imp, &data, 10, 3, &mut rng(5));
-    let mut restored = ckpt.restore_imputer(&mut rng(97)).unwrap();
+    let mut restored = ckpt.restore_imputer().unwrap();
     let m_b = evaluate_forecast(&mut restored, &data, 10, 3, &mut rng(6));
     assert_eq!(m_a.horizon, m_b.horizon);
     assert_eq!(m_a.mse.to_bits(), m_b.mse.to_bits());
@@ -136,7 +135,7 @@ fn resumed_training_matches_uninterrupted_run() {
 
     let bytes = Checkpoint::of_classifier(&part, Some(&part_opt)).to_bytes();
     let ckpt = Checkpoint::from_bytes(&bytes).unwrap();
-    let mut resumed = ckpt.restore_classifier(&mut rng(1000)).unwrap();
+    let mut resumed = ckpt.restore_classifier().unwrap();
     let mut resumed_opt = ckpt.restore_optimizer(&resumed).unwrap();
     assert_eq!(resumed_opt.steps(), part_opt.steps(), "step count must round-trip");
     let _ = train_task_resumable(&mut resumed, &data, &cfg(1), &mut resumed_opt, &mut part_rng);
@@ -173,9 +172,9 @@ fn damaged_files_fail_cleanly() {
     assert!(matches!(Checkpoint::load(&garbage), Err(CheckpointError::BadMagic)));
     std::fs::remove_file(&garbage).unwrap();
 
-    // A real checkpoint, truncated at several byte offsets. Since the v2 integrity
-    // trailer, a truncated tail usually trips the whole-file checksum before the
-    // structural parser even runs; either way the error must name the damage.
+    // A real checkpoint, truncated at several byte offsets. A truncated tail usually
+    // trips the whole-file checksum before the structural parser even runs; either
+    // way the error must name the damage.
     let mut r = rng(30);
     let clf = Classifier::new(group_config(3, 40), 4, &mut r);
     let bytes = Checkpoint::of_classifier(&clf, None).to_bytes();

@@ -77,20 +77,19 @@ fn imputer_reconstruction_matches_var_forward_exactly() {
     }
 }
 
-/// The parity holds for repeated forwards too (arena buffers recycled between calls
-/// must never change results), and for a bare backbone checkpoint.
+/// The parity holds for repeated forwards too: arena buffers recycled between calls
+/// must never change results.
 #[test]
-fn repeated_forwards_and_backbone_encode_stay_bit_identical() {
+fn repeated_forwards_stay_bit_identical() {
     let mut r = rng(37);
     let kind = AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: false };
-    let mut model = rita::core::RitaModel::new(RitaConfig::tiny(3, 40, kind), &mut r);
-    let ckpt = Checkpoint::of_backbone(&model);
-    let infer = InferModel::from_checkpoint(&ckpt).unwrap();
+    let mut clf = Classifier::new(RitaConfig::tiny(3, 40, kind), 4, &mut r);
+    let infer = InferModel::from_checkpoint(&Checkpoint::of_classifier(&clf, None)).unwrap();
     for trial in 0..3 {
         let x = NdArray::randn(&[2, 3, 40], 1.0, &mut r);
-        let reference = no_grad(|| model.encode(&x, false, &mut r).to_array());
-        let tape_free = infer.encode(&x);
-        assert_eq!(reference.as_slice(), tape_free.as_slice(), "trial {trial}: encode diverged");
+        let reference = no_grad(|| clf.logits(&x, false, &mut r).to_array());
+        let tape_free = infer.logits(&x);
+        assert_eq!(reference.as_slice(), tape_free.as_slice(), "trial {trial}: logits diverged");
     }
 }
 

@@ -7,10 +7,10 @@
 //! it. These tests pin that the two interpreters agree at 0 ulp across every served
 //! attention kind (vanilla and group), task head, and shape bucket, that the plan cache
 //! counts hits and misses, that a checkpoint missing any parameter (a bias included)
-//! is refused by every loader and by the verifier, that a malformed checkpoint fails
-//! the *request* (typed
-//! `InferError`) — never the worker thread serving it — and that the FFN's GELU writes
-//! over its dying input with the arena, the executor and the verifier agreeing on it.
+//! is refused by every loader and by the verifier, that a header without records or a
+//! record of the wrong shape is refused at load, before anything is built, and that
+//! the FFN's GELU writes over its dying input with the arena, the executor and the
+//! verifier agreeing on it.
 
 use std::time::Duration;
 
@@ -22,10 +22,10 @@ use rita::core::model::embedding::sinusoidal_table;
 use rita::core::model::RitaConfig;
 use rita::core::tasks::{Classifier, Imputer};
 use rita::infer::{
-    plan_cache_stats, pool_stats, InferError, InferModel, InferSession, ModelRegistry,
-    PublishError, RequestError, ServeError, Server, ServerConfig,
+    plan_cache_stats, pool_stats, InferModel, InferSession, ModelRegistry, PublishError,
+    ServeError, Server, ServerConfig,
 };
-use rita::nn::graph::{Graph, Op, Plan, PlanError};
+use rita::nn::graph::{Graph, Op, Plan};
 use rita::tensor::{NdArray, SeedableRng64};
 use rita::verify::{verify_checkpoint, verify_plan, Analysis, Corruption, VerifyError};
 
@@ -84,9 +84,9 @@ fn planned_executor_matches_the_var_oracle_across_kinds_and_lengths() {
     }
 }
 
-/// Same two-interpreter agreement for the reconstruction head and a bare backbone.
+/// Same two-interpreter agreement for the reconstruction head.
 #[test]
-fn imputer_and_backbone_plans_match_the_oracle() {
+fn imputer_plans_match_the_oracle() {
     for (name, kind) in attention_kinds() {
         let mut r = rng(211);
         let config = RitaConfig::tiny(2, 45, kind);
@@ -100,16 +100,6 @@ fn imputer_and_backbone_plans_match_the_oracle() {
             let reference = oracle(&emitted, &ckpt, &x);
             assert_eq!(reference.as_slice(), planned.as_slice(), "{name} imputer, len {len}");
         }
-
-        let mut r = rng(223);
-        let backbone = rita::core::RitaModel::new(RitaConfig::tiny(3, 40, kind), &mut r);
-        let ckpt = Checkpoint::of_backbone(&backbone);
-        let emitted = build_graph(&ckpt.config, ckpt.task, &ckpt.scheduler).unwrap();
-        let model = InferModel::from_checkpoint(&ckpt).unwrap();
-        let x = NdArray::randn(&[2, 3, 40], 1.0, &mut r);
-        let planned = model.encode(&x);
-        let reference = oracle(&emitted, &ckpt, &x);
-        assert_eq!(reference.as_slice(), planned.as_slice(), "{name} backbone encode");
     }
 }
 
@@ -150,9 +140,30 @@ fn a_checkpoint_missing_a_bias_is_refused_by_every_loader() {
         "expected a MissingParam binding error for {BIAS}, got:\n{report}"
     );
     assert!(matches!(
-        ckpt.restore_classifier(&mut r),
+        ckpt.restore_classifier(),
         Err(CheckpointError::MissingTensor(path)) if path == BIAS
     ));
+}
+
+/// A header with no records implies a whole model but carries none of it: the restore
+/// and the serving load both refuse it, naming the first parameter the graph declares,
+/// before a module tree or a plan exists.
+#[test]
+fn a_header_only_checkpoint_is_refused_by_every_loader() {
+    const FIRST: &str = "model.embedding.conv.weight";
+    let clf = Classifier::new(RitaConfig::tiny(3, 60, AttentionKind::Vanilla), 4, &mut rng(41));
+    let mut ckpt = Checkpoint::of_classifier(&clf, None);
+    ckpt.tensors.clear();
+    let header_only = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+    assert!(matches!(
+        header_only.restore_classifier(),
+        Err(CheckpointError::MissingTensor(path)) if path == FIRST
+    ));
+    match InferModel::from_checkpoint(&header_only) {
+        Err(CheckpointError::MissingTensor(path)) => assert_eq!(path, FIRST),
+        Err(e) => panic!("expected MissingTensor({FIRST}), got {e}"),
+        Ok(_) => panic!("a header without records must not load"),
+    }
 }
 
 /// Plans are compiled once per `(batch, length)` bucket and then served from the
@@ -182,13 +193,11 @@ fn plan_cache_counts_hits_and_misses() {
     assert!(after.hit_rate() > 0.0);
 }
 
-/// A checkpoint whose tensor has the wrong *shape* passes loading (presence is checked
-/// there) but fails as a typed, request-scoped error at every layer: `InferModel`
-/// returns `InferError`, the session maps it to `RequestError::Infer`, and the
-/// registry's publish-time static verification refuses to ever activate it — so the
-/// server never runs a request on it at all.
+/// A record of the wrong *shape* is refused at load, as `ShapeMismatch` naming it, by
+/// `InferModel`, `InferSession` and the registry — and so is a header whose `d_model`
+/// disagrees with the records — so the server never runs a request on either.
 #[test]
-fn wrong_shape_checkpoint_tensor_fails_the_request_not_the_worker() {
+fn wrong_shape_checkpoint_tensor_is_refused_at_load() {
     let mut r = rng(67);
     let config = RitaConfig {
         channels: 2,
@@ -208,39 +217,31 @@ fn wrong_shape_checkpoint_tensor_fails_the_request_not_the_worker() {
         .find(|(p, _)| p == "head.weight")
         .expect("classifier checkpoints carry a head");
     slot.1 = TensorRecord::F32(NdArray::zeros(&[3, 3])); // wrong shape, right path
+    let mut wide = Checkpoint::of_classifier(&clf, None);
+    wide.config.d_model = 32; // every record is still d_model 16
 
-    // Loading succeeds: every required tensor is present.
-    let model = InferModel::from_checkpoint(&bad).unwrap();
-    let x = NdArray::randn(&[1, 2, 40], 1.0, &mut r);
-
-    // The model reports a typed shape error naming the offending node.
-    match model.try_logits(&x) {
-        Err(InferError::Plan(PlanError::Shape { node, .. })) => {
-            assert!(node.contains("head"), "error should name the bad node, got '{node}'");
-        }
-        other => panic!("expected a plan shape error, got {other:?}"),
-    }
-
-    // The session rejects the request set without panicking.
-    let session = InferSession::new(model);
-    let req = NdArray::randn(&[2, 40], 1.0, &mut r);
-    match session.classify(std::slice::from_ref(&req)) {
-        Err(RequestError::Infer(InferError::Plan(PlanError::Shape { .. }))) => {}
-        other => panic!("expected RequestError::Infer, got {other:?}"),
-    }
-
-    // Publish now runs the static analyzer: the malformed checkpoint is refused
-    // before activation, with the offending tensor path in the report.
     let registry = std::sync::Arc::new(ModelRegistry::new());
-    match registry.publish(&bad) {
-        Err(PublishError::Rejected(report)) => {
-            assert!(report.has_errors());
-            assert!(
-                report.diagnostics.iter().any(|d| d.node.contains("head")),
-                "report should name the bad tensor: {report}"
-            );
+    let patch = config.channels * config.window;
+    for (ckpt, path, expected) in [
+        (&bad, "head.weight", vec![16, 4]),
+        (&wide, "model.embedding.conv.weight", vec![patch, 32]),
+    ] {
+        let refused = |e: &CheckpointError| {
+            matches!(e, CheckpointError::ShapeMismatch { path: p, expected: want, .. }
+                if p == path && want == &expected)
+        };
+        match InferModel::from_checkpoint(ckpt) {
+            Err(e) => assert!(refused(&e), "InferModel: {e}"),
+            Ok(_) => panic!("InferModel loaded a wrong-shape {path}"),
         }
-        other => panic!("expected static rejection, got {other:?}"),
+        match InferSession::from_checkpoint(ckpt) {
+            Err(e) => assert!(refused(&e), "InferSession: {e}"),
+            Ok(_) => panic!("InferSession loaded a wrong-shape {path}"),
+        }
+        match registry.publish(ckpt) {
+            Err(PublishError::Checkpoint(e)) => assert!(refused(&e), "publish: {e}"),
+            other => panic!("expected the publish to be refused, got {other:?}"),
+        }
     }
     let server = Server::start(
         registry,
@@ -252,6 +253,7 @@ fn wrong_shape_checkpoint_tensor_fails_the_request_not_the_worker() {
         },
     );
     // Nothing was activated, so the server has no model — a typed error, no panic.
+    let req = NdArray::randn(&[2, 40], 1.0, &mut r);
     match server.classify("tenant", req.clone()) {
         Err(ServeError::NoModel) => {}
         other => panic!("expected ServeError::NoModel, got {other:?}"),
@@ -362,12 +364,11 @@ fn the_planned_gelu_writes_over_its_dying_input() {
 fn a_gelu_marked_in_place_over_a_live_input_is_rejected() {
     let mut g = Graph::new();
     let x = g.add_input("input");
-    let (w, b) = (g.param("l.weight"), g.param("l.bias"));
+    let (w, b) = (g.param("l.weight", &[8, 8]), g.param("l.bias", &[8]));
     let l = g.push("l", Op::Linear, vec![x, w, b]);
     let act = g.push("act", Op::Gelu, vec![l]);
     let sum = g.push("residual", Op::Add, vec![act, l]);
     g.output = sum;
-    g.encoder_output = sum;
     let lookup = |p: &str| match p {
         "l.weight" => Some(vec![8, 8]),
         "l.bias" => Some(vec![8]),

@@ -387,12 +387,18 @@ fn rejected_checkpoint_never_activates_while_traffic_continues() {
     registry.publish(&ckpt_v1).unwrap();
     let server = Server::start(Arc::clone(&registry), fast_config(2));
 
-    let mut bad = checkpoint(92);
-    for (p, t) in bad.tensors.iter_mut() {
-        if p == "head.weight" {
-            *t = TensorRecord::F32(NdArray::zeros(&[3, 3])); // wrong shape, right path: loads, must not serve
-        }
-    }
+    // A NaN dequantization scale: the records bind, so only the static analyzer can
+    // refuse the version before it activates.
+    let mut bad = checkpoint(92).quantize();
+    let scales = bad
+        .tensors
+        .iter_mut()
+        .find_map(|(_, t)| match t {
+            TensorRecord::Int8 { scales, .. } => Some(scales),
+            TensorRecord::F32(_) => None,
+        })
+        .expect("a quantized checkpoint has int8 records");
+    scales[0] = f32::NAN;
     std::thread::scope(|s| {
         let server = &server;
         let requests = &requests;

@@ -2,7 +2,7 @@
 //!
 //! Two halves:
 //! 1. **Soundness of acceptance** — every served model (vanilla, fixed and adaptive group
-//!    attention × three task heads) verifies with zero error diagnostics, end-to-end from the
+//!    attention × both task heads) verifies with zero error diagnostics, end-to-end from the
 //!    checkpoint, and its compiled plans verify clean per shape bucket.
 //! 2. **Rejection completeness** — every [`Corruption`] class the mutator can inject
 //!    (ten: swapped/dropped schedule entries, perturbed AOT shape, shrunk arena,
@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use rita::core::attention::AttentionKind;
 use rita::core::checkpoint::Checkpoint;
 use rita::core::graph::{build_graph, POSITIONAL};
-use rita::core::model::{RitaConfig, RitaModel};
+use rita::core::model::RitaConfig;
 use rita::core::tasks::{Classifier, Imputer};
 use rita::tensor::SeedableRng64;
 use rita::verify::{verify_checkpoint, verify_plan, verify_with_graph, Target, ALL};
@@ -40,7 +40,6 @@ fn checkpoints_for(kind: AttentionKind) -> Vec<(&'static str, Checkpoint)> {
     let mut rng = SeedableRng64::seed_from_u64(7);
     let config = config_for(kind);
     vec![
-        ("backbone", Checkpoint::of_backbone(&RitaModel::new(config, &mut rng))),
         ("classifier", Checkpoint::of_classifier(&Classifier::new(config, 4, &mut rng), None)),
         ("imputer", Checkpoint::of_imputer(&Imputer::new(config, &mut rng), None)),
     ]
@@ -88,7 +87,7 @@ fn quantized_checkpoints_verify_clean() {
 #[test]
 fn compiled_plans_verify_clean_per_shape_bucket() {
     for (kind_name, kind) in attention_kinds() {
-        let (_, ckpt) = checkpoints_for(kind).remove(1);
+        let (_, ckpt) = checkpoints_for(kind).remove(0);
         let (g, shapes) = serving_graph(&ckpt);
         let lookup = |name: &str| shapes.get(name).cloned();
         for input in [[3, 2, 50], [1, 2, 25], [2, 2, 5]] {
@@ -110,7 +109,7 @@ fn compiled_plans_verify_clean_per_shape_bucket() {
 #[test]
 fn every_corruption_class_is_rejected_by_the_matching_analysis() {
     for (kind_name, kind) in attention_kinds() {
-        let (_, ckpt) = checkpoints_for(kind).remove(1);
+        let (_, ckpt) = checkpoints_for(kind).remove(0);
         let (g, shapes) = serving_graph(&ckpt);
         let lookup = |name: &str| shapes.get(name).cloned();
         let clean_plan = g.compile(&[2, 2, 50], &lookup).expect("clean plan compiles");
@@ -158,7 +157,7 @@ fn every_corruption_class_is_rejected_by_the_matching_analysis() {
 /// The config gate: an inconsistent configuration is a typed diagnostic, not a panic.
 #[test]
 fn bad_config_is_diagnosed_not_panicked() {
-    let (_, mut ckpt) = checkpoints_for(AttentionKind::Vanilla).remove(1);
+    let (_, mut ckpt) = checkpoints_for(AttentionKind::Vanilla).remove(0);
     ckpt.config.n_heads = 3; // 16 % 3 != 0
     let report = verify_checkpoint(&ckpt);
     assert!(report.has_error_in(rita::verify::Analysis::Config), "got:\n{report}");
