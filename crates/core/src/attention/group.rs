@@ -404,7 +404,7 @@ mod tests {
     }
 
     /// Forces the multi-worker grouping fan-out (which the single-CPU CI box never
-    /// triggers through `group_all`'s budget) and checks it reproduces the serial
+    /// triggers through `group_key_blocks`' budget) and checks it reproduces the serial
     /// clusterings block for block. k-means is deterministic, so equality is exact.
     #[test]
     fn parallel_grouping_matches_serial() {

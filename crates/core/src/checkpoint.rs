@@ -55,10 +55,13 @@
 //! ## Scale values are not validated here
 //!
 //! The reader enforces *structure* (dtype/payload-length agreement, scale counts); it
-//! deliberately does **not** judge scale *values* (finite, positive). That semantic
-//! check lives in `rita-verify`'s independent checkpoint analysis, keeping the
-//! second-implementation discipline: a checkpoint whose scales rotted to NaN parses
-//! here and is rejected by the verifier before the registry activates it.
+//! deliberately does **not** judge scale *values* (finite, positive), and a checkpoint
+//! assembled in memory never passes through the reader at all. Both are judged by
+//! `rita-verify`'s record check (`verify_records`), keeping the second-implementation
+//! discipline: every serving loader (`InferModel`, and so `InferSession` and the
+//! registry) runs it right after [`Checkpoint::bind`], so a checkpoint whose scales
+//! rotted to NaN, or whose int8 payload disagrees with its shape, parses here and is
+//! rejected before any record is dequantized or packed.
 //!
 //! ## Failure behaviour
 //!

@@ -14,15 +14,17 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use rita_core::checkpoint::{Checkpoint, CheckpointError, TaskKind, TensorRecord};
+use rita_core::checkpoint::{Checkpoint, TaskKind, TensorRecord};
 use rita_core::graph::build_graph;
 use rita_core::model::embedding::sinusoidal_table;
 use rita_core::model::RitaConfig;
 use rita_core::scheduler::MemoryModel;
 use rita_nn::graph::{AttnOp, Binding, Graph, Op, PlanError, ValueId};
 use rita_tensor::{NdArray, QuantMatrix, MAX_QUANT_K};
+use rita_verify::Report;
 
 use crate::plan::{note_plan_cache, CachedPlan, InferError};
+use crate::registry::PublishError;
 
 /// Numeric policy of a loaded model: which kernels the plan executor dispatches and
 /// how checkpoint weight records are bound.
@@ -104,9 +106,13 @@ impl InferModel {
     /// `Checkpoint::bind`, before any weight is packed. A config `build_graph` cannot
     /// serve (one `RitaConfig::check` rejects) is refused with its typed error, and so
     /// is a record set that does not match the graph: a missing tensor, bias included
-    /// ([`CheckpointError::MissingTensor`]), a wrong shape
-    /// ([`CheckpointError::ShapeMismatch`]) or a leftover one.
-    pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
+    /// (`CheckpointError::MissingTensor`), a wrong shape (`CheckpointError::ShapeMismatch`)
+    /// or a leftover one, each as [`PublishError::Checkpoint`]. The bound records are
+    /// then judged by `rita_verify::verify_records`, the record check
+    /// `ModelRegistry::publish` runs too: an int8 record whose payload disagrees with
+    /// its shape or whose dequantization scale is not finite and positive is
+    /// [`PublishError::Rejected`], before anything dequantizes or packs it.
+    pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, PublishError> {
         Self::from_checkpoint_with(ckpt, Precision::for_checkpoint(ckpt))
     }
 
@@ -117,10 +123,15 @@ impl InferModel {
     pub fn from_checkpoint_with(
         ckpt: &Checkpoint,
         precision: Precision,
-    ) -> Result<Self, CheckpointError> {
+    ) -> Result<Self, PublishError> {
         let config = ckpt.config;
         let graph = build_graph(&config, ckpt.task, &ckpt.scheduler)?;
         let records = ckpt.bind(&graph)?;
+        let mut report = Report::new();
+        report.extend(rita_verify::verify_records(ckpt));
+        if report.has_errors() {
+            return Err(PublishError::Rejected(report));
+        }
 
         // A value may bind quantized only if *every* consumption is the weight
         // operand of a quantized-capable op — then no kernel ever needs the f32 form.

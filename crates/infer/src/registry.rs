@@ -2,8 +2,9 @@
 //! serving tier.
 //!
 //! Publishing loads a checkpoint into an [`InferModel`] (which validates every tensor
-//! against the architecture before anything is exposed) and installs it as the current
-//! version under a monotonically increasing version id. Workers take a
+//! against the architecture, and every int8 record's payload and scales, before
+//! anything is exposed) and installs it as the current version under a monotonically
+//! increasing version id. Workers take a
 //! [`ModelHandle`] — an `Arc` snapshot of `(version, model)` — per *batch*, so a swap
 //! is atomic from a request's point of view: every batch runs start-to-finish on
 //! exactly one version, in-flight batches finish on the weights they started with, and
@@ -44,10 +45,12 @@ pub enum PublishError {
     /// Loading the checkpoint failed: missing, wrong-shape or leftover tensors, a
     /// corrupt config, an unknown format.
     Checkpoint(CheckpointError),
-    /// The checkpoint loaded, but the independent static analyzer found
-    /// error-severity defects (a non-finite dequantization scale, a serving graph that
-    /// differs from the emitted one…). The full diagnostic report rides along; the
-    /// registry's current version is untouched.
+    /// The independent static analyzer found error-severity defects: in the records
+    /// themselves, which every loader checks before packing them (a non-finite
+    /// dequantization scale, an int8 payload that disagrees with its shape), or, on
+    /// publish, in the checkpoint × graph pair (a serving graph that differs from the
+    /// emitted one…). The full diagnostic report rides along; the registry's current
+    /// version is untouched.
     Rejected(Report),
 }
 

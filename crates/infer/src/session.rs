@@ -9,11 +9,12 @@
 //! set.
 
 use rand::SeedableRng;
-use rita_core::checkpoint::{Checkpoint, CheckpointError};
+use rita_core::checkpoint::Checkpoint;
 use rita_data::batch::{batch_indices_by_length, stack_samples};
 use rita_tensor::{NdArray, SeedableRng64};
 
 use crate::model::InferModel;
+use crate::registry::PublishError;
 
 /// Largest number of same-length requests a session answers in one stacked batch.
 const MAX_BATCH: usize = 64;
@@ -149,8 +150,9 @@ impl InferSession {
         Self { model }
     }
 
-    /// Loads a checkpoint and wraps it in a session.
-    pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
+    /// Loads a checkpoint and wraps it in a session; refused as
+    /// [`InferModel::from_checkpoint`] refuses it.
+    pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, PublishError> {
         Ok(Self::new(InferModel::from_checkpoint(ckpt)?))
     }
 

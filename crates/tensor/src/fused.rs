@@ -38,16 +38,16 @@
 //! it in every row gets `dK` and `dV` rows of exactly `0.0`. The forward keeps every
 //! bit: its outputs and `lse` are what serving answers with.
 
+use std::ops::Range;
+
 use crate::gemm::{macro_kernel, micro_kernel, pack_lhs, pack_rhs, simd_dispatch, MR, NR};
-use crate::parallel::worker_budget;
+use crate::parallel::{fan_out_threads, scoped_chunks_mut};
 use crate::{NdArray, Result, TensorError};
 
 /// Query rows processed per block (one accumulator/statistics set per row in the block).
 const Q_BLOCK: usize = 32;
 /// Keys streamed per tile; one `Q_BLOCK × K_BLOCK` score tile lives in L1 at a time.
 const K_BLOCK: usize = 128;
-/// Minimum total work (`b·h·n·m·(d + d_v)`) before the forward fans out to threads.
-const FUSED_PARALLEL_THRESHOLD: usize = 64 * 64 * 16;
 
 const _: () = assert!(
     Q_BLOCK.is_multiple_of(MR) && K_BLOCK.is_multiple_of(NR),
@@ -179,8 +179,7 @@ pub fn fused_attention(
 ) -> Result<FusedAttention> {
     let dims = check_shapes(q, k, v, weights)?;
     let work = dims.b * dims.h * dims.n * dims.m * (dims.d + dims.dv);
-    let threads = if work >= FUSED_PARALLEL_THRESHOLD { worker_budget() } else { 1 };
-    fused_attention_threaded(q, k, v, scale, weights, threads)
+    fused_attention_threaded(q, k, v, scale, weights, fan_out_threads(work))
 }
 
 /// [`fused_attention`] with an explicit worker count (1 = serial). Exposed at crate
@@ -203,103 +202,40 @@ pub(crate) fn fused_attention_threaded(
     let mut out = crate::pool::alloc_zeroed(bh * n * dv);
     let mut lse = crate::pool::alloc_zeroed(bh * n);
     let (qop, kop, vop) = (Op::new(q), Op::new(k), Op::new(v));
+    let threads = threads.max(1);
 
-    if threads > 1 && (bh >= threads || (bh >= 2 && n <= Q_BLOCK)) {
-        // Enough matrices to saturate the pool (or sequences too short to split):
-        // fan whole (batch, head) matrices out across workers; each worker packs its
-        // own K/V panels and runs its blocks serially.
-        let per = bh.div_ceil(threads);
-        crate::parallel::scope(|scope| {
-            let mut out_rest: &mut [f32] = &mut out;
-            let mut lse_rest: &mut [f32] = &mut lse;
-            let mut start = 0usize;
-            while start < bh {
-                let count = per.min(bh - start);
-                let (oc, orest) = out_rest.split_at_mut(count * n * dv);
-                out_rest = orest;
-                let (lc, lrest) = lse_rest.split_at_mut(count * n);
-                lse_rest = lrest;
-                scope.spawn(move || {
-                    let mut packs = BhPacks::new(&dims);
-                    let mut scratch = FwdScratch::new(&dims);
-                    for i in 0..count {
-                        let bhi = start + i;
-                        packs.fill(&dims, h, bhi, kop, vop);
-                        let ob = &mut oc[i * n * dv..(i + 1) * n * dv];
-                        let lb = &mut lc[i * n..(i + 1) * n];
-                        forward_rows(
-                            &dims,
-                            h,
-                            bhi,
-                            0,
-                            n,
-                            qop,
-                            scale,
-                            &packs,
-                            wdata,
-                            ob,
-                            lb,
-                            &mut scratch,
-                        );
-                    }
-                });
-                start += count;
-            }
-        });
-    } else if threads > 1 && n > Q_BLOCK {
+    if bh < threads && n > Q_BLOCK {
         // Fewer matrices than workers (including the single-matrix b1 h1 case) with
-        // long sequences: pack K/V once per matrix, then fan the query blocks out
-        // across workers (packs are shared read-only), so every core still serves the
+        // long sequences: pack K/V once per matrix, then split its query blocks across
+        // the workers (the packs are shared read-only), so every core still serves the
         // product — the same fallback the batched matmul driver uses.
-        let blocks = n.div_ceil(Q_BLOCK);
-        let rows_per = blocks.div_ceil(threads) * Q_BLOCK;
+        let rows_per = n.div_ceil(Q_BLOCK).div_ceil(threads) * Q_BLOCK;
         let mut packs = BhPacks::new(&dims);
         for bhi in 0..bh {
             packs.fill(&dims, h, bhi, kop, vop);
-            let packs_ref = &packs;
+            let packs = &packs;
             let out_b = &mut out[bhi * n * dv..(bhi + 1) * n * dv];
             let lse_b = &mut lse[bhi * n..(bhi + 1) * n];
-            crate::parallel::scope(|scope| {
-                let mut out_rest: &mut [f32] = out_b;
-                let mut lse_rest: &mut [f32] = lse_b;
-                let mut row0 = 0usize;
-                while row0 < n {
-                    let rows = rows_per.min(n - row0);
-                    let (oc, orest) = out_rest.split_at_mut(rows * dv);
-                    out_rest = orest;
-                    let (lc, lrest) = lse_rest.split_at_mut(rows);
-                    lse_rest = lrest;
-                    let r0 = row0;
-                    scope.spawn(move || {
-                        let mut scratch = FwdScratch::new(&dims);
-                        forward_rows(
-                            &dims,
-                            h,
-                            bhi,
-                            r0,
-                            rows,
-                            qop,
-                            scale,
-                            packs_ref,
-                            wdata,
-                            oc,
-                            lc,
-                            &mut scratch,
-                        );
-                    });
-                    row0 += rows;
-                }
+            scoped_chunks_mut(n, rows_per, [(out_b, dv), (lse_b, 1)], |rows, [o, l]| {
+                let mut scratch = FwdScratch::new(&dims);
+                forward_rows(&dims, h, bhi, rows, qop, scale, packs, wdata, o, l, &mut scratch);
             });
         }
     } else {
-        let mut packs = BhPacks::new(&dims);
-        let mut scratch = FwdScratch::new(&dims);
-        for bhi in 0..bh {
-            packs.fill(&dims, h, bhi, kop, vop);
-            let ob = &mut out[bhi * n * dv..(bhi + 1) * n * dv];
-            let lb = &mut lse[bhi * n..(bhi + 1) * n];
-            forward_rows(&dims, h, bhi, 0, n, qop, scale, &packs, wdata, ob, lb, &mut scratch);
-        }
+        // Whole (batch, head) matrices per chunk: enough matrices to saturate the
+        // workers, sequences too short to split, or one chunk when serial. Each chunk
+        // packs its own K/V panels.
+        let split = [(&mut out[..], n * dv), (&mut lse[..], n)];
+        scoped_chunks_mut(bh, bh.div_ceil(threads), split, |mats, [oc, lc]| {
+            let mut packs = BhPacks::new(&dims);
+            let mut scratch = FwdScratch::new(&dims);
+            for (i, bhi) in mats.enumerate() {
+                packs.fill(&dims, h, bhi, kop, vop);
+                let ob = &mut oc[i * n * dv..(i + 1) * n * dv];
+                let lb = &mut lc[i * n..(i + 1) * n];
+                forward_rows(&dims, h, bhi, 0..n, qop, scale, &packs, wdata, ob, lb, &mut scratch);
+            }
+        });
     }
 
     Ok(FusedAttention {
@@ -360,15 +296,14 @@ impl FwdScratch {
     }
 }
 
-/// Runs the fused forward for query rows `[row0, row0 + rows)` of one (batch, head)
-/// matrix, writing dense `rows × d_v` outputs and `rows` log-sum-exps.
+/// Runs the fused forward for query rows `rows` of one (batch, head) matrix, writing
+/// dense `rows.len() × d_v` outputs and `rows.len()` log-sum-exps.
 #[allow(clippy::too_many_arguments)]
 fn forward_rows(
     dims: &Dims,
     heads: usize,
     bhi: usize,
-    row0: usize,
-    rows: usize,
+    rows: Range<usize>,
     qop: Op<'_>,
     scale: f32,
     packs: &BhPacks,
@@ -380,9 +315,9 @@ fn forward_rows(
     let qoff = qop.offset(bhi, heads);
     let w_bh = wdata.map(|w| &w[bhi * dims.m..(bhi + 1) * dims.m]);
     let mut i0 = 0;
-    while i0 < rows {
-        let bq = Q_BLOCK.min(rows - i0);
-        let qblock = &qop.data[qoff + (row0 + i0) * qop.sr..];
+    while i0 < rows.len() {
+        let bq = Q_BLOCK.min(rows.len() - i0);
+        let qblock = &qop.data[qoff + (rows.start + i0) * qop.sr..];
         forward_q_block::run(
             dims.m,
             dims.d,
@@ -558,12 +493,7 @@ pub fn fused_attention_backward(
 ) -> Result<(NdArray, NdArray, NdArray)> {
     let dims = check_shapes(q, k, v, weights)?;
     let work = dims.b * dims.h * dims.n * dims.m * (dims.d + dims.dv);
-    // Parallelism is per (batch, head) matrix only: dK/dV tiles accumulate across
-    // query blocks, so splitting a single matrix's query blocks would race (it would
-    // need per-worker dK/dV accumulators reduced at the end — a future refinement for
-    // the b·h = 1 training case; real training shapes run batch×heads ≥ the budget).
-    let threads =
-        if work >= FUSED_PARALLEL_THRESHOLD { worker_budget().min(dims.b * dims.h) } else { 1 };
+    let threads = fan_out_threads(work);
     fused_attention_backward_threaded(q, k, v, weights, scale, out, lse, gout, threads)
 }
 
@@ -602,51 +532,14 @@ pub(crate) fn fused_attention_backward_threaded(
     let mut dk = crate::pool::alloc_zeroed(bh * m * d);
     let mut dval = crate::pool::alloc_zeroed(bh * m * dv);
 
-    let threads = threads.min(bh);
-    if threads > 1 {
-        let per = bh.div_ceil(threads);
-        crate::parallel::scope(|scope| {
-            let mut dq_rest: &mut [f32] = &mut dq;
-            let mut dk_rest: &mut [f32] = &mut dk;
-            let mut dv_rest: &mut [f32] = &mut dval;
-            let mut start = 0usize;
-            while start < bh {
-                let count = per.min(bh - start);
-                let (dqc, r1) = dq_rest.split_at_mut(count * n * d);
-                dq_rest = r1;
-                let (dkc, r2) = dk_rest.split_at_mut(count * m * d);
-                dk_rest = r2;
-                let (dvc, r3) = dv_rest.split_at_mut(count * m * dv);
-                dv_rest = r3;
-                scope.spawn(move || {
-                    let mut packs = BwdPacks::new(&dims);
-                    for i in 0..count {
-                        let bhi = start + i;
-                        backward_matrix::run(
-                            &dims,
-                            h,
-                            bhi,
-                            qop,
-                            kop,
-                            vop,
-                            wdata,
-                            scale,
-                            odata,
-                            gdata,
-                            ldata,
-                            &mut dqc[i * n * d..(i + 1) * n * d],
-                            &mut dkc[i * m * d..(i + 1) * m * d],
-                            &mut dvc[i * m * dv..(i + 1) * m * dv],
-                            &mut packs,
-                        );
-                    }
-                });
-                start += count;
-            }
-        });
-    } else {
+    // The split is over (batch, head) matrices only: dK/dV tiles accumulate across
+    // query blocks, so splitting a single matrix's query blocks would race (it would
+    // need per-worker dK/dV accumulators reduced at the end — a future refinement for
+    // the b·h = 1 training case; real training shapes run batch×heads ≥ the budget).
+    let split = [(&mut dq[..], n * d), (&mut dk[..], m * d), (&mut dval[..], m * dv)];
+    scoped_chunks_mut(bh, bh.div_ceil(threads.max(1)), split, |mats, [dqc, dkc, dvc]| {
         let mut packs = BwdPacks::new(&dims);
-        for bhi in 0..bh {
+        for (i, bhi) in mats.enumerate() {
             backward_matrix::run(
                 &dims,
                 h,
@@ -659,13 +552,13 @@ pub(crate) fn fused_attention_backward_threaded(
                 odata,
                 gdata,
                 ldata,
-                &mut dq[bhi * n * d..(bhi + 1) * n * d],
-                &mut dk[bhi * m * d..(bhi + 1) * m * d],
-                &mut dval[bhi * m * dv..(bhi + 1) * m * dv],
+                &mut dqc[i * n * d..(i + 1) * n * d],
+                &mut dkc[i * m * d..(i + 1) * m * d],
+                &mut dvc[i * m * dv..(i + 1) * m * dv],
                 &mut packs,
             );
         }
-    }
+    });
 
     Ok((
         NdArray::try_from_buffer(dq, &[b, h, n, d])?,

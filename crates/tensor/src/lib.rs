@@ -54,7 +54,7 @@ mod window;
 pub use array::NdArray;
 pub use error::TensorError;
 pub use fused::{fused_attention, fused_attention_backward, FusedAttention};
-pub use parallel::{scoped_chunks_mut, with_worker_threads, worker_budget};
+pub use parallel::{fan_out_threads, scoped_chunks_mut, with_worker_threads, worker_budget};
 pub use pool::{pool_reserve, pool_reset, pool_restart_high_water, pool_stats, recycle, PoolStats};
 pub use qgemm::{dequantize_columns, qgemm, quantize_columns, QuantMatrix, MAX_QUANT_K};
 pub use random::{rng_from_seed, SeedableRng64};

@@ -14,7 +14,10 @@ use crate::parallel::{scoped_chunks_mut, worker_budget};
 use crate::qgemm::{qgemm, QuantMatrix};
 use crate::{NdArray, Result, TensorError};
 
-/// Minimum number of output elements before the kernels fan work out to threads.
+/// Minimum number of output elements before the kernels fan work out to threads. It
+/// counts outputs, not the multiply-adds of [`crate::fan_out_threads`]: a multiply-add
+/// gate would move which small products (a one-row lhs against a `(64, 64)` weight,
+/// say) run serially, and that needs its own measurement.
 const PARALLEL_THRESHOLD: usize = 64 * 64;
 
 /// Layout of one matrix operand: the element strides of its trailing two dimensions.
@@ -143,21 +146,19 @@ impl NdArray {
         let ldata: &[f32] = &self.storage;
         let rdata: &[f32] = &other.storage;
 
-        let threads = worker_budget();
-        let big = batch * lm * rn >= PARALLEL_THRESHOLD;
-
-        if big && threads > 1 && batch >= threads {
-            // Enough batch entries to saturate the pool: parallelise across the
-            // batch×heads dimension, each worker running whole products serially.
-            scoped_chunks_mut(&mut out, lm * rn, batch.div_ceil(threads), |b0, chunk| {
-                for (bi, o) in chunk.chunks_mut(lm * rn).enumerate() {
-                    let idx = b0 + bi;
+        let threads = if batch * lm * rn >= PARALLEL_THRESHOLD { worker_budget() } else { 1 };
+        if batch >= threads {
+            // Enough batch entries to saturate the pool (or one chunk when serial):
+            // split across the batch×heads dimension, each chunk running whole products.
+            let per = batch.div_ceil(threads);
+            scoped_chunks_mut(batch, per, [(&mut out[..], lm * rn)], |mats, [chunk]| {
+                for (i, idx) in mats.enumerate() {
                     matmul_2d(
                         &ldata[l_offsets[idx]..],
                         la,
                         &rdata[r_offsets[idx]..],
                         lb,
-                        o,
+                        &mut chunk[i * lm * rn..(i + 1) * lm * rn],
                         lm,
                         lk,
                         rn,
@@ -165,34 +166,19 @@ impl NdArray {
                     );
                 }
             });
-        } else if big && threads > 1 && lm >= 2 {
+        } else {
             // Fewer batch entries than workers (including batch == 1): split each
             // product's output rows across the pool so small batch counts still use
-            // every core, one product at a time.
+            // every core, one product at a time (a one-row product is one chunk).
             let rows_per = lm.div_ceil(threads);
             for bidx in 0..batch {
                 let a = &ldata[l_offsets[bidx]..];
                 let b = &rdata[r_offsets[bidx]..];
                 let out_b = &mut out[bidx * lm * rn..(bidx + 1) * lm * rn];
-                scoped_chunks_mut(out_b, rn, rows_per, |row0, chunk| {
-                    let a_chunk = lhs_rows_from(la, a, row0);
-                    matmul_2d(a_chunk, la, b, lb, chunk, chunk.len() / rn, lk, rn, alpha);
+                scoped_chunks_mut(lm, rows_per, [(out_b, rn)], |rows, [chunk]| {
+                    let a_rows = lhs_rows_from(la, a, rows.start);
+                    matmul_2d(a_rows, la, b, lb, chunk, rows.len(), lk, rn, alpha);
                 });
-            }
-        } else {
-            for bidx in 0..batch {
-                let o = &mut out[bidx * lm * rn..(bidx + 1) * lm * rn];
-                matmul_2d(
-                    &ldata[l_offsets[bidx]..],
-                    la,
-                    &rdata[r_offsets[bidx]..],
-                    lb,
-                    o,
-                    lm,
-                    lk,
-                    rn,
-                    alpha,
-                );
             }
         }
         NdArray::try_from_buffer(out, &out_shape)
@@ -221,15 +207,10 @@ impl NdArray {
         let mut out = crate::pool::alloc_zeroed(m * n);
         if self.is_contiguous() {
             let a = self.as_slice();
-            let threads = worker_budget();
-            if m * n >= PARALLEL_THRESHOLD && threads > 1 && m >= 2 {
-                let rows_per = m.div_ceil(threads);
-                scoped_chunks_mut(&mut out, n, rows_per, |row0, chunk| {
-                    qgemm(&a[row0 * k..], k, 1, chunk.len() / n, wq, chunk, 1.0);
-                });
-            } else {
-                qgemm(a, k, 1, m, wq, &mut out, 1.0);
-            }
+            let threads = if m * n >= PARALLEL_THRESHOLD { worker_budget() } else { 1 };
+            scoped_chunks_mut(m, m.div_ceil(threads), [(&mut out[..], n)], |rows, [chunk]| {
+                qgemm(&a[rows.start * k..], k, 1, rows.len(), wq, chunk, 1.0);
+            });
         } else {
             let la = mat_layout(&self.shape, &self.strides);
             let (ars, acs) = la.strides();

@@ -1,8 +1,10 @@
 //! The shared worker fan-out used by every threaded kernel in the workspace: one
 //! process-wide pool of parked worker threads, the [`scope`] primitive that hands them
-//! borrowed chunks, a chunked split over a mutable output slice built on it, a global
-//! worker budget, and a per-thread cap so nested fan-outs (a grouping worker issuing
-//! matmuls) stay serial instead of oversubscribing the machine.
+//! borrowed chunks, the one chunked split over mutable output slices built on it
+//! ([`scoped_chunks_mut`]: a serial kernel is its one-chunk case), a global worker
+//! budget with the multiply-add gate the fused attention and the grouping share, and a
+//! per-thread cap so nested fan-outs (a grouping worker issuing matmuls) stay serial
+//! instead of oversubscribing the machine.
 //!
 //! The pool starts on the first chunk any fan-out spawns, so a process that never fans
 //! out starts no thread (a serving worker at kernel cap 1 never does). It holds one
@@ -15,6 +17,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -43,6 +46,23 @@ fn machine_parallelism() -> usize {
 /// [`with_worker_threads`] override.
 pub fn worker_budget() -> usize {
     machine_parallelism().min(MAX_THREADS).min(THREAD_CAP.with(|c| c.get()))
+}
+
+/// Minimum multiply-adds before a kernel that counts its work that way fans out: the
+/// fused attention (`b·h·n·m·(d + d_v)`) and the k-means grouping
+/// (`Σ blocks · n · N · d`). Below it the kernel runs as one chunk on the caller. The
+/// batched matmul keeps its own gate, on output elements. The value dates from when
+/// every fan-out spawned fresh threads and has not been re-measured against the pool.
+const MULTIPLY_ADD_THRESHOLD: usize = 64 * 64 * 16;
+
+/// The workers a kernel of `multiply_adds` multiply-adds fans out to: the
+/// [`worker_budget`] at or above the shared threshold, else 1.
+pub fn fan_out_threads(multiply_adds: usize) -> usize {
+    if multiply_adds >= MULTIPLY_ADD_THRESHOLD {
+        worker_budget()
+    } else {
+        1
+    }
 }
 
 /// Runs `f` with the worker budget on this thread capped at `cap` threads.
@@ -157,7 +177,7 @@ fn work() {
 }
 
 /// A fan-out in progress; see [`scope`].
-pub(crate) struct Scope<'env> {
+struct Scope<'env> {
     state: Arc<ScopeState>,
     /// Invariant in `'env`, and neither `Send` nor `Sync`, so a chunk cannot carry the
     /// scope to another thread and spawn into it.
@@ -167,7 +187,7 @@ pub(crate) struct Scope<'env> {
 impl<'env> Scope<'env> {
     /// Queues `f` to run on a pool worker, or on the caller of [`scope`] if it gets
     /// there first. `f` may borrow anything that outlives the `scope` call.
-    pub(crate) fn spawn(&self, f: impl FnOnce() + Send + 'env) {
+    fn spawn(&self, f: impl FnOnce() + Send + 'env) {
         let chunk: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
         // SAFETY: only the lifetime changes; the two types have one layout. The chunk
         // borrows data that lives for `'env`, which outlives the `scope` call that
@@ -200,7 +220,7 @@ impl<'env> Scope<'env> {
 /// one. If `f` or a chunk panics, `scope` still waits for every chunk and then
 /// re-raises the payload (`f`'s first, else the first chunk's); pool workers survive
 /// the panic.
-pub(crate) fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
+fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
     let scope = Scope { state: Arc::default(), _env: PhantomData };
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
     scope.state.wait();
@@ -211,35 +231,43 @@ pub(crate) fn scope<'env, T>(f: impl FnOnce(&Scope<'env>) -> T) -> T {
     }
 }
 
-/// Fans `data` out across the worker pool in contiguous chunks.
+/// Splits `items` logical items into contiguous chunks of up to `per` items and runs
+/// `f(range, chunks)` once per chunk, across the worker pool.
 ///
-/// `data` is treated as logical items of `unit` elements each; every chunk covers up to
-/// `per` consecutive items — `f(start_item, chunk)` where `chunk` covers items
-/// `[start_item, start_item + chunk.len() / unit)`. Blocks until every chunk has run,
-/// so `f` may borrow from the caller's stack. With `per` at or above the item count,
-/// `f` runs once on the calling thread and the pool is not touched — callers decide
-/// the chunking, this helper only owns the splitting and the hand-off.
-pub fn scoped_chunks_mut<T: Send>(
-    data: &mut [T],
-    unit: usize,
+/// Each of the `K` outputs is a `(slice, width)` pair holding `width` elements per item,
+/// so `slice.len()` must be `items · width`; `chunks[i]` is output `i`'s part for the
+/// items in `range`. Blocks until every chunk has run, so `f` may borrow from the
+/// caller's stack. With `per` at or above `items` (a serial kernel) `f` runs once on
+/// the calling thread and the pool is not touched: callers decide the chunking, this
+/// helper only owns the splitting and the hand-off.
+pub fn scoped_chunks_mut<T: Send, const K: usize>(
+    items: usize,
     per: usize,
-    f: impl Fn(usize, &mut [T]) + Send + Copy,
+    outputs: [(&mut [T], usize); K],
+    f: impl Fn(Range<usize>, [&mut [T]; K]) + Send + Copy,
 ) {
-    // Hard asserts (both O(1)): a non-multiple length would silently leave trailing
-    // elements unprocessed in the threaded path below.
-    assert!(unit > 0 && per > 0, "scoped_chunks_mut requires positive unit/per");
-    assert!(
-        data.len().is_multiple_of(unit),
-        "scoped_chunks_mut: {} elements do not divide into items of {unit}",
-        data.len()
-    );
-    if data.len() / unit <= per {
-        f(0, data);
+    for (data, width) in &outputs {
+        assert_eq!(
+            data.len(),
+            items * width,
+            "scoped_chunks_mut: an output does not hold {items} items of {width}"
+        );
+    }
+    if items <= per {
+        f(0..items, outputs.map(|(data, _)| data));
         return;
     }
+    assert!(per > 0, "scoped_chunks_mut: {items} items cannot split into chunks of 0");
+    let mut rest = outputs;
     scope(|s| {
-        for (i, chunk) in data.chunks_mut(per * unit).enumerate() {
-            s.spawn(move || f(i * per, chunk));
+        for start in (0..items).step_by(per) {
+            let end = items.min(start + per);
+            let chunks = rest.each_mut().map(|(data, width)| {
+                let (chunk, tail) = std::mem::take(data).split_at_mut((end - start) * *width);
+                *data = tail;
+                chunk
+            });
+            s.spawn(move || f(start..end, chunks));
         }
     });
 }
@@ -265,7 +293,7 @@ mod tests {
         let (to_a, from_b) = channel();
         let (to_b, from_a) = channel();
         let mut ends = [(Some(to_b), Some(from_b), None), (Some(to_a), Some(from_a), None)];
-        scoped_chunks_mut(&mut ends, 1, 1, |_, end| {
+        scoped_chunks_mut(2, 1, [(&mut ends, 1)], |_, [end]| {
             let (signal, wait, ran_on) = &mut end[0];
             *ran_on = Some(meet(signal.take().expect("unused"), wait.take().expect("unused")));
             after();
@@ -314,9 +342,11 @@ mod tests {
         // workers hold wait on inner chunks that only their own callers can run.
         let per_level = pool_workers().len() + 3;
         let mut sums = vec![0usize; per_level];
-        scoped_chunks_mut(&mut sums, 1, 1, |outer, sum| {
+        scoped_chunks_mut(per_level, 1, [(&mut sums, 1)], |outer, [sum]| {
             let mut inner = vec![0usize; per_level];
-            scoped_chunks_mut(&mut inner, 1, 1, |i, x| x[0] = outer * per_level + i);
+            scoped_chunks_mut(per_level, 1, [(&mut inner, 1)], |i, [x]| {
+                x[0] = outer.start * per_level + i.start
+            });
             sum[0] = inner.iter().sum();
         });
         let n = per_level;
@@ -333,9 +363,9 @@ mod tests {
                 callers.spawn(move || {
                     for round in 0..500usize {
                         let mut data = vec![0usize; 64];
-                        scoped_chunks_mut(&mut data, 1, 8, |start, chunk| {
+                        scoped_chunks_mut(64, 8, [(&mut data, 1)], |items, [chunk]| {
                             for (i, x) in chunk.iter_mut().enumerate() {
-                                *x += caller * round + start + i;
+                                *x += caller * round + items.start + i;
                             }
                         });
                         let sum: usize = data.iter().sum();
@@ -351,9 +381,9 @@ mod tests {
         // 10 items of 3 elements, 4 per chunk: workers must see starts 0, 4, 8 and
         // jointly write every element exactly once.
         let mut data = vec![0usize; 30];
-        scoped_chunks_mut(&mut data, 3, 4, |start, chunk| {
+        scoped_chunks_mut(10, 4, [(&mut data, 3)], |items, [chunk]| {
             for (i, x) in chunk.iter_mut().enumerate() {
-                *x += start * 3 + i + 1;
+                *x += items.start * 3 + i + 1;
             }
         });
         let expect: Vec<usize> = (1..=30).collect();
@@ -363,12 +393,75 @@ mod tests {
     #[test]
     fn scoped_chunks_run_inline_when_one_chunk_suffices() {
         let mut data = vec![0u8; 6];
-        scoped_chunks_mut(&mut data, 2, 3, |start, chunk| {
-            assert_eq!(start, 0);
+        scoped_chunks_mut(3, 3, [(&mut data, 2)], |items, [chunk]| {
+            assert_eq!(items, 0..3);
             assert_eq!(chunk.len(), 6);
             chunk.fill(7);
         });
         assert_eq!(data, vec![7; 6]);
+    }
+
+    /// Records, in every element of `items`' part of `chunk`, the range of the chunk
+    /// that wrote it; an element already written means two chunks overlapped.
+    fn mark(items: &Range<usize>, chunk: &mut [Option<Range<usize>>]) {
+        for slot in chunk {
+            assert!(slot.is_none(), "element written twice");
+            *slot = Some(items.clone());
+        }
+    }
+
+    /// Checks that every element of an output of `width` elements per item was written
+    /// exactly once, by the chunk of at most `per` items whose range covers its item.
+    fn written_by_covering_chunk(out: &[Option<Range<usize>>], width: usize, per: usize) {
+        for (e, slot) in out.iter().enumerate() {
+            let items = slot.as_ref().expect("every element is written");
+            assert!(items.contains(&(e / width)), "element {e} written by chunk {items:?}");
+            assert_eq!(items.start % per, 0, "chunks start at multiples of {per}");
+            assert!(items.len() <= per, "chunk {items:?} holds more than {per} items");
+        }
+    }
+
+    #[test]
+    fn every_output_splits_at_the_same_items_from_1_to_16_chunks() {
+        // 16 items split among one output (width 1), two (widths 3 and 1) and three
+        // (widths 2, 0 and 5), `per` from 16 (one chunk, run inline) down to 1 (16
+        // chunks queued on the pool).
+        const ITEMS: usize = 16;
+        let fresh = |width: usize| vec![None; ITEMS * width];
+        for per in 1..=ITEMS {
+            let mut a = fresh(1);
+            scoped_chunks_mut(ITEMS, per, [(&mut a, 1)], |items, [a]| mark(&items, a));
+            written_by_covering_chunk(&a, 1, per);
+
+            let (mut a, mut b) = (fresh(3), fresh(1));
+            scoped_chunks_mut(ITEMS, per, [(&mut a, 3), (&mut b, 1)], |items, [a, b]| {
+                mark(&items, a);
+                mark(&items, b);
+            });
+            written_by_covering_chunk(&a, 3, per);
+            written_by_covering_chunk(&b, 1, per);
+
+            let (mut a, mut b, mut c) = (fresh(2), fresh(0), fresh(5));
+            let outputs = [(&mut a[..], 2), (&mut b[..], 0), (&mut c[..], 5)];
+            scoped_chunks_mut(ITEMS, per, outputs, |items, chunks| {
+                assert!(chunks[1].is_empty(), "a zero-width output has no elements");
+                for chunk in chunks {
+                    mark(&items, chunk);
+                }
+            });
+            written_by_covering_chunk(&a, 2, per);
+            written_by_covering_chunk(&c, 5, per);
+        }
+    }
+
+    #[test]
+    fn zero_items_run_once_inline() {
+        let runs = AtomicUsize::new(0);
+        scoped_chunks_mut(0, 0, [(&mut [0u8; 0][..], 4)], |items, [chunk]| {
+            assert!(items.is_empty() && chunk.is_empty());
+            runs.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(runs.into_inner(), 1);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! attention kind (vanilla and group), task head, and shape bucket, that the plan cache
 //! counts hits and misses, that a checkpoint missing any parameter (a bias included)
 //! is refused by every loader and by the verifier, that a header without records or a
-//! record of the wrong shape is refused at load, before anything is built, and that
+//! record of the wrong shape is refused at load, before anything is built, that a
+//! damaged int8 record is rejected by every loader before it is packed, and that
 //! the FFN's GELU writes over its dying input with the arena, the executor and the
 //! verifier agreeing on it.
 
@@ -119,7 +120,9 @@ fn a_checkpoint_missing_a_bias_is_refused_by_every_loader() {
     assert_eq!(ckpt.tensors.len(), before - 1, "classifier checkpoints carry {BIAS}");
 
     match InferModel::from_checkpoint(&ckpt) {
-        Err(CheckpointError::MissingTensor(path)) => assert_eq!(path, BIAS),
+        Err(PublishError::Checkpoint(CheckpointError::MissingTensor(path))) => {
+            assert_eq!(path, BIAS)
+        }
         Err(e) => panic!("expected MissingTensor({BIAS}), got {e}"),
         Ok(_) => panic!("a checkpoint without {BIAS} must not load"),
     }
@@ -160,10 +163,56 @@ fn a_header_only_checkpoint_is_refused_by_every_loader() {
         Err(CheckpointError::MissingTensor(path)) if path == FIRST
     ));
     match InferModel::from_checkpoint(&header_only) {
-        Err(CheckpointError::MissingTensor(path)) => assert_eq!(path, FIRST),
+        Err(PublishError::Checkpoint(CheckpointError::MissingTensor(path))) => {
+            assert_eq!(path, FIRST)
+        }
         Err(e) => panic!("expected MissingTensor({FIRST}), got {e}"),
         Ok(_) => panic!("a header without records must not load"),
     }
+}
+
+/// An int8 record whose dequantization scale is NaN, or whose payload is one code short
+/// of its shape, is judged by the record check `publish` runs, whichever loader meets
+/// it: `InferModel`, `InferSession` and the registry each answer `Rejected` with a
+/// dtype error, before anything dequantizes or packs the record.
+#[test]
+fn damaged_int8_records_are_rejected_by_every_loader() {
+    let clf = Classifier::new(RitaConfig::tiny(3, 60, AttentionKind::Vanilla), 4, &mut rng(43));
+    let quantized = Checkpoint::of_classifier(&clf, None).quantize();
+    let rejected = |e: &PublishError| match e {
+        PublishError::Rejected(report) => report.has_error_in(Analysis::Dtype),
+        PublishError::Checkpoint(_) => false,
+    };
+    let registry = ModelRegistry::new();
+    for damage in ["NaN scale", "short payload"] {
+        let mut ckpt = quantized.clone();
+        let (data, scales) = ckpt
+            .tensors
+            .iter_mut()
+            .find_map(|(_, t)| match t {
+                TensorRecord::Int8 { data, scales, .. } => Some((data, scales)),
+                TensorRecord::F32(_) => None,
+            })
+            .expect("a quantized checkpoint has int8 records");
+        if damage == "NaN scale" {
+            scales[0] = f32::NAN;
+        } else {
+            data.pop();
+        }
+        match InferModel::from_checkpoint(&ckpt) {
+            Err(e) => assert!(rejected(&e), "InferModel, {damage}: {e}"),
+            Ok(_) => panic!("InferModel loaded a {damage}"),
+        }
+        match InferSession::from_checkpoint(&ckpt) {
+            Err(e) => assert!(rejected(&e), "InferSession, {damage}: {e}"),
+            Ok(_) => panic!("InferSession loaded a {damage}"),
+        }
+        match registry.publish(&ckpt) {
+            Err(e) => assert!(rejected(&e), "publish, {damage}: {e}"),
+            Ok(version) => panic!("the registry published a {damage} as version {version}"),
+        }
+    }
+    assert_eq!(registry.current_version(), None);
 }
 
 /// Plans are compiled once per `(batch, length)` bucket and then served from the
@@ -226,9 +275,10 @@ fn wrong_shape_checkpoint_tensor_is_refused_at_load() {
         (&bad, "head.weight", vec![16, 4]),
         (&wide, "model.embedding.conv.weight", vec![patch, 32]),
     ] {
-        let refused = |e: &CheckpointError| {
-            matches!(e, CheckpointError::ShapeMismatch { path: p, expected: want, .. }
-                if p == path && want == &expected)
+        let refused = |e: &PublishError| {
+            matches!(e, PublishError::Checkpoint(CheckpointError::ShapeMismatch {
+                path: p, expected: want, ..
+            }) if p == path && want == &expected)
         };
         match InferModel::from_checkpoint(ckpt) {
             Err(e) => assert!(refused(&e), "InferModel: {e}"),
@@ -239,7 +289,7 @@ fn wrong_shape_checkpoint_tensor_is_refused_at_load() {
             Ok(_) => panic!("InferSession loaded a wrong-shape {path}"),
         }
         match registry.publish(ckpt) {
-            Err(PublishError::Checkpoint(e)) => assert!(refused(&e), "publish: {e}"),
+            Err(e) => assert!(refused(&e), "publish: {e}"),
             other => panic!("expected the publish to be refused, got {other:?}"),
         }
     }
